@@ -83,7 +83,7 @@ import sys
 from typing import Callable, Dict, List
 
 
-def _quickstart() -> None:
+def _quickstart(argv: List[str]) -> int:
     from repro.apps.ping import Pinger
     from repro.core.topology import build_figure1_testbed
     from repro.sim.clock import SECOND
@@ -96,9 +96,10 @@ def _quickstart() -> None:
           f"mean RTT {pinger.mean_rtt_seconds():.2f}s at 1200 bps")
     for record in testbed.tracer.select(category="radio.tx"):
         print(" ", record.render())
+    return 0
 
 
-def _gateway() -> None:
+def _gateway(argv: List[str]) -> int:
     from repro.apps.telnet import TelnetClient, TelnetServer
     from repro.core.topology import build_gateway_testbed
     from repro.sim.clock import SECOND
@@ -111,9 +112,10 @@ def _gateway() -> None:
     print(client.transcript_text())
     print(f"[gateway forwarded "
           f"{testbed.gateway.stack.counters['ip_forwarded']} datagrams]")
+    return 0
 
 
-def _observatory() -> None:
+def _observatory(argv: List[str]) -> int:
     from repro.apps.ping import Pinger
     from repro.core.topology import build_gateway_testbed
     from repro.sim.clock import SECOND
@@ -128,6 +130,7 @@ def _observatory() -> None:
     print(monitor.render())
     print()
     print(format_netstat(testbed.gateway.stack))
+    return 0
 
 
 def _sweep(argv: List[str]) -> int:
@@ -139,6 +142,7 @@ def _sweep(argv: List[str]) -> int:
         run_sweep,
         write_bench_json,
     )
+    from repro.harness.gate import parse_gate_args
     from repro.harness.runner import seeds_from_count
 
     parser = argparse.ArgumentParser(
@@ -148,17 +152,11 @@ def _sweep(argv: List[str]) -> int:
     )
     parser.add_argument("--bench", default=None,
                         help="experiment name (see --list)")
-    parser.add_argument("--seeds", type=int, default=None, metavar="N",
-                        help="number of seeds (default: per experiment)")
-    parser.add_argument("--seed-base", type=int, default=1,
-                        help="first seed value (default: 1)")
     parser.add_argument("--procs", type=int, default=1,
                         help="worker processes (default: 1)")
-    parser.add_argument("--out", default=None,
-                        help="results path (default: ./BENCH_<name>.json)")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments and exit")
-    args = parser.parse_args(argv)
+    args = parse_gate_args(parser, argv, "<name>", seeds=None)
 
     if args.list or args.bench is None:
         print("available experiments:")
@@ -172,9 +170,6 @@ def _sweep(argv: List[str]) -> int:
         print(f"unknown bench {args.bench!r}; try --list", file=sys.stderr)
         return 2
 
-    if args.seeds is not None and args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
     if args.procs < 1:
         print("--procs must be >= 1", file=sys.stderr)
         return 2
@@ -221,15 +216,9 @@ def _chaos(argv: List[str]) -> int:
     (3) at least one watchdog recovery within the documented bound, and
     (4) successful post-recovery end-to-end pings in every run.
     """
-    from repro.harness import (
-        SweepSpec,
-        bench_json_path,
-        run_sweep,
-        sweep_digests,
-        write_bench_json,
-    )
+    from repro.harness.gate import Gate, parse_gate_args
     from repro.harness.results import sweep_to_dict
-    from repro.harness.runner import seeds_from_count
+    from repro.harness.runner import SweepSpec
 
     parser = argparse.ArgumentParser(
         prog="python -m repro chaos",
@@ -237,10 +226,6 @@ def _chaos(argv: List[str]) -> int:
                     "watchdog recovery, digest-compared across "
                     "process layouts.",
     )
-    parser.add_argument("--seeds", type=int, default=3, metavar="N",
-                        help="number of seeds (default: 3)")
-    parser.add_argument("--seed-base", type=int, default=1,
-                        help="first seed value (default: 1)")
     parser.add_argument("--stations", type=int, default=50,
                         help="station population (default: 50)")
     parser.add_argument("--duration", type=float, default=240.0,
@@ -248,66 +233,34 @@ def _chaos(argv: List[str]) -> int:
     parser.add_argument("--recovery-bound", type=float, default=60.0,
                         help="max allowed watchdog recovery time in "
                              "simulated seconds (default: 60)")
-    parser.add_argument("--out", default=None,
-                        help="results path (default: ./BENCH_chaos.json)")
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
+    args = parse_gate_args(parser, argv, "chaos")
 
+    gate = Gate("chaos")
     grid = ({"stations": args.stations,
              "duration_seconds": args.duration},)
-    seeds = seeds_from_count(args.seeds, base=args.seed_base)
-    failures: List[str] = []
-    results = {}
-    for procs in (1, 2):
-        print(f"chaos: {args.seeds} seed(s) x {args.stations} stations, "
-              f"procs={procs}")
-        spec = SweepSpec(bench="chaos", seeds=seeds, grid=grid, procs=procs)
-        result = run_sweep(spec, progress=lambda r: print(
+    results, digests = gate.sweep(
+        SweepSpec(bench="chaos", seeds=args.seed_list, grid=grid),
+        progress=lambda r: print(
             f"  seed={r.seed} ({r.wall_seconds:.1f}s) "
             f"recoveries={r.metrics.get('watchdog_recoveries', 0):.0f} "
             f"post-pings={r.metrics.get('post_fault_pings_ok', 0):.0f}"))
-        results[procs] = result
-
-    digests_1 = sweep_digests(results[1])
-    digests_2 = sweep_digests(results[2])
-    for key, digest in sorted(digests_1.items()):
-        if digests_2.get(key) != digest:
-            failures.append(
-                f"digest mismatch at {key}: procs=1 {digest[:12]} "
-                f"!= procs=2 {(digests_2.get(key) or 'missing')[:12]}")
     for record in results[1].records:
         where = f"seed={record.seed}"
         metrics = record.metrics
-        if metrics.get("watchdog_recoveries", 0) < 1:
-            failures.append(f"{where}: watchdog never recovered the TNC")
-        elif metrics.get("watchdog_last_recovery_s", 0) > args.recovery_bound:
-            failures.append(
-                f"{where}: recovery took "
-                f"{metrics['watchdog_last_recovery_s']:.1f}s "
-                f"(bound {args.recovery_bound:.0f}s)")
-        if metrics.get("post_fault_pings_ok", 0) < 1:
-            failures.append(f"{where}: no post-recovery ping succeeded")
+        if gate.check(metrics.get("watchdog_recoveries", 0) >= 1,
+                      f"{where}: watchdog never recovered the TNC"):
+            recovery = metrics.get("watchdog_last_recovery_s", 0)
+            gate.check(recovery <= args.recovery_bound,
+                       f"{where}: recovery took {recovery:.1f}s "
+                       f"(bound {args.recovery_bound:.0f}s)")
+        gate.check(metrics.get("post_fault_pings_ok", 0) >= 1,
+                   f"{where}: no post-recovery ping succeeded")
 
     document = sweep_to_dict(results[2])
-    document["digests"] = {
-        "procs1": digests_1,
-        "procs2": digests_2,
-        "identical": digests_1 == digests_2,
-    }
-    out = args.out or bench_json_path("chaos")
-    path = write_bench_json(out, document, bench="chaos")
-
-    if failures:
-        print("\nchaos gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\nchaos gate passed: {len(digests_1)} run(s), digests "
-          f"identical across layouts; wrote {path}")
-    return 0
+    document["digests"] = digests
+    return gate.finish(args.out, document,
+                       f"{len(results[1].records)} run(s), digests "
+                       f"identical across layouts")
 
 
 def _tournament(argv: List[str]) -> int:
@@ -326,15 +279,9 @@ def _tournament(argv: List[str]) -> int:
     import json
 
     from repro.faults.plan import TOURNAMENT_PLANS
-    from repro.harness import (
-        SweepSpec,
-        bench_json_path,
-        run_sweep,
-        sweep_digests,
-        write_bench_json,
-    )
+    from repro.harness.gate import Gate, parse_gate_args, usage_error
     from repro.harness.results import sweep_to_dict
-    from repro.harness.runner import seeds_from_count
+    from repro.harness.runner import SweepSpec
 
     parser = argparse.ArgumentParser(
         prog="python -m repro tournament",
@@ -342,10 +289,6 @@ def _tournament(argv: List[str]) -> int:
                     "across hostile-link fault plans and link speeds, "
                     "digest-compared across process layouts.",
     )
-    parser.add_argument("--seeds", type=int, default=3, metavar="N",
-                        help="number of seeds per cell (default: 3)")
-    parser.add_argument("--seed-base", type=int, default=1,
-                        help="first seed value (default: 1)")
     parser.add_argument("--plans", default=",".join(TOURNAMENT_PLANS),
                         help="comma-separated fault plans "
                              f"(default: {','.join(TOURNAMENT_PLANS)})")
@@ -357,19 +300,12 @@ def _tournament(argv: List[str]) -> int:
     parser.add_argument("--procs", type=int, default=2,
                         help="worker processes for the parallel layout "
                              "(default: 2)")
-    parser.add_argument("--out", default=None,
-                        help="results path (default: "
-                             "./BENCH_tournament.json)")
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
+    args = parse_gate_args(parser, argv, "tournament")
     plans = tuple(p.strip() for p in args.plans.split(",") if p.strip())
     unknown = [p for p in plans if p not in TOURNAMENT_PLANS]
     if not plans or unknown:
-        print(f"unknown plan(s) {unknown}; known: "
-              f"{', '.join(TOURNAMENT_PLANS)}", file=sys.stderr)
-        return 2
+        usage_error(f"unknown plan(s) {unknown}; known: "
+                    f"{', '.join(TOURNAMENT_PLANS)}")
     speeds = tuple(int(s) for s in args.speeds.split(",") if s.strip())
 
     def cell(rto: str, cc: str, link_timer: str, plan: str,
@@ -386,21 +322,10 @@ def _tournament(argv: List[str]) -> int:
         for cc in ("none", "reno", "paced")
         for link_timer in ("fixed", "adaptive")
     )
-    seeds = seeds_from_count(args.seeds, base=args.seed_base)
-    total = len(grid) * args.seeds
-    failures: List[str] = []
-    results = {}
-    for procs in (1, args.procs):
-        print(f"tournament: {len(grid)} cells x {args.seeds} seed(s) "
-              f"= {total} runs, procs={procs}")
-        spec = SweepSpec(bench="tournament", seeds=seeds, grid=grid,
-                         procs=procs)
-        try:
-            results[procs] = run_sweep(spec)
-        except Exception as exc:  # a crashed cell fails the whole gate
-            print(f"\ntournament gate FAILED: run crashed under "
-                  f"procs={procs}: {exc!r}")
-            return 1
+    gate = Gate("tournament")
+    results, digests = gate.sweep(
+        SweepSpec(bench="tournament", seeds=args.seed_list, grid=grid),
+        procs=(1, args.procs))
 
     result = results[1]
     print(f"\ntournament: goodput/latency/retransmits, mean ± 95% CI "
@@ -416,19 +341,10 @@ def _tournament(argv: List[str]) -> int:
               f"goodput={goodput.render():22s} "
               f"rexmit={rexmit.render():18s} "
               f"latency={latency.render() if latency else '-'}")
-
-    digests_1 = sweep_digests(results[1])
-    digests_2 = sweep_digests(results[args.procs])
-    for key, digest in sorted(digests_1.items()):
-        if digests_2.get(key) != digest:
-            failures.append(
-                f"digest mismatch at {key}: procs=1 {digest[:12]} "
-                f"!= procs={args.procs} "
-                f"{(digests_2.get(key) or 'missing')[:12]}")
     for record in result.records:
-        if record.metrics.get("obs_conservation_ok", 0) < 1:
-            failures.append(f"seed={record.seed} {record.params}: "
-                            f"span conservation violated")
+        gate.check(record.metrics.get("obs_conservation_ok", 0) >= 1,
+                   f"seed={record.seed} {record.params}: "
+                   f"span conservation violated")
 
     # The §4.1 headline: on the storm plan at 1200 bps, adaptive RTO
     # with Reno must strictly beat the fixed-RTO uncongested baseline.
@@ -450,12 +366,11 @@ def _tournament(argv: List[str]) -> int:
         print(f"\n  §4.1 headline (storm @ 1200 bps): "
               f"AdaptiveRto+Reno {champion.render()} vs "
               f"FixedRto+NoCongestion {baseline.render()} B/s")
-        if champion.mean <= baseline.mean:
-            failures.append(
-                f"§4.1 headline violated: AdaptiveRto+Reno goodput "
-                f"{champion.mean:.1f} B/s does not beat "
-                f"FixedRto+NoCongestion {baseline.mean:.1f} B/s "
-                f"under the storm plan")
+        gate.check(champion.mean > baseline.mean,
+                   f"§4.1 headline violated: AdaptiveRto+Reno goodput "
+                   f"{champion.mean:.1f} B/s does not beat "
+                   f"FixedRto+NoCongestion {baseline.mean:.1f} B/s "
+                   f"under the storm plan")
 
     document = sweep_to_dict(results[args.procs])
     # 360 runs x ~180 metrics (mostly obs histogram buckets) makes a
@@ -470,25 +385,12 @@ def _tournament(argv: List[str]) -> int:
             entry["metrics"] = {
                 name: value for name, value in entry["metrics"].items()
                 if name in keep_exact or name.startswith(keep_prefixes)}
-    document["digests"] = {
-        "procs1": digests_1,
-        f"procs{args.procs}": digests_2,
-        "identical": digests_1 == digests_2,
-    }
+    document["digests"] = digests
     document["headline"] = headline
-    out = args.out or bench_json_path("tournament")
-    path = write_bench_json(out, document, bench="tournament")
-
-    if failures:
-        print("\ntournament gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\ntournament gate passed: {len(grid)} cell(s) x "
-          f"{args.seeds} seed(s), zero crashes, spans conserved, "
-          f"digests identical across layouts; wrote {path}")
-    return 0
+    return gate.finish(args.out, document,
+                       f"{len(grid)} cell(s) x {args.seeds} seed(s), zero "
+                       f"crashes, spans conserved, digests identical "
+                       f"across layouts")
 
 
 def _report(argv: List[str]) -> int:
@@ -515,6 +417,8 @@ def _report(argv: List[str]) -> int:
     obs-overhead measurement (recorded, not gated here -- the perf
     bench asserts the budget).  Writes ``BENCH_obs.json``.
     """
+    from repro.harness.gate import parse_gate_args
+
     parser = argparse.ArgumentParser(
         prog="python -m repro report",
         description="Packet flight recorder: lifecycle report, pcap "
@@ -546,122 +450,98 @@ def _report(argv: List[str]) -> int:
                         help="run without the flight recorder (the "
                              "report then fails with a clear error; "
                              "useful with --flame)")
-    parser.add_argument("--seeds", type=int, default=3, metavar="N",
-                        help="gate mode: number of seeds (default: 3)")
-    parser.add_argument("--seed-base", type=int, default=1,
-                        help="gate mode: first seed value (default: 1)")
-    parser.add_argument("--out", default=None,
-                        help="gate mode: results path "
-                             "(default: ./BENCH_obs.json)")
-    args = parser.parse_args(argv)
+    args = parse_gate_args(parser, argv, "obs")
+    return _obs_gate(args) if args.bench else _single_report(args)
 
-    if not args.bench:
-        from repro.harness.experiments import OBS_MIX
-        from repro.obs.pcap import PcapWriter
-        from repro.obs.report import ReportError, render_report, require_reportable
-        from repro.tools.axdump import ChannelMonitor
-        from repro.workload.scenario import Scenario, build_scenario
 
-        scenario = Scenario(
-            name=f"report-{args.variant}", topology="gateway",
-            stations=args.stations, duration_seconds=args.duration,
-            mix=OBS_MIX, seed=args.seed, observe=not args.no_observe,
-        )
-        if args.variant == "chaos":
-            from dataclasses import replace
+def _single_report(args: argparse.Namespace) -> int:
+    """``report`` without ``--bench``: one instrumented scenario."""
+    from repro.harness.experiments import OBS_MIX
+    from repro.obs.pcap import PcapWriter
+    from repro.obs.report import ReportError, render_report, require_reportable
+    from repro.tools.axdump import ChannelMonitor
+    from repro.workload.scenario import Scenario, build_scenario
 
-            from repro.faults import chaos_plan
-            plan = chaos_plan(int(args.duration), gateway="gateway",
-                              stations=["WL0"])
-            scenario = replace(scenario, fault_plan=plan, watchdog=True,
-                               shed_threshold_bytes=2048)
-        run = build_scenario(scenario)
-        profiler = None
-        if args.flame:
-            from repro.obs.profile import SimProfiler
-            profiler = SimProfiler()
-            run.sim.profiler = profiler
-        pcap = PcapWriter() if args.pcap else None
-        if pcap is not None:
-            ChannelMonitor(run.testbed.channel, pcap=pcap)
-        run.run()
-        if profiler is not None:
-            print("sim-time profile (folded stacks: layer;component;site)")
-            print(profiler.render_flame())
-            print()
-        try:
-            recorder = require_reportable(run.recorder)
-        except ReportError as exc:
-            print(f"report: {exc}", file=sys.stderr)
-            return 2
-        print(render_report(
-            recorder,
-            title=f"observability report: {scenario.name} "
-                  f"seed={args.seed}"))
-        if args.timeline and run.timeseries is not None:
-            print()
-            print("timeline (per-interval deltas)")
-            print(run.timeseries.render())
-        if pcap is not None:
-            size = pcap.save(args.pcap)
-            print(f"\nwrote {pcap.frames} frame(s) / {size} bytes to "
-                  f"{args.pcap} (libpcap, LINKTYPE_AX25_KISS)")
-        return 0
-
-    from repro.harness import (
-        SweepSpec,
-        bench_json_path,
-        run_sweep,
-        sweep_digests,
-        write_bench_json,
+    scenario = Scenario(
+        name=f"report-{args.variant}", topology="gateway",
+        stations=args.stations, duration_seconds=args.duration,
+        mix=OBS_MIX, seed=args.seed, observe=not args.no_observe,
     )
-    from repro.harness.results import sweep_to_dict
-    from repro.harness.runner import seeds_from_count
+    if args.variant == "chaos":
+        from dataclasses import replace
 
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
+        from repro.faults import chaos_plan
+        plan = chaos_plan(int(args.duration), gateway="gateway",
+                          stations=["WL0"])
+        scenario = replace(scenario, fault_plan=plan, watchdog=True,
+                           shed_threshold_bytes=2048)
+    run = build_scenario(scenario)
+    profiler = None
+    if args.flame:
+        from repro.obs.profile import SimProfiler
+        profiler = SimProfiler()
+        run.sim.profiler = profiler
+    pcap = PcapWriter() if args.pcap else None
+    if pcap is not None:
+        ChannelMonitor(run.testbed.channel, pcap=pcap)
+    run.run()
+    if profiler is not None:
+        print("sim-time profile (folded stacks: layer;component;site)")
+        print(profiler.render_flame())
+        print()
+    try:
+        recorder = require_reportable(run.recorder)
+    except ReportError as exc:
+        print(f"report: {exc}", file=sys.stderr)
         return 2
-    seeds = seeds_from_count(args.seeds, base=args.seed_base)
-    failures: List[str] = []
-    results = {}
-    for procs in (1, 2):
-        print(f"obs gate: {args.seeds} seed(s) x 2 variants, procs={procs}")
-        spec = SweepSpec(bench="obs", seeds=seeds, procs=procs)
-        result = run_sweep(spec, progress=lambda r: print(
+    print(render_report(
+        recorder,
+        title=f"observability report: {scenario.name} "
+              f"seed={args.seed}"))
+    if args.timeline and run.timeseries is not None:
+        print()
+        print("timeline (per-interval deltas)")
+        print(run.timeseries.render())
+    if pcap is not None:
+        size = pcap.save(args.pcap)
+        print(f"\nwrote {pcap.frames} frame(s) / {size} bytes to "
+              f"{args.pcap} (libpcap, LINKTYPE_AX25_KISS)")
+    return 0
+
+
+def _obs_gate(args: argparse.Namespace) -> int:
+    """``report --bench``: the observability gate."""
+    from dataclasses import replace as dc_replace
+
+    from repro.faults import FaultPlan, FaultSpec
+    from repro.harness.gate import Gate
+    from repro.harness.results import sweep_to_dict
+    from repro.harness.runner import SweepSpec
+    from repro.obs.overhead import measure as measure_overhead
+    from repro.scale.regions import ScaleLayout
+    from repro.scale.shard import run_sharded
+    from repro.sim.clock import SECOND
+
+    gate = Gate("obs")
+    results, digests = gate.sweep(
+        SweepSpec(bench="obs", seeds=args.seed_list),
+        progress=lambda r: print(
             f"  seed={r.seed} {r.params} ({r.wall_seconds:.1f}s) "
             f"born={r.metrics.get('obs_born_total', 0):.0f} "
             f"delivered={r.metrics.get('obs_delivered', 0):.0f} "
             f"conservation={r.metrics.get('obs_conservation_ok', 0):.0f}"))
-        results[procs] = result
-
-    digests_1 = sweep_digests(results[1])
-    digests_2 = sweep_digests(results[2])
-    for key, digest in sorted(digests_1.items()):
-        if digests_2.get(key) != digest:
-            failures.append(
-                f"digest mismatch at {key}: procs=1 {digest[:12]} "
-                f"!= procs=2 {(digests_2.get(key) or 'missing')[:12]}")
     for record in results[1].records:
         where = f"seed={record.seed} {record.params}"
-        metrics = record.metrics
-        if metrics.get("obs_conservation_ok", 0) < 1:
-            failures.append(f"{where}: span conservation violated")
-        if metrics.get("obs_born_total", 0) < 1:
-            failures.append(f"{where}: no packets born (dead scenario)")
+        gate.check(record.metrics.get("obs_conservation_ok", 0) >= 1,
+                   f"{where}: span conservation violated")
+        gate.check(record.metrics.get("obs_born_total", 0) >= 1,
+                   f"{where}: no packets born (dead scenario)")
 
     # Sharded-trace gate: a two-region observed chaos layout per seed,
     # run with 1/2/4 worker processes.  Cross-shard span conservation
     # (born = delivered + dropped + shed + in-flight over the *merged*
     # run, with handoffs balancing adoptions) must hold and the merged
     # digests must be byte-identical across process counts.
-    from dataclasses import replace as dc_replace
-
-    from repro.faults import FaultPlan, FaultSpec
-    from repro.harness import metrics_digest
-    from repro.scale.regions import ScaleLayout
-    from repro.scale.shard import run_sharded
-    from repro.sim.clock import SECOND
-
     shard_template = ScaleLayout(
         regions=2, stations_per_region=2, duration_seconds=40.0,
         drain_seconds=20.0, observe=True,
@@ -672,46 +552,28 @@ def _report(argv: List[str]) -> int:
                       at=8 * SECOND, duration=10 * SECOND,
                       probability=0.05),
         )))
-    shard_procs = (1, 2, 4)
-    shard_digests: Dict[str, Dict[str, str]] = {
-        f"procs{procs}": {} for procs in shard_procs}
-    shard_runs: Dict[str, Dict[str, float]] = {}
     print(f"sharded-trace gate: {args.seeds} seed(s) x 2 regions, "
-          f"procs={shard_procs}")
-    for seed in seeds:
-        layout = dc_replace(shard_template, seed=seed)
-        per_procs = {}
-        for procs in shard_procs:
-            metrics = run_sharded(layout, procs=procs)
-            digest = metrics_digest(metrics)
-            per_procs[procs] = digest
-            shard_digests[f"procs{procs}"][f"seed={seed}"] = digest
-            if procs != 1:
-                continue
-            shard_runs[f"seed={seed}"] = {
-                key: value for key, value in sorted(metrics.items())
-                if key.startswith("total/obs_")}
-            born = metrics.get("total/obs_born_total", 0)
-            print(f"  seed={seed} born={born:.0f} "
-                  f"handed-off={metrics.get('total/obs_handed_off', 0):.0f} "
-                  f"adopted={metrics.get('total/obs_adopted', 0):.0f} "
-                  f"digest={digest[:12]}")
-            if metrics.get("total/obs_sharded_conservation_ok", 0) < 1:
-                failures.append(f"shard seed={seed}: cross-shard span "
-                                f"conservation violated")
-            if born < 1:
-                failures.append(f"shard seed={seed}: no packets born")
-        if len(set(per_procs.values())) != 1:
-            failures.append(
-                f"shard seed={seed}: merged digests differ across "
-                "process counts "
-                + " ".join(f"procs={p}:{d[:12]}"
-                           for p, d in sorted(per_procs.items())))
+          f"procs=(1, 2, 4)")
+    shards, shard_digests = gate.invariance(
+        "procs", (1, 2, 4), lambda procs: {
+            f"seed={seed}": run_sharded(dc_replace(shard_template, seed=seed),
+                                        procs=procs)
+            for seed in args.seed_list}, cells=dict)
+    shard_runs: Dict[str, Dict[str, float]] = {}
+    for where, metrics in shards[1].items():
+        shard_runs[where] = {key: value
+                             for key, value in sorted(metrics.items())
+                             if key.startswith("total/obs_")}
+        born = metrics.get("total/obs_born_total", 0)
+        print(f"  {where} born={born:.0f} "
+              f"handed-off={metrics.get('total/obs_handed_off', 0):.0f} "
+              f"adopted={metrics.get('total/obs_adopted', 0):.0f}")
+        gate.check(metrics.get("total/obs_sharded_conservation_ok", 0) >= 1,
+                   f"shard {where}: cross-shard span conservation violated")
+        gate.check(born >= 1, f"shard {where}: no packets born")
 
     # Paired-round overhead columns (recorded for trend tracking; the
     # perf microbench asserts the <10% budget with more rounds).
-    from repro.obs.overhead import measure as measure_overhead
-
     overhead = measure_overhead(rounds=5)
     print("obs overhead (paired rounds, vs bracketing disabled runs): "
           f"ring {overhead['obs_enabled_overhead_median_pct']:+.1f}% "
@@ -722,34 +584,13 @@ def _report(argv: List[str]) -> int:
           f"±{overhead['obs_disabled_overhead_ci95_pct']:.1f}")
 
     document = sweep_to_dict(results[2])
-    document["digests"] = {
-        "procs1": digests_1,
-        "procs2": digests_2,
-        "identical": digests_1 == digests_2,
-    }
-    document["sharded"] = {
-        "runs": shard_runs,
-        "digests": {
-            **shard_digests,
-            "identical": all(
-                shard_digests[f"procs{procs}"] == shard_digests["procs1"]
-                for procs in shard_procs),
-        },
-    }
+    document["digests"] = digests
+    document["sharded"] = {"runs": shard_runs, "digests": shard_digests}
     document["overhead"] = overhead
-    out = args.out or bench_json_path("obs")
-    path = write_bench_json(out, document, bench="obs")
-
-    if failures:
-        print("\nobs gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\nobs gate passed: {len(digests_1)} run(s) conserve spans, "
-          f"{len(shard_runs)} sharded run(s) conserve across regions, "
-          f"digests identical across layouts; wrote {path}")
-    return 0
+    return gate.finish(args.out, document,
+                       f"{len(results[1].records)} run(s) conserve spans, "
+                       f"{len(shard_runs)} sharded run(s) conserve across "
+                       f"regions, digests identical across layouts")
 
 
 def _scale(argv: List[str]) -> int:
@@ -770,8 +611,7 @@ def _scale(argv: List[str]) -> int:
     import time
     from dataclasses import replace as dc_replace
 
-    from repro.harness import bench_json_path, metrics_digest, write_bench_json
-    from repro.scale.fidelity import fidelity_comparable
+    from repro.harness.gate import Gate, parse_gate_args
     from repro.scale.regions import ScaleLayout
     from repro.scale.shard import run_sharded
     from repro.workload.scenario import Scenario, run_scenario
@@ -782,10 +622,6 @@ def _scale(argv: List[str]) -> int:
                     "gates for shard invariance and frame-fidelity "
                     "equivalence, plus a headline scale run.",
     )
-    parser.add_argument("--seeds", type=int, default=3, metavar="N",
-                        help="number of seeds (default: 3)")
-    parser.add_argument("--seed-base", type=int, default=1,
-                        help="first seed value (default: 1)")
     parser.add_argument("--regions", type=int, default=2,
                         help="regions / shards (default: 2)")
     parser.add_argument("--stations", type=int, default=2,
@@ -805,48 +641,32 @@ def _scale(argv: List[str]) -> int:
                         metavar="N",
                         help="background stations in the headline scale "
                              "run; 0 skips it (default: 5000)")
-    parser.add_argument("--out", default=None,
-                        help="results path (default: ./BENCH_scale.json)")
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
+    args = parse_gate_args(parser, argv, "scale")
 
-    failures: List[str] = []
+    gate = Gate("scale")
     layouts = ScaleLayout(
         regions=args.regions, stations_per_region=args.stations,
         flow_stations=args.flow, duration_seconds=args.duration,
         fidelity=args.fidelity,
     )
-    proc_counts = (1, 2, 4)
-    digests: Dict[str, Dict[str, str]] = {
-        f"procs{procs}": {} for procs in proc_counts}
-    runs: Dict[str, Dict[str, float]] = {}
-    for index in range(args.seeds):
-        seed = args.seed_base + index
-        layout = dc_replace(layouts, seed=seed)
-        per_procs = {}
-        for procs in proc_counts:
+
+    def sharded(procs: int) -> Dict[str, Dict[str, float]]:
+        runs = {}
+        for seed in args.seed_list:
             started = time.perf_counter()
-            metrics = run_sharded(layout, procs=procs)
-            wall = time.perf_counter() - started
-            digest = metrics_digest(metrics)
-            per_procs[procs] = digest
-            digests[f"procs{procs}"][f"seed={seed}"] = digest
-            print(f"  seed={seed} procs={procs} digest={digest[:12]} "
-                  f"({wall:.1f}s) pings="
+            metrics = run_sharded(dc_replace(layouts, seed=seed), procs=procs)
+            runs[f"seed={seed}"] = metrics
+            print(f"  seed={seed} procs={procs} "
+                  f"({time.perf_counter() - started:.1f}s) pings="
                   f"{metrics.get('total/pings_received', 0):.0f}/"
                   f"{metrics.get('total/pings_sent', 0):.0f}")
-            if procs == 1:
-                runs[f"seed={seed}"] = metrics
-                if metrics.get("total/pings_received", 0) < 1:
-                    failures.append(
-                        f"seed={seed}: no cross-region ping completed")
-        if len(set(per_procs.values())) != 1:
-            failures.append(
-                f"seed={seed}: digests differ across process counts "
-                + " ".join(f"procs={p}:{d[:12]}"
-                           for p, d in sorted(per_procs.items())))
+        return runs
+
+    shards, digests = gate.invariance("procs", (1, 2, 4), sharded,
+                                      cells=dict)
+    for where, metrics in shards[1].items():
+        gate.check(metrics.get("total/pings_received", 0) >= 1,
+                   f"{where}: no cross-region ping completed")
 
     # Fidelity equivalence on a fault-free single-simulator scenario:
     # the frame path must be byte-identical to the per-char path in
@@ -855,20 +675,13 @@ def _scale(argv: List[str]) -> int:
         name="scale-fidelity", topology="gateway", stations=4,
         duration_seconds=min(args.duration, 60.0), seed=args.seed_base,
     )
-    per_char = run_scenario(fid_scenario)
-    frame = run_scenario(dc_replace(fid_scenario, fidelity="frame"))
-    fid_digests = {
-        "per_char": metrics_digest(fidelity_comparable(per_char)),
-        "frame": metrics_digest(fidelity_comparable(frame)),
-    }
-    fid_identical = fid_digests["per_char"] == fid_digests["frame"]
-    saved = per_char["events_executed"] - frame["events_executed"]
-    print(f"  fidelity: per_char={fid_digests['per_char'][:12]} "
-          f"frame={fid_digests['frame'][:12]} "
-          f"({saved:.0f} events saved)")
-    if not fid_identical:
-        failures.append("frame fidelity digest differs from per_char "
-                        "on a fault-free line")
+    fid_runs, fidelity = gate.invariance(
+        "fidelity", ("per_char", "frame"),
+        lambda level: run_scenario(dc_replace(fid_scenario, fidelity=level)))
+    saved = (fid_runs["per_char"]["events_executed"]
+             - fid_runs["frame"]["events_executed"])
+    print(f"  fidelity: per_char={fidelity['per_char'][:12]} "
+          f"frame={fidelity['frame'][:12]} ({saved:.0f} events saved)")
 
     headline: Dict[str, float] = {}
     if args.headline_flow > 0:
@@ -897,15 +710,13 @@ def _scale(argv: List[str]) -> int:
         }
         print(f"  headline: {events:.0f} events in {wall:.1f}s wall "
               f"({events / wall:,.0f} events/s)")
-        if metrics.get("total/pings_received", 0) < 1:
-            failures.append("headline run: no cross-region ping completed")
+        gate.check(metrics.get("total/pings_received", 0) >= 1,
+                   "headline run: no cross-region ping completed")
 
-    identical = all(digests[f"procs{procs}"] == digests["procs1"]
-                    for procs in proc_counts)
     document: Dict[str, object] = {
-        "runs": runs,
-        "digests": {**digests, "identical": identical},
-        "fidelity": {**fid_digests, "identical": fid_identical},
+        "runs": shards[1],
+        "digests": digests,
+        "fidelity": fidelity,
         "headline": headline,
         "params": {
             "seeds": args.seeds, "regions": args.regions,
@@ -915,25 +726,9 @@ def _scale(argv: List[str]) -> int:
             "fidelity": args.fidelity,
         },
     }
-    out = args.out or bench_json_path("scale")
-    path = write_bench_json(out, document, bench="scale")
-
-    if failures:
-        print("\nscale gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\nscale gate passed: {args.seeds} seed(s) invariant across "
-          f"procs {proc_counts}, frame fidelity digest-equal; wrote {path}")
-    return 0
-
-
-SCENARIOS: Dict[str, Callable[[], None]] = {
-    "quickstart": _quickstart,
-    "gateway": _gateway,
-    "observatory": _observatory,
-}
+    return gate.finish(args.out, document,
+                       f"{args.seeds} seed(s) invariant across procs "
+                       f"(1, 2, 4), frame fidelity digest-equal")
 
 
 def _mc(argv: List[str]) -> int:
@@ -949,7 +744,7 @@ def _mc(argv: List[str]) -> int:
     from repro.check.mutations import MUTATIONS
     from repro.check.replay import replay_violation
     from repro.check.worlds import WORLDS
-    from repro.harness import bench_json_path, write_bench_json
+    from repro.harness.gate import Gate, parse_gate_args, usage_error
 
     parser = argparse.ArgumentParser(
         prog="python -m repro mc",
@@ -980,23 +775,20 @@ def _mc(argv: List[str]) -> int:
     parser.add_argument("--counterexamples", action="store_true",
                         help="print the shortest counterexample and "
                              "replay timeline for any violation")
-    parser.add_argument("--out", default=None,
-                        help="results path (default: ./BENCH_mc.json)")
-    args = parser.parse_args(argv)
+    args = parse_gate_args(parser, argv, "mc", seeds=0)
 
     names = [name.strip() for name in args.worlds.split(",") if name.strip()]
     unknown = [name for name in names if name not in WORLDS]
     if unknown:
-        print(f"unknown world(s): {', '.join(unknown)} "
-              f"(known: {', '.join(sorted(WORLDS))})", file=sys.stderr)
-        return 2
+        usage_error(f"unknown world(s): {', '.join(unknown)} "
+                    f"(known: {', '.join(sorted(WORLDS))})")
 
     def budget(max_states: int) -> Budget:
         return Budget(max_states=max_states,
                       max_depth=args.max_depth,
                       max_wall_seconds=args.max_seconds)
 
-    failures: List[str] = []
+    gate = Gate("mc")
     presets = []
     for name in names:
         explorer = Explorer(lambda n=name: build_world(n), por=True,
@@ -1009,8 +801,8 @@ def _mc(argv: List[str]) -> int:
               f"{result.transitions} transitions "
               f"({result.states_per_second:.0f} states/s, {status}), "
               f"{len(result.violations)} violation(s)")
-        for violation in result.violations:
-            failures.append(f"{name}: {violation.render().splitlines()[0]}")
+        gate.failures.extend(f"{name}: {violation.render().splitlines()[0]}"
+                             for violation in result.violations)
         shortest = result.shortest_violation()
         if shortest is not None and args.counterexamples:
             print(shortest.render())
@@ -1043,12 +835,10 @@ def _mc(argv: List[str]) -> int:
         print(f"mc: POR ratio on lapb2 tree: {bound} {ratio:.1f}x "
               f"({naive_result.states} naive vs {tree_result.states} "
               f"reduced states)")
-        if not tree_result.complete:
-            failures.append("POR tree walk of lapb2 hit its budget; "
-                            "ratio is not meaningful")
-        if ratio < 2.0:
-            failures.append(
-                f"POR ratio {ratio:.2f}x < 2x on lapb2")
+        gate.check(tree_result.complete,
+                   "POR tree walk of lapb2 hit its budget; "
+                   "ratio is not meaningful")
+        gate.check(ratio >= 2.0, f"POR ratio {ratio:.2f}x < 2x on lapb2")
 
     mutation_rows = []
     if not args.skip_mutation_gate:
@@ -1066,30 +856,25 @@ def _mc(argv: List[str]) -> int:
                     replayed = confirmation.confirmed
                     if args.counterexamples:
                         print(found.render())
-            row = {
+            mutation_rows.append({
                 "mutation": mutation.name,
                 "world": mutation.world,
                 "expected_invariant": mutation.expected_invariant,
                 "found_invariant": found.invariant if found else None,
                 "counterexample_depth": found.depth if found else None,
                 "replay_confirmed": replayed,
-            }
-            mutation_rows.append(row)
-            if found is None:
-                failures.append(
-                    f"mutation {mutation.name}: no violation found "
-                    f"({mutation.description})")
+            })
+            if not gate.check(found is not None,
+                              f"mutation {mutation.name}: no violation "
+                              f"found ({mutation.description})"):
                 print(f"mc: mutation {mutation.name}: MISSED")
                 continue
-            if found.invariant != mutation.expected_invariant:
-                failures.append(
-                    f"mutation {mutation.name}: expected "
-                    f"{mutation.expected_invariant}, caught by "
-                    f"{found.invariant}")
-            if not replayed:
-                failures.append(
-                    f"mutation {mutation.name}: counterexample did not "
-                    f"replay")
+            gate.check(found.invariant == mutation.expected_invariant,
+                       f"mutation {mutation.name}: expected "
+                       f"{mutation.expected_invariant}, caught by "
+                       f"{found.invariant}")
+            gate.check(replayed, f"mutation {mutation.name}: "
+                                 f"counterexample did not replay")
             print(f"mc: mutation {mutation.name}: caught by "
                   f"{found.invariant} in {found.depth} step(s), "
                   f"replay {'confirmed' if replayed else 'DIVERGED'}")
@@ -1105,48 +890,43 @@ def _mc(argv: List[str]) -> int:
         "presets": presets,
         "por_ratio": por_ratio,
         "mutation_gate": mutation_rows,
-        "failures": failures,
+        "failures": gate.failures,
     }
-    out = args.out or bench_json_path("mc")
-    path = write_bench_json(out, document, bench="mc")
+    return gate.finish(args.out, document,
+                       f"{len(names)} world(s) clean, "
+                       f"{len(mutation_rows)} mutation(s) caught")
 
-    if failures:
-        print("\nmc gate FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        print(f"wrote {path}")
-        return 1
-    print(f"\nmc gate passed: {len(names)} world(s) clean, "
-          f"{len(mutation_rows)} mutation(s) caught; wrote {path}")
-    return 0
+
+def _lint(argv: List[str]) -> int:
+    from repro.analysis.cli import main as lint_main
+    return lint_main(argv)
+
+
+#: Every ``python -m repro <command>``: each takes the remaining argv
+#: and returns a process exit code.
+COMMANDS: Dict[str, Callable[[List[str]], int]] = {
+    "quickstart": _quickstart,
+    "gateway": _gateway,
+    "observatory": _observatory,
+    "sweep": _sweep,
+    "chaos": _chaos,
+    "tournament": _tournament,
+    "report": _report,
+    "scale": _scale,
+    "lint": _lint,
+    "mc": _mc,
+}
 
 
 def main(argv: list) -> int:
-    """Dispatch to a scenario; returns a process exit code."""
+    """Dispatch to a command; returns a process exit code."""
     name = argv[1] if len(argv) > 1 else "list"
-    if name == "sweep":
-        return _sweep(argv[2:])
-    if name == "chaos":
-        return _chaos(argv[2:])
-    if name == "tournament":
-        return _tournament(argv[2:])
-    if name == "report":
-        return _report(argv[2:])
-    if name == "scale":
-        return _scale(argv[2:])
-    if name == "lint":
-        from repro.analysis.cli import main as lint_main
-        return lint_main(argv[2:])
-    if name == "mc":
-        return _mc(argv[2:])
-    if name in SCENARIOS:
-        SCENARIOS[name]()
-        return 0
+    if name in COMMANDS:
+        return COMMANDS[name](argv[2:])
     if name not in ("list", "-h", "--help"):
         print(f"unknown scenario {name!r}", file=sys.stderr)
     print(__doc__.strip())
-    print("\nbuilt-in scenarios:", ", ".join(sorted(SCENARIOS)),
-          "+ sweep, chaos, tournament, report, scale, lint, mc")
+    print("\ncommands:", ", ".join(sorted(COMMANDS)))
     print("richer versions live in examples/*.py")
     return 0 if name in ("list", "-h", "--help") else 2
 

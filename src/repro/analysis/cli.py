@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.baseline import (
     BaselineError,
@@ -116,14 +116,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     return report.exit_code
 
 
-#: Deep rules whose dynamic counterpart is the ordering shuffle.
-_ORDERING_RULES = ("DETFLOW001", "DETFLOW002", "RACE001")
-#: Deep rules whose dynamic counterpart is live span conservation.
-_CONSERVATION_RULES = ("CONS001",)
-#: Shard-isolation rules; dynamic twin: 1-proc vs 2-proc digest equality.
-_ISOLATION_RULES = ("SHARD001", "SHARD002")
-#: Units/fidelity rules; dynamic twin: per_char vs frame digest equality.
-_FIDELITY_RULES = ("UNIT001", "UNIT002", "FID001")
+#: Each static rule family and its dynamic twin: the ordering shuffle,
+#: live span conservation, 1-proc vs 2-proc digest equality, and
+#: per_char vs frame digest equality.
+_RULE_FAMILIES = {
+    "ordering": ("DETFLOW001", "DETFLOW002", "RACE001"),
+    "conservation": ("CONS001",),
+    "isolation": ("SHARD001", "SHARD002"),
+    "fidelity": ("UNIT001", "UNIT002", "FID001"),
+}
 
 
 def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
@@ -132,15 +133,20 @@ def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
     The matrix pairs each static family with its runtime check: the
     analyses *agree* when both sides are clean or both sides fire.  A
     dynamic failure with a clean static side is the interesting row --
-    a bug class the passes cannot yet see.
+    a bug class the passes cannot yet see.  The isolation and fidelity
+    rows read the gate runner's ``procs`` and ``fidelity`` checks on a
+    deliberately tiny layout (2 regions x 1 station, 10 simulated
+    seconds, no flow cloud) that keeps the smoke under a second.
     """
-    from repro.harness.experiments import run_sanitize
-    from repro.harness.results import bench_json_path, write_bench_json
+    import time
+    from dataclasses import replace
 
-    static_ordering = sum(1 for f in report.new_findings
-                          if f.rule in _ORDERING_RULES)
-    static_conservation = sum(1 for f in report.new_findings
-                              if f.rule in _CONSERVATION_RULES)
+    from repro.harness.experiments import run_sanitize
+    from repro.harness.gate import Gate
+    from repro.scale.regions import ScaleLayout
+    from repro.scale.shard import run_sharded
+
+    gate = Gate("lint")
     runs = [{
         "params": {"case": "deep_static"},
         "seed": 0,
@@ -151,15 +157,14 @@ def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
             "new_findings": float(len(report.new_findings)),
         },
     }]
-    dynamic_disagreements = 0
-    dynamic_conservation_failures = 0
+    dynamic = {"ordering": 0, "conservation": 0}
     for seed in range(seeds):
         metrics = run_sanitize(seed=seed, stations=stations,
                                duration_seconds=duration)
-        if metrics["sanitize_ordering_agree"] != 1.0:
-            dynamic_disagreements += 1
-        if metrics["sanitize_conservation_ok"] != 1.0:
-            dynamic_conservation_failures += 1
+        dynamic["ordering"] += metrics["sanitize_ordering_agree"] != 1.0
+        dynamic["conservation"] += metrics["sanitize_conservation_ok"] != 1.0
+        gate.check(metrics["obs_born_total"] >= 1,
+                   f"sanitize seed={seed}: no packets born (dead scenario)")
         runs.append({
             "params": {"case": "sanitize", "stations": stations,
                        "duration_seconds": duration},
@@ -169,93 +174,50 @@ def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
                 "sanitizer_checks", "sanitizer_stale_spans",
                 "obs_born_total")},
         })
-    static_isolation = sum(1 for f in report.new_findings
-                           if f.rule in _ISOLATION_RULES)
-    static_fidelity = sum(1 for f in report.new_findings
-                          if f.rule in _FIDELITY_RULES)
-    isolation_failures, fidelity_failures, shard_metrics = _shard_bench()
-    runs.append({
-        "params": {"case": "shard_digests", "regions": 2,
-                   "stations_per_region": 1, "duration_seconds": 10.0},
-        "seed": 0,
-        "metrics": shard_metrics,
-    })
-
-    agreement = {
-        "ordering": {
-            "static_findings": static_ordering,
-            "dynamic_disagreements": dynamic_disagreements,
-            "agree": (static_ordering == 0) == (dynamic_disagreements == 0),
-        },
-        "conservation": {
-            "static_findings": static_conservation,
-            "dynamic_failures": dynamic_conservation_failures,
-            "agree": (static_conservation == 0)
-                     == (dynamic_conservation_failures == 0),
-        },
-        "isolation": {
-            "static_findings": static_isolation,
-            "dynamic_failures": isolation_failures,
-            "agree": (static_isolation == 0) == (isolation_failures == 0),
-        },
-        "fidelity": {
-            "static_findings": static_fidelity,
-            "dynamic_failures": fidelity_failures,
-            "agree": (static_fidelity == 0) == (fidelity_failures == 0),
-        },
-    }
-    path = write_bench_json(
-        bench_json_path("lint"),
-        {"bench": "lint",
-         "spec": {"source": "python -m repro lint --deep --bench",
-                  "seeds": seeds, "stations": stations,
-                  "duration_seconds": duration},
-         "runs": runs,
-         "agreement": agreement},
-    )
-    ok = all(row["agree"] for row in agreement.values())
-    print(f"wrote {path}: " + " ".join(
-        f"{name} agree={row['agree']}"
-        for name, row in sorted(agreement.items())))
-    return 0 if ok else 1
-
-
-def _shard_bench():
-    """Dynamic twins for the isolation and fidelity rows.
-
-    A deliberately tiny layout (2 regions x 1 station, 10 simulated
-    seconds, no flow cloud) keeps the --bench smoke under a second:
-    isolation compares 1-proc vs 2-proc digests of the same layout,
-    fidelity compares per_char vs frame digests through
-    :func:`repro.scale.fidelity.fidelity_comparable`.
-    """
-    import time as _time
-    from dataclasses import replace
-
-    from repro.harness.results import metrics_digest
-    from repro.scale.fidelity import fidelity_comparable
-    from repro.scale.regions import ScaleLayout
-    from repro.scale.shard import run_sharded
 
     layout = ScaleLayout(regions=2, stations_per_region=1,
                          flow_stations=0, duration_seconds=10.0,
                          fidelity="per_char", seed=0)
-    started = _time.perf_counter()
-    single = run_sharded(layout, procs=1)
-    forked = run_sharded(layout, procs=2)
-    isolation_failures = int(metrics_digest(single)
-                             != metrics_digest(forked))
-    frame = run_sharded(replace(layout, fidelity="frame"), procs=1)
-    fidelity_failures = int(
-        metrics_digest(fidelity_comparable(single))
-        != metrics_digest(fidelity_comparable(frame)))
-    wall = _time.perf_counter() - started
-    metrics = {
-        "shard_digest_equal": float(1 - isolation_failures),
-        "fidelity_digest_equal": float(1 - fidelity_failures),
-        "events_saved_by_frame": float(
-            single.get("total/events_executed", 0.0)
-            - frame.get("total/events_executed", 0.0)),
-        "shard_bench_wall_seconds": round(wall, 3),
-    }
-    return isolation_failures, fidelity_failures, metrics
+    started = time.perf_counter()
+    procs, isolation = gate.invariance(
+        "procs", (1, 2), lambda count: run_sharded(layout, procs=count))
+    fidelity_runs, fidelity = gate.invariance(
+        "fidelity", ("per_char", "frame"),
+        lambda level: procs[1] if level == "per_char" else run_sharded(
+            replace(layout, fidelity=level), procs=1))
+    dynamic["isolation"] = int(not isolation["identical"])
+    dynamic["fidelity"] = int(not fidelity["identical"])
+    runs.append({
+        "params": {"case": "shard_digests", "regions": 2,
+                   "stations_per_region": 1, "duration_seconds": 10.0},
+        "seed": 0,
+        "metrics": {
+            "shard_digest_equal": float(isolation["identical"]),
+            "fidelity_digest_equal": float(fidelity["identical"]),
+            "events_saved_by_frame": float(
+                procs[1].get("total/events_executed", 0.0)
+                - fidelity_runs["frame"].get("total/events_executed", 0.0)),
+            "shard_bench_wall_seconds": round(
+                time.perf_counter() - started, 3),
+        },
+    })
+
+    agreement: Dict[str, Dict[str, object]] = {}
+    for name, rules in _RULE_FAMILIES.items():
+        static = sum(1 for f in report.new_findings if f.rule in rules)
+        agree = (static == 0) == (dynamic[name] == 0)
+        column = ("dynamic_disagreements" if name == "ordering"
+                  else "dynamic_failures")
+        agreement[name] = {"static_findings": static,
+                           column: dynamic[name], "agree": agree}
+        gate.check(agree, f"{name}: {static} static finding(s) vs "
+                          f"{dynamic[name]} dynamic failure(s)")
+    print(" ".join(f"{name} agree={row['agree']}"
+                   for name, row in sorted(agreement.items())))
+    return gate.finish(None, {
+        "spec": {"source": "python -m repro lint --deep --bench",
+                 "seeds": seeds, "stations": stations,
+                 "duration_seconds": duration},
+        "runs": runs,
+        "agreement": agreement,
+    }, "static and dynamic checks agree")

@@ -2,7 +2,7 @@
 
 The multi-fidelity serial models (``per_char`` vs ``frame`` vs
 ``flow``) are interchangeable only because their observable metric
-streams agree on everything :func:`repro.scale.fidelity.fidelity_comparable`
+streams agree on everything :func:`repro.harness.results.comparable_metrics`
 compares.  That equivalence is *tested* dynamically; FID001 makes the
 structural half a proved obligation: any ``if`` that branches on a
 fidelity level and emits counters/spans on one arm must emit the same

@@ -29,8 +29,8 @@ from repro.radio.station import RadioStation
 from repro.sim.clock import MS, SECOND
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
-from repro.sim.sanitizer import ordering_comparable
 from repro.faults import chaos_plan, tournament_plan
+from repro.harness.results import comparable_metrics
 from repro.workload.arrivals import BurstArrivals, PoissonArrivals
 from repro.workload.generators import UiChatterGenerator
 from repro.workload.scenario import (
@@ -357,7 +357,10 @@ def run_sanitize(
     carry a :class:`~repro.sim.sanitizer.SimSanitizer` doing live span
     conservation checks, the dynamic counterpart of CONS001's static
     drop-accounting proof.  The headline metrics are
-    ``sanitize_ordering_agree`` and ``sanitize_conservation_ok``.
+    ``sanitize_ordering_agree`` and ``sanitize_conservation_ok``.  The
+    latter reflects only failed sanitizer checks: a scenario that births
+    no packet is not a conservation failure, and shows as
+    ``obs_born_total == 0``.
     """
     if variant not in ("e3", "chaos"):
         raise ValueError(f"unknown sanitize variant {variant!r}")
@@ -373,10 +376,9 @@ def run_sanitize(
                            shed_threshold_bytes=2048)
     base = build_scenario(scenario).run()
     salted = build_scenario(replace(scenario, order_salt=order_salt)).run()
-    agree = ordering_comparable(base) == ordering_comparable(salted)
+    agree = comparable_metrics(base) == comparable_metrics(salted)
     conserved = (base["sanitizer_conservation_failures"] == 0
-                 and salted["sanitizer_conservation_failures"] == 0
-                 and base["obs_born_total"] > 0)
+                 and salted["sanitizer_conservation_failures"] == 0)
     metrics = dict(base)
     metrics["sanitize_ordering_agree"] = 1.0 if agree else 0.0
     metrics["sanitize_conservation_ok"] = 1.0 if conserved else 0.0

@@ -50,13 +50,39 @@ def metrics_digest(metrics: Mapping[str, float]) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
+#: Metrics that may legitimately differ between two runs of the same
+#: seeded scenario that a gate claims equivalent (per_char vs frame
+#: fidelity, FIFO vs order-salted tie-breaks, recorder off vs on):
+#: bookkeeping about the event queue and the sanitizer's own schedule,
+#: never protocol outcomes.
+NEUTRAL_METRICS = frozenset({
+    "events_executed",
+    "sanitizer_checks",
+    "sanitizer_order_salted",
+})
+
+
+def comparable_metrics(metrics: Mapping[str, float]) -> Dict[str, float]:
+    """The subset of a metrics dict an equivalence claim must preserve.
+
+    Sharded runs prefix per-region metrics (``region0/events_executed``,
+    ``total/events_executed``); the neutral set applies to the last path
+    segment so the same projection works on flat and sharded dicts.
+    """
+    return {key: value for key, value in sorted(metrics.items())
+            if key.rsplit("/", 1)[-1] not in NEUTRAL_METRICS}
+
+
+def sweep_cells(result: SweepResult) -> Dict[str, Dict[str, float]]:
+    """Per-cell metrics, keyed ``<params_key>|seed=<seed>``."""
+    return {f"{record.params_key()}|seed={record.seed}": record.metrics
+            for record in result.records}
+
+
 def sweep_digests(result: SweepResult) -> Dict[str, str]:
-    """Per-cell metric digests, keyed ``<params_key>|seed=<seed>``."""
-    return {
-        f"{record.params_key()}|seed={record.seed}":
-            metrics_digest(record.metrics)
-        for record in result.records
-    }
+    """Per-cell metric digests, keyed like :func:`sweep_cells`."""
+    return {cell: metrics_digest(metrics)
+            for cell, metrics in sweep_cells(result).items()}
 
 
 def bench_json_path(bench: str, directory: Union[str, Path] = ".") -> Path:

@@ -7,8 +7,7 @@ thousands of background stations.  This package adds the machinery to
 trade fidelity for scale without giving up determinism:
 
 * :mod:`repro.scale.fidelity` -- the fidelity dial (``per_char``,
-  ``frame``, ``flow``) and the metric-comparison helper that gates
-  frame fidelity against the byte-faithful path.
+  ``frame``, ``flow``).
 * :mod:`repro.scale.flow` -- :class:`~repro.scale.flow.FlowStationCloud`,
   an analytic rate/queue model standing in for many background stations
   while still occupying the shared channel and feeding CounterSets.
@@ -20,11 +19,7 @@ trade fidelity for scale without giving up determinism:
   worker count.
 """
 
-from repro.scale.fidelity import (
-    FIDELITY_LEVELS,
-    FIDELITY_NEUTRAL_METRICS,
-    fidelity_comparable,
-)
+from repro.scale.fidelity import FIDELITY_LEVELS
 from repro.scale.flow import FlowStationCloud
 from repro.scale.regions import (
     Region,
@@ -37,8 +32,6 @@ from repro.scale.shard import run_sharded
 
 __all__ = [
     "FIDELITY_LEVELS",
-    "FIDELITY_NEUTRAL_METRICS",
-    "fidelity_comparable",
     "FlowStationCloud",
     "Region",
     "RegionGatewayLink",

@@ -17,16 +17,15 @@ Three levels, selectable per serial line / station:
   background stations, occupying the shared radio channel with
   carrier-only bursts and accounting its own traffic in a CounterSet.
 
-The frame level is gated, not trusted: tests compare metric digests of
-the same seeded scenario at ``per_char`` and ``frame`` fidelity through
-:func:`fidelity_comparable`, which strips only the event-queue
-bookkeeping that legitimately differs (fewer events is the whole
-point).
+The frame level is gated, not trusted: tests and the ``scale`` gate
+compare metric digests of the same seeded scenario at ``per_char`` and
+``frame`` fidelity through
+:func:`repro.harness.results.comparable_metrics`, which strips only the
+event-queue bookkeeping that legitimately differs (fewer events is the
+whole point).
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 #: The selectable fidelity levels, cheapest last.
 FIDELITY_LEVELS = ("per_char", "frame", "flow")
@@ -34,25 +33,6 @@ FIDELITY_LEVELS = ("per_char", "frame", "flow")
 #: Serial-line fidelity levels (what :class:`~repro.serialio.line.SerialLine`
 #: accepts); ``flow`` replaces the line entirely rather than tuning it.
 LINE_FIDELITY_LEVELS = ("per_char", "frame")
-
-#: Metrics that may legitimately differ between a per-char run and a
-#: frame-fidelity run of the same scenario: bookkeeping about the event
-#: queue itself, never protocol outcomes.  Compare with
-#: :data:`repro.sim.sanitizer.ORDER_NEUTRAL_METRICS`, its ordering twin.
-FIDELITY_NEUTRAL_METRICS = frozenset({
-    "events_executed",
-})
-
-
-def fidelity_comparable(metrics: Dict[str, float]) -> Dict[str, float]:
-    """The subset of a metrics dict that must survive a fidelity switch.
-
-    Sharded runs prefix per-region metrics (``region0/events_executed``,
-    ``total/events_executed``); the neutral set applies to the last path
-    segment so the same gate works on flat and sharded metric dicts.
-    """
-    return {key: value for key, value in sorted(metrics.items())
-            if key.rsplit("/", 1)[-1] not in FIDELITY_NEUTRAL_METRICS}
 
 
 def validate_line_fidelity(fidelity: str) -> str:

@@ -202,20 +202,3 @@ class SimSanitizer:
             "sanitizer_order_salted":
                 1.0 if isinstance(self.sim, OrderShuffleSimulator) else 0.0,
         }
-
-
-#: Metrics that may legitimately differ between a FIFO run and an
-#: order-shuffled run of the same scenario: bookkeeping about the event
-#: queue itself (coalesced wakeups merge differently) and about the
-#: sanitizer's own schedule -- never protocol outcomes.
-ORDER_NEUTRAL_METRICS = frozenset({
-    "events_executed",
-    "sanitizer_checks",
-    "sanitizer_order_salted",
-})
-
-
-def ordering_comparable(metrics: Dict[str, float]) -> Dict[str, float]:
-    """The subset of a metrics dict that must survive an order shuffle."""
-    return {key: value for key, value in sorted(metrics.items())
-            if key not in ORDER_NEUTRAL_METRICS}

@@ -328,9 +328,9 @@ def test_fidelity_comparable_strips_prefixed_bookkeeping():
     """Sharded metric dicts prefix per-region keys; the neutral set
     must apply to the last path segment or the sharded fidelity gate
     compares event-queue bookkeeping."""
-    from repro.scale.fidelity import fidelity_comparable
+    from repro.harness.results import comparable_metrics
     metrics = {"total/events_executed": 99.0,
                "region0/events_executed": 44.0,
                "total/pings_sent": 3.0,
                "events_executed": 143.0}
-    assert fidelity_comparable(metrics) == {"total/pings_sent": 3.0}
+    assert comparable_metrics(metrics) == {"total/pings_sent": 3.0}

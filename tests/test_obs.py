@@ -214,6 +214,38 @@ def test_obs_experiment_digest_identical_across_process_layouts():
     assert digests[1] == digests[2]
 
 
+@pytest.mark.parametrize("variant", ["e3", "chaos"])
+def test_recorder_does_not_perturb_the_run(variant):
+    """Recorder on vs off on the obs experiment's scenarios.
+
+    ``observe=True`` may only add ``obs_*`` metrics, and every shared
+    metric must survive the comparable projection: the recorder's
+    time-series snapshot events show up in ``events_executed`` alone.
+    """
+    from dataclasses import replace
+
+    from repro.faults import chaos_plan
+    from repro.harness.experiments import OBS_MIX
+    from repro.harness.results import comparable_metrics
+    from repro.workload.scenario import Scenario, run_scenario
+
+    scenario = Scenario(name=f"obs-{variant}", topology="gateway",
+                        stations=8, duration_seconds=150.0, mix=OBS_MIX,
+                        seed=1)
+    if variant == "chaos":
+        scenario = replace(
+            scenario, watchdog=True, shed_threshold_bytes=2048,
+            fault_plan=chaos_plan(150, gateway="gateway", stations=["WL0"]))
+    off = run_scenario(scenario)
+    on = run_scenario(replace(scenario, observe=True))
+    added = set(on) - set(off)
+    assert added and all(key.startswith("obs_") for key in added)
+    assert set(off) <= set(on)
+    assert comparable_metrics({key: on[key] for key in off}) \
+        == comparable_metrics(off)
+    assert on["events_executed"] > off["events_executed"]
+
+
 # ----------------------------------------------------------------------
 # pcap export
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.harness.results import comparable_metrics
 from repro.inet.ip import IPv4Address, IPv4Datagram
 from repro.obs.spans import FlightRecorder
 from repro.sim.clock import SECOND
@@ -21,7 +22,6 @@ from repro.sim.sanitizer import (
     OrderShuffleSimulator,
     SanitizerError,
     SimSanitizer,
-    ordering_comparable,
 )
 from repro.sim.trace import Tracer
 from repro.workload.scenario import GeneratorMix, Scenario, build_scenario
@@ -196,11 +196,11 @@ def test_scenario_shuffle_agreement_end_to_end():
     base = build_scenario(_SMOKE).run()
     salted = build_scenario(replace(_SMOKE, order_salt=7)).run()
     assert salted["sanitizer_order_salted"] == 1.0
-    assert ordering_comparable(base) == ordering_comparable(salted)
+    assert comparable_metrics(base) == comparable_metrics(salted)
 
 
 def test_ordering_comparable_excludes_queue_bookkeeping():
-    comparable = ordering_comparable(
+    comparable = comparable_metrics(
         {"events_executed": 1.0, "sanitizer_checks": 2.0,
          "sanitizer_order_salted": 1.0, "pings_received": 3.0})
     assert comparable == {"pings_received": 3.0}

@@ -17,13 +17,9 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec
-from repro.scale.fidelity import (
-    FIDELITY_NEUTRAL_METRICS,
-    fidelity_comparable,
-    validate_line_fidelity,
-)
+from repro.harness.results import NEUTRAL_METRICS, comparable_metrics
+from repro.scale.fidelity import validate_line_fidelity
 from repro.sim.clock import SECOND
-from repro.sim.sanitizer import ordering_comparable
 from repro.workload.scenario import GeneratorMix, Scenario, run_scenario
 
 MIX = (
@@ -40,8 +36,8 @@ def test_validate_line_fidelity_rejects_unknown():
 
 def test_fidelity_comparable_strips_only_bookkeeping():
     metrics = {"pings_sent": 3.0, "events_executed": 999.0}
-    assert fidelity_comparable(metrics) == {"pings_sent": 3.0}
-    assert "events_executed" in FIDELITY_NEUTRAL_METRICS
+    assert comparable_metrics(metrics) == {"pings_sent": 3.0}
+    assert "events_executed" in NEUTRAL_METRICS
 
 
 @pytest.mark.parametrize("topology", ["gateway", "figure1"])
@@ -50,7 +46,7 @@ def test_frame_fidelity_digest_equal_on_clean_lines(topology):
                     duration_seconds=90.0, mix=MIX, seed=21)
     per_char = run_scenario(base)
     frame = run_scenario(replace(base, fidelity="frame"))
-    assert fidelity_comparable(frame) == fidelity_comparable(per_char)
+    assert comparable_metrics(frame) == comparable_metrics(per_char)
     # The whole point: materially fewer events for the same outcome.
     assert frame["events_executed"] < per_char["events_executed"] / 2
 
@@ -72,7 +68,7 @@ def test_frame_fidelity_downshifts_under_serial_fault():
     faulted = run_scenario(base)
     clean = run_scenario(replace(base, fault_plan=None))
     assert faulted["fault_bytes_corrupted"] > 0
-    assert fidelity_comparable(faulted) != fidelity_comparable(clean)
+    assert comparable_metrics(faulted) != comparable_metrics(clean)
 
 
 def test_frame_fidelity_deterministic_per_seed():
@@ -98,4 +94,4 @@ def test_sanitizer_accepts_frame_fidelity_paths():
     assert salted["sanitizer_stale_spans"] == 0
     assert salted["sanitizer_checks"] > 0
     other = run_scenario(replace(base, order_salt=0xFACE))
-    assert ordering_comparable(salted) == ordering_comparable(other)
+    assert comparable_metrics(salted) == comparable_metrics(other)
