@@ -19,8 +19,8 @@ from repro.check.worlds import Lapb2World
 from repro.harness.results import bench_json_path, write_bench_json
 
 #: Floor for exploration throughput, states/second.  Typical runs do
-#: several hundred; the floor catches an accidentally quadratic
-#: fingerprint or a deepcopy blow-up, not normal variance.
+#: well over a thousand; the floor catches an accidentally quadratic
+#: fingerprint or a snapshot blow-up, not normal variance.
 STATES_PER_SECOND_FLOOR = 50.0
 
 #: Floor for the POR ratio on the lapb2 execution tree (acceptance bar).

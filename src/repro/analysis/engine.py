@@ -74,7 +74,7 @@ DEFAULT_ALLOWLIST: Dict[str, Sequence[str]] = {
     # purpose; everything simulated must speak through the tracer.
     "OBS001": ("*/repro/__main__.py", "*/repro/analysis/*",
                "*/repro/tools/*", "*/repro/harness/*"),
-    # Snapshot safety binds only what the model checker deepcopies:
+    # Snapshot safety binds only what the model checker snapshots:
     # simulated objects.  Harness workers, analysis tooling, and CLI
     # front doors are never captured, so their lambdas are harmless.
     "SNAP001": ("*/repro/harness/*", "*/repro/analysis/*",

@@ -45,16 +45,16 @@ def _register(entry: Explanation) -> None:
 _register(Explanation(
     rule="SNAP001",
     rationale="""
-        The model checker (repro.check) snapshots whole worlds with
-        deepcopy and branches execution from the copies.  Bound methods
-        rebind through the deepcopy memo, so a scheduled self._flush in
-        a snapshot points at the *copied* object — but lambdas and
-        generator expressions copy by reference: their closure cells
-        still point into the live world, so every "frozen" snapshot
-        silently aliases the state it was meant to freeze.  OS handles
-        (open files, threading primitives, sockets) either refuse to
-        deepcopy or duplicate kernel objects.  Anything stored on sim
-        state, or handed to the scheduler, must survive the copy.
+        The model checker (repro.check) snapshots whole worlds by
+        pickling them and branches execution from restored copies.
+        Bound methods are rebound to the restored object, so a
+        scheduled self._flush in a copy points at the *copied*
+        component.  Lambdas, generator expressions and OS handles (open
+        files, threading primitives, sockets) cannot be pickled, so
+        StateCapturer.capture raises on a world that holds one: the
+        checker fails at the first snapshot instead of exploring.
+        Anything stored on sim state, or handed to the scheduler, must
+        survive the snapshot.
     """,
     example="""
         class CollisionHub:

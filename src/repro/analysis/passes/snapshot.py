@@ -1,28 +1,27 @@
 """SNAP001: sim state must survive a snapshot.
 
-The model checker (:mod:`repro.check`) freezes whole worlds with
-``copy.deepcopy`` and branches execution from the copies.  Deepcopy
-rebinds *bound methods* through its memo -- a scheduled
-``self._flush`` in the copy points at the copied object -- but three
-idioms silently break that contract:
+The model checker (:mod:`repro.check`) freezes whole worlds by
+pickling them and branches execution from the restored copies.  Bound
+methods are rebound to the restored object -- a scheduled
+``self._flush`` in a copy points at the copied component -- but three
+idioms break that contract:
 
-* a **lambda or generator expression stored on an object** deepcopies
-  *by reference*: the closure cells still point into the live world,
-  so every "frozen" snapshot aliases the state it was meant to freeze
-  (a generator additionally cannot be copied at all once started);
+* a **lambda or generator expression stored on an object** cannot be
+  pickled: a lambda (like any nested function) has no importable name,
+  and a generator's frame cannot be rebuilt;
 * an **OS handle stored on an object** -- ``open()`` files,
-  ``threading`` primitives, ``socket.socket()`` -- either raises
-  ``TypeError`` under deepcopy or duplicates a kernel object whose
-  identity the copy cannot share;
+  ``threading`` primitives, ``socket.socket()`` -- cannot be pickled,
+  and a copy could not share the kernel object behind it anyway;
 * a **lambda handed to the scheduler** (``schedule`` / ``call_soon`` /
-  ``at``) is captured inside a pending event; the restored event then
-  calls back into the *original* world, which is the worst possible
-  place for a restored schedule to land.
+  ``at``) is captured inside a pending event, where it closes over the
+  live world.
 
-The fix is the same in every case: make the callback a bound method
-(deepcopy-safe by construction) and keep handles off simulated
-objects.  Harness, analysis, and CLI code never gets snapshotted and
-is allowlisted in the engine.
+Any of these makes ``StateCapturer.capture`` raise at run time, so a
+broken world fails loudly instead of aliasing the live one.  This pass
+catches the same idioms statically, before a checker run trips over
+them.  The fix is the same in every case: make the callback a bound
+method and keep handles off simulated objects.  Harness, analysis, and
+CLI code never gets snapshotted and is allowlisted in the engine.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ from repro.analysis.registry import (
 RULE_SNAPSHOT = Rule(
     id="SNAP001", name="un-snapshotable-sim-state", severity="error",
     summary="lambda/generator/OS handle stored on sim state (or lambda "
-            "scheduled as an event) aliases the live world under "
-            "deepcopy snapshot; use a bound method / keep handles off "
-            "sim objects",
+            "scheduled as an event) cannot be snapshotted and fails "
+            "StateCapturer.capture; use a bound method / keep handles "
+            "off sim objects",
 )
 
 #: Scheduler entry points whose callback argument ends up inside a
@@ -95,16 +94,16 @@ class SnapshotSafetyPass(LintPass):
         if isinstance(value, ast.Lambda):
             yield self.finding(
                 module, node, RULE_SNAPSHOT,
-                f"lambda stored on {stored} deepcopies by reference -- "
-                f"a snapshot's closure cells still point into the live "
-                f"world; store a bound method instead",
+                f"lambda stored on {stored} cannot be pickled, so a "
+                f"snapshot of this object fails; store a bound method "
+                f"instead",
             )
         elif isinstance(value, ast.GeneratorExp):
             yield self.finding(
                 module, node, RULE_SNAPSHOT,
                 f"generator expression stored on {stored} cannot be "
-                f"deepcopied once started; materialise it or iterate "
-                f"it where it is built",
+                f"snapshotted; materialise it or iterate it where it "
+                f"is built",
             )
         elif isinstance(value, ast.Call):
             handle = self._handle_call(imports, value)
@@ -112,9 +111,8 @@ class SnapshotSafetyPass(LintPass):
                 yield self.finding(
                     module, node, RULE_SNAPSHOT,
                     f"OS handle from {handle}() stored on {stored} does "
-                    f"not survive deepcopy snapshot; keep handles off "
-                    f"sim objects (or register a reducer in "
-                    f"repro.check.snapshot)",
+                    f"not survive a snapshot; keep handles off sim "
+                    f"objects (or give the class a __reduce__)",
                 )
 
     @staticmethod
@@ -145,7 +143,7 @@ class SnapshotSafetyPass(LintPass):
                 yield self.finding(
                     module, argument, RULE_SNAPSHOT,
                     f"{what} scheduled through .{node.func.attr}() is "
-                    f"captured inside a pending event; a restored "
-                    f"snapshot would call back into the original "
-                    f"world -- schedule a bound method",
+                    f"captured inside a pending event, where it "
+                    f"closes over the live world and fails the "
+                    f"snapshot -- schedule a bound method",
                 )

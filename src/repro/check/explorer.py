@@ -8,8 +8,9 @@ makes, discovered incrementally: run once with defaults, read the
 recorded trace, and branch an alternative script per decision
 (an odometer over the choice tree).
 
-Backtracking is snapshot-based: the state is captured once and each
-branch runs on a fresh restored copy, so exploration never needs an
+Backtracking is snapshot-based: the state is captured once, the first
+branch runs on the live world itself, and every later branch runs on a
+fresh copy restored from the snapshot, so exploration never needs an
 "undo" from any layer of the stack.
 
 Two classic reductions keep the walk tractable:
@@ -181,7 +182,11 @@ class Explorer:
         self.result: Optional[ExplorationResult] = None
 
     def run(self) -> ExplorationResult:
-        """Explore from the world's initial state to fixpoint or budget."""
+        """Explore from the world's initial state to fixpoint or budget.
+
+        The world the factory returns is consumed: the first branch
+        from each state advances it in place.
+        """
         world = self.factory()
         self.result = ExplorationResult(world=world.name, por=self.por)
         self._visited = {}
@@ -268,13 +273,17 @@ class Explorer:
             result.complete = False
             return
 
+        # The first branch advances ``world`` itself, so everything the
+        # loop reads off it is taken before any branch runs.
+        moves = [(index, event.seq, _transition_key(event),
+                  world.resources(event))
+                 for index, event in enumerate(enabled)]
         frozen = self.capturer.capture(world)
+        live: Optional[World] = world
         self._stack_fps.add(fp)
         try:
             current_sleep = dict(sleep)
-            for index, event in enumerate(enabled):
-                key = _transition_key(event)
-                resources = world.resources(event)
+            for index, seq, key, resources in moves:
                 if self.por and key in current_sleep:
                     result.sleep_skips += 1
                     continue
@@ -286,8 +295,9 @@ class Explorer:
                         current_sleep[key] = resources
                     continue
                 explored.add(key)
-                self._branch(frozen, event.seq, index, depth, path,
+                self._branch(live, frozen, seq, index, depth, path,
                              current_sleep, resources)
+                live = None
                 if self.por:
                     current_sleep[key] = resources
                 if self._over_budget():
@@ -295,11 +305,15 @@ class Explorer:
         finally:
             self._stack_fps.discard(fp)
 
-    def _branch(self, frozen: World, seq: int, event_index: int, depth: int,
-                path: List[Step],
+    def _branch(self, live: Optional[World], frozen: bytes, seq: int,
+                event_index: int, depth: int, path: List[Step],
                 current_sleep: Dict[TransitionKey, frozenset],
                 resources: frozenset) -> None:
-        """Run one head event under every decision script it exposes."""
+        """Run one head event under every decision script it exposes.
+
+        The first script runs on ``live`` when given; every other
+        script runs on a copy restored from ``frozen``.
+        """
         child_sleep = {
             key: held for key, held in current_sleep.items()
             if independent(held, resources)
@@ -311,7 +325,10 @@ class Explorer:
             if self._over_budget():
                 return
             script = frontier.pop()
-            child = self.capturer.restore(frozen)
+            if live is not None:
+                child, live = live, None
+            else:
+                child = self.capturer.restore(frozen)
             event = self._event_by_seq(child, seq)
             if event is None:
                 continue

@@ -1,18 +1,21 @@
 """State capture, restore, and canonical fingerprints.
 
 A world is an ordinary Python object graph: simulator, endpoints,
-queues, pending events.  :class:`StateCapturer` freezes it with
-``copy.deepcopy`` -- bound methods rebind ``__self__`` through the
-deepcopy memo, so every callback and scheduled event in the copy
-points at the *copied* component, never back into the live world.
-That property is what the SNAP001 lint protects: a lambda or
-generator stored on sim state deepcopies by reference and would
-silently alias the original.
+queues, pending events.  :class:`StateCapturer` freezes it by pickling
+it to ``bytes`` at the highest protocol, and every restore unpickles a
+fresh, independent graph.  The pickler reduces a bound method to
+``_rebind(__func__, __self__)`` rather than pickle's default lookup by
+``__name__``: a callback keeps its exact function object (even one
+patched onto the class under another name, as the mutation gate does),
+and its ``__self__`` is the *restored* component, never the live one.
 
-Classes that genuinely cannot be deepcopied (an mmap, a C handle)
-register a reducer instead of poisoning every capture; none of the
-shipped sim state needs one, so the registry doubles as an inventory
-of known escape hatches.
+Whatever pickle cannot carry -- a lambda or nested function, a
+generator, an OS handle -- makes :meth:`StateCapturer.capture` raise
+instead of aliasing the live world.  That is the runtime backstop for
+the SNAP001 lint, which rejects the same idioms statically.  A class
+whose state cannot be pickled structurally defines its own
+``__reduce__`` or ``__getstate__``/``__setstate__``; none of the
+shipped sim state needs one.
 
 Fingerprints canonicalise a world's *behavioural* state vector --
 sorted dict items, deques as tuples, enums by value -- and hash it.
@@ -23,75 +26,73 @@ argument about what the vector may omit).
 
 from __future__ import annotations
 
-import copy
 import enum
 import hashlib
-from typing import Any, Callable, Dict, TypeVar
-
-T = TypeVar("T")
-
-#: class -> reducer, kept as an inventory of sanctioned escape hatches.
-#: Process-global by design, like the lint-pass registries: a reducer
-#: changes how a *class* deepcopies, which is already interpreter-wide
-#: state; nothing here ever reaches a shard's wire bytes.
-_REDUCERS: Dict[type, Callable[[Any, dict], Any]] = {}  # reprolint: disable=SHARD001 -- deepcopy-reducer registry, interpreter-wide by nature
+import io
+import pickle
+import types
+from typing import Any, Callable, Optional
 
 
-def register_reducer(cls: type, reducer: Callable[[Any, dict], Any]) -> None:
-    """Install ``reducer(obj, memo)`` as ``cls``'s deepcopy behaviour.
-
-    The escape hatch for state that cannot be deepcopied structurally.
-    The reducer must return an object with an equivalent future -- the
-    capturer trusts it blindly.
-    """
-
-    def _deepcopy_via_reducer(self: Any, memo: dict) -> Any:
-        replacement = reducer(self, memo)
-        memo[id(self)] = replacement
-        return replacement
-
-    cls.__deepcopy__ = _deepcopy_via_reducer  # type: ignore[attr-defined]
-    _REDUCERS[cls] = reducer
+def _rebind(func: Callable, owner: Any) -> types.MethodType:
+    """Unpickle a bound method: ``func`` bound to the restored ``owner``."""
+    return types.MethodType(func, owner)
 
 
-def registered_reducers() -> Dict[type, Callable[[Any, dict], Any]]:
-    """The current reducer inventory (for tests and diagnostics)."""
-    return dict(_REDUCERS)
+class _Pickler(pickle.Pickler):
+    """A pickler that rebinds bound methods by function object."""
+
+    def reducer_override(self, obj: Any) -> Any:
+        if type(obj) is types.MethodType:
+            return _rebind, (obj.__func__, obj.__self__)
+        return NotImplemented
 
 
 class StateCapturer:
     """Snapshot/restore for a world object graph.
 
-    ``capture`` returns a frozen deep copy; ``restore`` returns a fresh
-    live copy of that frozen snapshot.  Each restore is independent --
-    the explorer restores the same snapshot once per branch and mutates
-    each copy freely.  Objects passed to :meth:`share` are threaded
-    through unchanged (identity-preserved) in both directions; use it
-    for genuinely ambient things (an interner, a read-only table),
-    never for mutable sim state.
+    ``capture`` returns the world pickled to ``bytes``; ``restore``
+    returns a fresh live world unpickled from them.  Each restore is
+    independent -- the explorer restores the same snapshot once per
+    branch and mutates each copy freely.  Objects passed to
+    :meth:`share` travel as persistent ids, so they come back as the
+    same object in both directions; use it for genuinely ambient
+    things (an interner, a read-only table), never for mutable sim
+    state.
     """
 
     def __init__(self) -> None:
         self._shared: list[Any] = []
+        self._shared_ids: dict[int, int] = {}
         self.captures = 0
         self.restores = 0
 
     def share(self, obj: Any) -> None:
         """Exempt ``obj`` from copying: snapshots alias it directly."""
+        self._shared_ids[id(obj)] = len(self._shared)
         self._shared.append(obj)
 
-    def _memo(self) -> dict:
-        return {id(obj): obj for obj in self._shared}
+    def _persistent_id(self, obj: Any) -> Optional[int]:
+        return self._shared_ids.get(id(obj))
 
-    def capture(self, world: T) -> T:
-        """Freeze the world: a deep copy sharing nothing mutable with it."""
+    def capture(self, world: Any) -> bytes:
+        """Freeze the world: bytes sharing nothing mutable with it."""
         self.captures += 1
-        return copy.deepcopy(world, self._memo())
+        buffer = io.BytesIO()
+        pickler = _Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+        # The pickler calls persistent_id on every object it writes,
+        # so it is installed only when there is something to find.
+        if self._shared:
+            pickler.persistent_id = self._persistent_id
+        pickler.dump(world)
+        return buffer.getvalue()
 
-    def restore(self, frozen: T) -> T:
-        """A fresh live world from a frozen snapshot (never the snapshot)."""
+    def restore(self, frozen: bytes) -> Any:
+        """A fresh live world from a frozen snapshot."""
         self.restores += 1
-        return copy.deepcopy(frozen, self._memo())
+        unpickler = pickle.Unpickler(io.BytesIO(frozen))
+        unpickler.persistent_load = self._shared.__getitem__
+        return unpickler.load()
 
 
 def canonical(value: Any) -> Any:

@@ -17,9 +17,9 @@ Two design rules matter here beyond the fault semantics themselves:
   component or schedules on the simulator is a bound method, a
   :func:`functools.partial` over bound methods, or a small callable
   object (:class:`LineNoiseFilter`).  A lambda or nested ``def`` caught
-  in an event queue or an ``rx_fault`` slot deepcopies by *reference*,
-  so a model-checker snapshot restored from it would silently mutate
-  the original world (SNAP001 in reprolint guards this repo-wide).
+  in an event queue or an ``rx_fault`` slot cannot be pickled, so a
+  model-checker snapshot of the world would fail (SNAP001 in reprolint
+  guards this repo-wide).
 * **Nondeterminism is interceptable.**  When a :class:`ChoiceOracle` is
   installed, the coarse binary fault decisions (apply a fade or skip
   it, wedge now or later) become enumerable :class:`ChoicePoint` draws
@@ -65,8 +65,8 @@ class ChoiceOracle:
     in :attr:`trace` so the explorer can enumerate the siblings.
 
     The oracle deliberately holds only plain data (lists of ints and
-    :class:`ChoicePoint` records), so it rides along with a deepcopy
-    snapshot of whatever world owns it.
+    :class:`ChoicePoint` records), so it rides along with a snapshot
+    of whatever world owns it.
     """
 
     def __init__(self) -> None:
@@ -105,10 +105,9 @@ class ChoiceOracle:
 class LineNoiseFilter:
     """The serial RX fault filter, as a snapshot-safe callable object.
 
-    Installed on ``SerialEndpoint.rx_fault``; a deepcopy of the
-    endpoint carries a deepcopy of this filter (injector and RNG
-    rebound through the memo), unlike a closure which would keep
-    pointing at the original world.
+    Installed on ``SerialEndpoint.rx_fault``; a snapshot of the
+    endpoint carries a copy of this filter (injector and RNG
+    included), which a closure could not do.
     """
 
     injector: "FaultInjector"

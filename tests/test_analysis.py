@@ -303,7 +303,7 @@ def test_snap001_flags_lambda_scheduled_as_event():
 
 
 def test_snap001_quiet_on_snapshot_safe_idioms():
-    # Bound methods rebind through the deepcopy memo: the safe idiom.
+    # Bound methods rebind to the restored object: the safe idiom.
     assert rules_hit(
         "class Hub:\n"
         "    def kick(self, sim):\n"

@@ -115,10 +115,16 @@ def test_independence_is_resource_disjointness():
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def lapb2_result():
+def lapb2_explorer():
     explorer = Explorer(Lapb2World, por=True,
                         budget=Budget(max_wall_seconds=60))
-    return explorer.run()
+    explorer.run()
+    return explorer
+
+
+@pytest.fixture(scope="module")
+def lapb2_result(lapb2_explorer):
+    return lapb2_explorer.result
 
 
 def test_lapb2_explores_to_fixpoint_with_zero_violations(lapb2_result):
@@ -128,6 +134,17 @@ def test_lapb2_explores_to_fixpoint_with_zero_violations(lapb2_result):
     assert lapb2_result.states > 100
     # POR actually pruned something.
     assert lapb2_result.sleep_skips > 0
+
+
+def test_lapb2_exploration_is_pinned(lapb2_explorer):
+    result = lapb2_explorer.result
+    assert (result.states, result.transitions, result.revisits,
+            result.sleep_skips, result.terminal_states) == (
+                961, 1460, 375, 481, 125)
+    # One capture per expanded state.  The first branch from each state
+    # runs on the live world, so only the other branches restore.
+    capturer = lapb2_explorer.capturer
+    assert (capturer.captures, capturer.restores) == (1336, 657)
 
 
 def test_budget_truncation_is_reported_not_fatal():

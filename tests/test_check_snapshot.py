@@ -10,11 +10,15 @@ at three different mid-run points and requiring byte-identical metric
 digests from every resumed copy.
 
 The scenario holder stores only bound-method callbacks (the SNAP001
-discipline), so deepcopy rebinds every callback through its memo and
-the copies share nothing mutable with the original.
+discipline), so every restored callback is rebound to the restored
+component and the copies share nothing mutable with the original.
 """
 
 from __future__ import annotations
+
+import pickle
+
+import pytest
 
 from repro.apps.ping import Pinger
 from repro.check.snapshot import StateCapturer, canonical, fingerprint
@@ -22,6 +26,7 @@ from repro.core.topology import build_figure1_testbed
 from repro.harness import metrics_digest
 from repro.inet.sockets import TcpServerSocket, TcpSocket
 from repro.sim.clock import SECOND
+from repro.sim.engine import Simulator
 
 END = 120 * SECOND
 CHECKPOINTS = (17 * SECOND, 43 * SECOND, 71 * SECOND)
@@ -144,15 +149,74 @@ def test_snapshot_shares_nothing_mutable_with_the_live_world():
     scenario = ChaosScenario()
     scenario.run_until(CHECKPOINTS[0])
     frozen = capturer.capture(scenario)
-    assert frozen.testbed.sim is not scenario.testbed.sim
-    assert frozen.pinger is not scenario.pinger
-    # The frozen pinger's stack is the frozen stack, not the live one:
-    # bound methods rebound through the deepcopy memo.
-    assert frozen.pinger.stack is frozen.testbed.host.stack
-    assert frozen.pinger.stack is not scenario.testbed.host.stack
+    assert isinstance(frozen, bytes)
+    thawed = capturer.restore(frozen)
+    assert thawed.testbed.sim is not scenario.testbed.sim
+    assert thawed.pinger is not scenario.pinger
+    # The thawed pinger's stack is the thawed stack, not the live one:
+    # bound methods were rebound to the restored components.
+    assert thawed.pinger.stack is thawed.testbed.host.stack
+    assert thawed.pinger.stack is not scenario.testbed.host.stack
     # Advancing the live world leaves the snapshot's clock alone.
     scenario.run_until(CHECKPOINTS[1])
-    assert frozen.testbed.sim.now == CHECKPOINTS[0]
+    assert thawed.testbed.sim.now == CHECKPOINTS[0]
+    assert capturer.restore(frozen).testbed.sim.now == CHECKPOINTS[0]
+
+
+class Beacon:
+    """A sim component with one scheduled bound-method callback."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.sent = 0
+        sim.at(SECOND, self.send, label="beacon")
+
+    def send(self) -> None:
+        self.sent += 1
+
+
+def _patched_send(self) -> None:
+    """Patched onto ``Beacon.send`` under its own name, like a mutant."""
+    self.sent += 10
+
+
+def test_bound_method_keeps_its_function_object(monkeypatch):
+    monkeypatch.setattr(Beacon, "send", _patched_send)
+    beacon = Beacon(Simulator())
+    # Pickle's own method reduction looks the function up by
+    # ``__name__``, which the restored Beacon does not have.
+    with pytest.raises(AttributeError):
+        pickle.loads(pickle.dumps(beacon))
+    capturer = StateCapturer()
+    restored = capturer.restore(capturer.capture(beacon))
+    (event,) = restored.sim.pending_events()
+    assert event.fn.__func__ is _patched_send
+    assert event.fn.__self__ is restored
+    restored.sim.run()
+    assert (restored.sent, beacon.sent) == (10, 0)
+
+
+def test_shared_object_is_neither_copied_nor_replaced():
+    capturer = StateCapturer()
+    table = {"ambient": [1, 2, 3]}
+    capturer.share(table)
+    beacon = Beacon(Simulator())
+    beacon.table = table
+    frozen = capturer.capture(beacon)
+    table["ambient"].append(4)
+    restored = capturer.restore(frozen)
+    assert restored.table is table
+    assert restored.table["ambient"] == [1, 2, 3, 4]
+    assert restored.sim is not beacon.sim
+
+
+def test_lambda_on_sim_state_fails_capture():
+    # A lambda has no importable name, so capture refuses it rather
+    # than alias the live world (the runtime side of SNAP001).
+    beacon = Beacon(Simulator())
+    beacon.on_send = lambda: beacon.send()
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        StateCapturer().capture(beacon)
 
 
 def test_canonical_merges_insertion_orders():
@@ -163,6 +227,5 @@ def test_canonical_merges_insertion_orders():
 
 
 def test_canonical_rejects_opaque_objects():
-    import pytest
     with pytest.raises(TypeError):
         canonical(("ok", object()))
