@@ -340,6 +340,24 @@ def run_obs(
 # sanitize -- dynamic ordering + conservation checks (PR 5)
 # ----------------------------------------------------------------------
 
+def sanitize_scenario(seed: int, variant: str, stations: int,
+                      duration_seconds: float) -> Scenario:
+    """The scenario :func:`run_sanitize` runs in FIFO order, then salted."""
+    if variant not in ("e3", "chaos"):
+        raise ValueError(f"unknown sanitize variant {variant!r}")
+    scenario = Scenario(
+        name=f"sanitize-{variant}", topology="gateway", stations=stations,
+        duration_seconds=duration_seconds, mix=OBS_MIX, seed=seed,
+        sanitize=True,
+    )
+    if variant == "chaos":
+        plan = chaos_plan(int(duration_seconds), gateway="gateway",
+                          stations=["WL0"])
+        scenario = replace(scenario, fault_plan=plan, watchdog=True,
+                           shed_threshold_bytes=2048)
+    return scenario
+
+
 def run_sanitize(
     seed: int = 0,
     variant: str = "e3",
@@ -362,18 +380,7 @@ def run_sanitize(
     no packet is not a conservation failure, and shows as
     ``obs_born_total == 0``.
     """
-    if variant not in ("e3", "chaos"):
-        raise ValueError(f"unknown sanitize variant {variant!r}")
-    scenario = Scenario(
-        name=f"sanitize-{variant}", topology="gateway", stations=stations,
-        duration_seconds=duration_seconds, mix=OBS_MIX, seed=seed,
-        sanitize=True,
-    )
-    if variant == "chaos":
-        plan = chaos_plan(int(duration_seconds), gateway="gateway",
-                          stations=["WL0"])
-        scenario = replace(scenario, fault_plan=plan, watchdog=True,
-                           shed_threshold_bytes=2048)
+    scenario = sanitize_scenario(seed, variant, stations, duration_seconds)
     base = build_scenario(scenario).run()
     salted = build_scenario(replace(scenario, order_salt=order_salt)).run()
     agree = comparable_metrics(base) == comparable_metrics(salted)

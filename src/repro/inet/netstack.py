@@ -96,7 +96,7 @@ class NetStack:
         # Queue overflow on the IP input queue must not die silently on
         # the queue object: mirror it into the protocol counters.
         # (Bound methods, not lambdas: these hooks live in sim state and
-        # must survive a deepcopy snapshot -- SNAP001.)
+        # must survive a pickled snapshot -- SNAP001.)
         self.ip_input_queue.on_drop = self._count_ip_input_drop
 
     # ------------------------------------------------------------------

@@ -1396,8 +1396,8 @@ class TcpListener:
         # Resolve the protocol defaults lazily so listeners opened before
         # a scenario swaps default_*_factory still honour the swap.
         # Stored as None-or-override plus bound-method factories rather
-        # than closures: a lambda here would sit in sim state and break
-        # deepcopy snapshot isolation (SNAP001).
+        # than closures: a lambda here would sit in sim state, and a
+        # pickled snapshot cannot carry it (SNAP001).
         self._rto_policy_override = rto_policy
         self._cc_policy_override = cc_policy
         self.rto_policy_factory = self._make_rto_policy

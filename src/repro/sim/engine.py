@@ -2,7 +2,8 @@
 
 A :class:`Simulator` owns a priority queue of :class:`Event` objects and
 executes them in timestamp order.  Ties are broken by insertion order,
-which keeps runs fully deterministic.  There are no threads: a "device"
+which keeps runs fully deterministic (the heap's entry format is in
+DESIGN §5, "Event queue").  There are no threads: a "device"
 in this reproduction is just an object whose methods schedule further
 events.
 
@@ -14,7 +15,7 @@ handlers and timeouts one-for-one.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import format_time
@@ -57,18 +58,12 @@ class Event:
 
     @property
     def pending(self) -> bool:
-        """True while the event is still queued and not cancelled."""
-        return not self.cancelled
+        """True unless the event has been cancelled.
 
-    def __lt__(self, other: "Event") -> bool:
-        # The ordering key (time, seq) is a *total* order: ``seq`` is
-        # unique per simulator (monotonic at registration), so no two
-        # events ever compare equal and heap order cannot depend on
-        # heap-internal tie handling.  Cancellation never touches the
-        # key — a cancelled event keeps its slot and is skipped at pop,
-        # so it cannot reorder the surviving equal-time events either.
-        # (Audited for PR 5; regression: test_same_timestamp_total_order.)
-        return (self.time, self.seq) < (other.time, other.seq)
+        A fired event still reads as pending; use
+        :meth:`Simulator.is_queued` to ask whether it is still queued.
+        """
+        return not self.cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -90,7 +85,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        #: Heap of ``(time, seq, event)`` entries.  ``seq`` is unique, so
+        #: a comparison never reaches the ``Event``.
+        self._queue: list[tuple[int, Any, Event]] = []
         self._seq = 0
         self._now = 0
         self._running = False
@@ -116,7 +113,7 @@ class Simulator:
     @property
     def events_pending(self) -> int:
         """Number of not-yet-cancelled events still in the queue."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue if not entry[2].cancelled)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -152,8 +149,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {format_time(time)}; now is {format_time(self._now)}"
             )
-        event = Event(time, self._next_seq(time), fn, args, kwargs, label=label)
-        heapq.heappush(self._queue, event)
+        seq = self._next_seq(time)
+        event = Event(time, seq, fn, args, kwargs, label)
+        heappush(self._queue, (time, seq, event))
         return event
 
     def _next_seq(self, time: int):
@@ -163,8 +161,9 @@ class Simulator:
         (FIFO) order among equal-time events.  The SimSanitizer's
         shuffle simulator overrides this to perturb *cross-instant*
         ties while preserving FIFO among events scheduled in the same
-        instant; any override must keep keys unique and totally ordered
-        or :meth:`Event.__lt__` stops being a total order.
+        instant; any override must keep keys unique and totally ordered,
+        because the heap orders its ``(time, seq, event)`` entries by
+        ``(time, seq)`` alone and must never fall through to the event.
         """
         self._seq += 1
         return self._seq
@@ -192,13 +191,14 @@ class Simulator:
         Cancelled events are pruned from the head of the queue as a side
         effect, exactly as :meth:`step` would.
         """
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        if not self._queue:
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heappop(queue)
+        if not queue:
             return []
-        head_time = self._queue[0].time
-        chosen = [event for event in self._queue
-                  if not event.cancelled and event.time == head_time]
+        head_time = queue[0][0]
+        chosen = [event for time, _seq, event in queue
+                  if time == head_time and not event.cancelled]
         chosen.sort(key=lambda event: event.seq)
         return chosen
 
@@ -208,7 +208,8 @@ class Simulator:
         Read-only diagnostics: reprocheck folds the pending set (as
         now-relative times plus labels) into its state fingerprint.
         """
-        return [event for event in self._queue if not event.cancelled]
+        return [event for _time, _seq, event in self._queue
+                if not event.cancelled]
 
     def is_queued(self, event: Event) -> bool:
         """True while ``event`` sits in this simulator's queue.
@@ -218,7 +219,7 @@ class Simulator:
         invariant needs to tell "armed timer" apart from "stale
         reference to a timer that already fired".
         """
-        return any(queued is event for queued in self._queue)
+        return any(entry[2] is event for entry in self._queue)
 
     def step_event(self, event: Event) -> None:
         """Execute one specific pending head event (exploration only).
@@ -231,10 +232,10 @@ class Simulator:
         if event.cancelled:
             raise SimulationError(f"cannot step cancelled event {event!r}")
         try:
-            self._queue.remove(event)
+            self._queue.remove((event.time, event.seq, event))
         except ValueError:
             raise SimulationError(f"event {event!r} is not queued here") from None
-        heapq.heapify(self._queue)
+        heapify(self._queue)
         if event.time < self._now:
             raise SimulationError(f"event {event!r} lies in the past")
         self._now = event.time
@@ -252,11 +253,12 @@ class Simulator:
 
         Returns False when the queue is empty (nothing was run).
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _seq, event = heappop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._events_executed += 1
             if self.profiler is not None:
                 self.profiler.count(event)
@@ -274,24 +276,26 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        queue = self._queue
+        pop = heappop
         executed = 0
         try:
-            while self._queue:
+            while queue:
                 if max_events is not None and executed >= max_events:
                     break
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
+                time, _seq, event = queue[0]
+                if event.cancelled:
+                    pop(queue)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._queue)
-                self._now = head.time
+                pop(queue)
+                self._now = time
                 self._events_executed += 1
                 executed += 1
                 if self.profiler is not None:
-                    self.profiler.count(head)
-                head.fn(*head.args, **head.kwargs)
+                    self.profiler.count(event)
+                event.fn(*event.args, **event.kwargs)
         finally:
             self._running = False
         if until is not None and self._now < until:

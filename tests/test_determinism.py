@@ -8,10 +8,15 @@ EXPERIMENTS.md silently relies on.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.apps.ftp import FileStore, FtpClient, FtpServer
 from repro.apps.ping import Pinger
 from repro.core.topology import build_gateway_testbed
+from repro.harness.experiments import run_chaos, sanitize_scenario
+from repro.harness.results import metrics_digest
 from repro.sim.clock import SECOND
+from repro.workload.scenario import build_scenario
 
 
 def run_busy_scenario(seed):
@@ -48,3 +53,26 @@ def test_different_seed_diverges():
     # CSMA timing differs, so the event count virtually always differs;
     # compare the full tuple to avoid flakiness on any single field.
     assert summary_a != summary_b
+
+
+def test_per_char_chaos_digest_is_pinned():
+    """A busy per-character run under the chaos fault plan keeps its metrics.
+
+    20 stations for 120 s: 44,279 events, most of them serial bytes.
+    Engine and serial-path speedups must leave this digest alone.
+    """
+    metrics = run_chaos(seed=0, stations=20, duration_seconds=120.0)
+    assert metrics["events_executed"] == 44_279
+    assert metrics_digest(metrics) == (
+        "6fdac25914dfadea86c100a190170c3c3f469ee35dca9edfb667e523e55d209d")
+
+
+def test_salted_order_digest_is_pinned():
+    """The sanitizer's salted run, the one path whose ``seq`` is a tuple."""
+    scenario = replace(sanitize_scenario(seed=0, variant="chaos", stations=8,
+                                         duration_seconds=120.0),
+                       order_salt=0xD1CE)
+    metrics = build_scenario(scenario).run()
+    assert metrics["events_executed"] == 70_278
+    assert metrics_digest(metrics) == (
+        "590c52eb33d7d382e1960d35787a12fffd245a19eb3cc56a0bd5c1898ad1fdd2")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.clock import SECOND
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.sanitizer import OrderShuffleSimulator
 
 
 def test_events_run_in_time_order(sim):
@@ -193,6 +194,27 @@ def test_same_timestamp_total_order():
     survivors = run_once(cancel_every=3)
     assert survivors == [i for i in range(1000) if i % 3 != 0]
     assert run_once(cancel_every=3) == survivors
+
+
+def test_heap_never_orders_events(monkeypatch):
+    """The heap orders ``(time, seq, event)`` entries by ``(time, seq)``.
+
+    ``seq`` is unique, so no comparison may reach an ``Event``: with an
+    ``Event.__lt__`` that raises, 1000 equal-time events (every third
+    cancelled) still run in registration order.  The salted simulator
+    is included because its ``seq`` is a ``(group, seq)`` tuple.
+    """
+    def refuse(self, other):
+        raise AssertionError("the event heap compared two Events")
+
+    monkeypatch.setattr(Event, "__lt__", refuse, raising=False)
+    for sim in (Simulator(), OrderShuffleSimulator(order_salt=0xD1CE)):
+        order = []
+        events = [sim.at(1000, order.append, index) for index in range(1000)]
+        for event in events[::3]:
+            event.cancel()
+        sim.run_until_idle()
+        assert order == [i for i in range(1000) if i % 3 != 0]
 
 
 def test_cancellation_during_dispatch_keeps_equal_time_order():
