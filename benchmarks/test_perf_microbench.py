@@ -208,18 +208,16 @@ def test_perf_full_gateway_session(benchmark):
 
 
 def test_perf_obs_overhead(benchmark):
-    """Flight-recorder cost: ring mode must stay under the 10% budget.
+    """Flight-recorder cost: it must stay under the 10% budget.
 
-    Measured with interleaved paired rounds (disabled / enabled-ring /
-    enabled-objects / disabled, each round's overhead taken against its
-    own bracketing disabled baseline) rather than batch A/B timing --
-    the session is short enough that CPU frequency and cache drift
-    between batches used to dominate, reporting nonsense like negative
-    overhead.  See ``repro.obs.overhead``.  The object-recorder column
-    (``ring=False``, the pre-ring encoding) is the "before" to the ring
-    path's "after"; the disabled-vs-disabled column is the noise floor
-    the other two should be read against.  All columns land in
-    BENCH_perf.json.
+    Measured with interleaved paired rounds (disabled / enabled /
+    disabled, each round's overhead taken against its own bracketing
+    disabled baseline) rather than batch A/B timing -- the session is
+    short enough that CPU frequency and cache drift between batches
+    used to dominate, reporting nonsense like negative overhead.  See
+    ``repro.obs.overhead``.  The disabled-vs-disabled column is the
+    noise floor the overhead should be read against.  All columns land
+    in BENCH_perf.json.
     """
     from repro.obs.overhead import measure
 
@@ -230,7 +228,6 @@ def test_perf_obs_overhead(benchmark):
     # mean over budget without the recorder having gotten any slower.
     ring = metrics["obs_enabled_overhead_median_pct"]
     assert ring < 10.0, (
-        f"ring-mode recorder overhead {ring:.1f}% (median round) "
-        f"exceeds the 10% budget (noise floor {noise:.1f}%, objects "
-        f"mode {metrics['obs_enabled_overhead_objects_median_pct']:.1f}%)")
+        f"recorder overhead {ring:.1f}% (median round) "
+        f"exceeds the 10% budget (noise floor {noise:.1f}%)")
     _PERF_RESULTS["obs_overhead"] = dict(metrics)

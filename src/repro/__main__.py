@@ -579,7 +579,6 @@ def _obs_gate(args: argparse.Namespace) -> int:
           f"ring {overhead['obs_enabled_overhead_median_pct']:+.1f}% "
           f"(mean {overhead['obs_enabled_overhead_pct']:+.1f}"
           f"±{overhead['obs_enabled_overhead_ci95_pct']:.1f}) "
-          f"objects {overhead['obs_enabled_overhead_objects_median_pct']:+.1f}% "
           f"noise {overhead['obs_disabled_overhead_pct']:+.1f}%"
           f"±{overhead['obs_disabled_overhead_ci95_pct']:.1f}")
 

@@ -1,13 +1,17 @@
 """Interprocedural abstract interpretation over the units lattice.
 
-This mirrors :mod:`repro.analysis.dataflow` structurally — one forward
-walker per function, per-function summaries iterated to a project
-fixpoint — but the abstract domain is the units-of-measure lattice from
-:mod:`repro.analysis.units` instead of taint origin sets.  Each local
-name maps to a :class:`UVal`: the best-known dimension, a bounded
-provenance chain explaining *why* we believe it, and the set of the
-function's own parameters whose dimension flows into it (the hook for
-interprocedural propagation).
+This is the second domain of the forward walker in
+:mod:`repro.analysis.dataflow`, which owns the statement scan, the
+branch join, the loop passes and the project fixpoint; this module
+supplies the units-of-measure lattice from :mod:`repro.analysis.units`
+instead of taint origin sets.  Each local name maps to a
+:class:`UVal`: the best-known dimension, a bounded provenance chain
+explaining *why* we believe it, and the set of the function's own
+parameters whose dimension flows into it (the hook for
+interprocedural propagation).  Beyond its join and transfers the
+domain keeps two rules of its own: ``x op= y`` goes through the
+arithmetic transfer, and a ``for`` target inherits only a time
+dimension from its iterable.
 
 Two rule families hang off the walk:
 
@@ -36,15 +40,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo, ProjectInfo
-from repro.analysis.imports import ImportMap, call_qualname, dotted_name
+from repro.analysis.callgraph import FunctionInfo
+from repro.analysis.dataflow import ForwardEngine, ForwardWalker
+from repro.analysis.imports import call_qualname, dotted_name
 from repro.analysis import units
 from repro.analysis.units import MIXED, UNKNOWN
-
-#: Fixpoint safety valve (mirrors dataflow's; settles in 2-3 here too).
-_MAX_ITERATIONS = 10
 
 #: Provenance chains are evidence, not stack traces.
 _MAX_PROVENANCE = 5
@@ -110,7 +112,11 @@ class UnitHit:
 
 @dataclass(frozen=True)
 class UnitSummary:
-    """Interprocedural facts about one function."""
+    """Interprocedural facts about one function.
+
+    Equality compares facts: it leaves out ``returns_prov`` and each
+    obligation's printable ``target``.
+    """
 
     returns_dim: str = UNKNOWN
     returns_params: FrozenSet[int] = frozenset()
@@ -119,61 +125,39 @@ class UnitSummary:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, UnitSummary)
-                and self.returns_dim == other.returns_dim
-                and self.returns_params == other.returns_params
-                and dict(self.params_to_sink) == dict(other.params_to_sink))
+                and self._facts() == other._facts())
+
+    def _facts(self) -> tuple:
+        return (self.returns_dim, self.returns_params,
+                {index: (obligation.kind, obligation.forbidden)
+                 for index, obligation in self.params_to_sink.items()})
 
 
-class UnitEngine:
-    """Runs the per-function walk to a whole-project fixpoint."""
+class _UnitWalker(ForwardWalker[UVal]):
+    """The units domain: one :class:`UVal` per local name."""
 
-    def __init__(self, project: ProjectInfo, graph: CallGraph) -> None:
-        self.project = project
-        self.graph = graph
-        self.summaries: Dict[str, UnitSummary] = {}
-        self._hits: Dict[str, List[UnitHit]] = {}
+    bottom = _TOP_UNKNOWN
 
-    def run(self) -> None:
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for fn in self.project.functions.values():
-                walker = _UnitWalker(self, fn)
-                walker.run()
-                summary = walker.summary()
-                if self.summaries.get(fn.qualname) != summary:
-                    self.summaries[fn.qualname] = summary
-                    changed = True
-                self._hits[fn.qualname] = walker.deduped_hits()
-            if not changed:
-                break
-
-    def hits(self, qualname: str) -> List[UnitHit]:
-        return self._hits.get(qualname, [])
-
-
-class _UnitWalker:
-    """One forward pass over one function body."""
-
-    def __init__(self, engine: UnitEngine, fn: FunctionInfo) -> None:
-        self.engine = engine
-        self.fn = fn
-        self.imports: ImportMap = engine.project.imports.get(
-            fn.module, ImportMap())
-        self.env: Dict[str, UVal] = {}
-        for index, name in enumerate(fn.params):
-            dim = units.unit_for_name(name)
-            prov = ((f"param '{name}' seeds {dim} (name convention)",)
-                    if dim != UNKNOWN else ())
-            self.env[name] = UVal(dim=dim, prov=prov,
-                                  params=frozenset({index}))
-        self.hits: List[UnitHit] = []
-        self.returns: UVal = _TOP_UNKNOWN
+    def __init__(self, engine: ForwardEngine, fn: FunctionInfo) -> None:
+        super().__init__(engine, fn)
         self.params_to_sink: Dict[int, SinkObligation] = {}
 
-    # -- driver --------------------------------------------------------
+    def _join(self, a: UVal, b: UVal) -> UVal:
+        return _join_vals(a, b)
+
+    def _param(self, index: int, name: str) -> UVal:
+        dim = units.unit_for_name(name)
+        prov = ((f"param '{name}' seeds {dim} (name convention)",)
+                if dim != UNKNOWN else ())
+        return UVal(dim=dim, prov=prov, params=frozenset({index}))
 
     def run(self) -> None:
-        self._scan_block(getattr(self.fn.node, "body", []))
+        super().run()
+        # Loops are scanned twice: keep the first of each repeated hit.
+        unique: Dict[tuple, UnitHit] = {}
+        for hit in self.hits:
+            unique.setdefault(hit.key(), hit)
+        self.hits = list(unique.values())
 
     def summary(self) -> UnitSummary:
         returned = self.returns
@@ -183,89 +167,14 @@ class _UnitWalker:
                            returns_prov=returned.prov,
                            params_to_sink=dict(self.params_to_sink))
 
-    def deduped_hits(self) -> List[UnitHit]:
-        seen = set()
-        out = []
-        for hit in self.hits:
-            if hit.key() in seen:
-                continue
-            seen.add(hit.key())
-            out.append(hit)
-        return out
+    def _augmented(self, node: ast.AugAssign) -> UVal:
+        return self._binop_value(node.op, self._read(node.target),
+                                 self._expr(node.value), node)
 
-    # -- statements ----------------------------------------------------
-
-    def _scan_block(self, statements: Iterable[ast.stmt]) -> None:
-        for statement in statements:
-            self._scan_statement(statement)
-
-    def _scan_statement(self, node: ast.stmt) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return  # nested scopes are analyzed as their own functions
-        if isinstance(node, ast.Assign):
-            value = self._expr(node.value)
-            for target in node.targets:
-                self._assign(target, value, node)
-        elif isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                self._assign(node.target, self._expr(node.value), node)
-        elif isinstance(node, ast.AugAssign):
-            value = self._binop_value(node.op, self._read(node.target),
-                                      self._expr(node.value), node)
-            self._assign(node.target, value, node)
-        elif isinstance(node, ast.Return):
-            if node.value is not None:
-                self.returns = _join_vals(self.returns,
-                                          self._expr(node.value))
-        elif isinstance(node, ast.Expr):
-            self._expr(node.value)
-        elif isinstance(node, ast.If):
-            self._expr(node.test)
-            before = dict(self.env)
-            self._scan_block(node.body)
-            after_body = self.env
-            self.env = before
-            self._scan_block(node.orelse)
-            self._merge(after_body)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            iter_val = self._expr(node.iter)
-            element = UVal(dim=iter_val.dim
-                           if iter_val.dim in units.TIME_DIMENSIONS
-                           else UNKNOWN,
-                           prov=iter_val.prov, params=iter_val.params)
-            for _ in range(2):
-                self._assign(node.target, element, node)
-                self._scan_block(node.body)
-            self._scan_block(node.orelse)
-        elif isinstance(node, ast.While):
-            for _ in range(2):
-                self._expr(node.test)
-                self._scan_block(node.body)
-            self._scan_block(node.orelse)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                value = self._expr(item.context_expr)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, value, node)
-            self._scan_block(node.body)
-        elif isinstance(node, ast.Try):
-            self._scan_block(node.body)
-            for handler in node.handlers:
-                self._scan_block(handler.body)
-            self._scan_block(node.orelse)
-            self._scan_block(node.finalbody)
-        elif isinstance(node, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self._expr(child)
-
-    def _merge(self, other: Dict[str, UVal]) -> None:
-        for name, value in other.items():
-            if name in self.env:
-                self.env[name] = _join_vals(self.env[name], value)
-            else:
-                self.env[name] = value
+    def _loop_element(self, iterable: UVal) -> UVal:
+        return UVal(dim=iterable.dim
+                    if iterable.dim in units.TIME_DIMENSIONS else UNKNOWN,
+                    prov=iterable.prov, params=iterable.params)
 
     # -- assignment targets --------------------------------------------
 
@@ -308,11 +217,6 @@ class _UnitWalker:
             provenance=value.prov + (f"stored into '{name}' "
                                      f"declared {declared}",),
         ))
-
-    def _read(self, target: ast.expr) -> UVal:
-        if isinstance(target, ast.Name):
-            return self.env.get(target.id, _TOP_UNKNOWN)
-        return _TOP_UNKNOWN
 
     # -- expressions ---------------------------------------------------
 
@@ -582,3 +486,9 @@ class _UnitWalker:
             ))
         for param in value.params:
             self.params_to_sink.setdefault(param, obligation)
+
+
+class UnitEngine(ForwardEngine):
+    """Runs the units walker to a whole-project fixpoint."""
+
+    walker = _UnitWalker

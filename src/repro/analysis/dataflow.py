@@ -1,33 +1,49 @@
-"""Forward dataflow/taint engine over function ASTs.
+"""Forward dataflow over function ASTs: one walker, two domains.
 
-The lattice is small on purpose: each local name maps to a *set of
-origins* (powerset lattice, join = union), where an origin is either a
-true nondeterminism source (``time.time()`` observed somewhere along
-the chain) or one of the function's own parameters.  Parameter origins
-never become findings directly — they exist so a fixpoint over the
-whole project can compute per-function summaries:
+:class:`ForwardWalker` is a forward abstract interpreter generic in its
+domain.  It owns the control flow: the statement scan, the fork and
+join at branches, loop bodies scanned twice (enough for the
+loop-carried assignments this codebase writes), reading a name back
+out of the environment, and -- in :class:`ForwardEngine` -- the
+project fixpoint that re-walks every function until no per-function
+summary changes.  A domain supplies its bottom value, its join, the
+entry value of a parameter, the expression transfer (``_expr``), the
+store transfer (``_assign``) and the summary it exports; it may also
+override the augmented-assignment and loop-element rules.  Two domains
+exist: taint, below, and units of measure in
+:mod:`repro.analysis.absint`.
 
-* ``returns`` — origins that can flow into a return value,
-* ``params_to_state`` — parameter indices whose value can reach sim
+Summaries compare by their facts only (parameter indices, returned
+origins or dimensions, sink kinds), never by the printable reach text
+they carry for reports: a self-recursive helper that passes a
+parameter to itself grows that text by one ``callee ->`` hop per
+sweep, so a text comparison would never settle.
+
+**The taint domain.**  Each local name maps to a *set of origins*
+(powerset lattice, join = union), where an origin is either a true
+nondeterminism source (``time.time()`` observed somewhere along the
+chain) or one of the function's own parameters.  Parameter origins
+never become findings directly -- they exist so the fixpoint can
+compute per-function summaries:
+
+* ``returns`` -- origins that can flow into a return value,
+* ``params_to_state`` -- parameter indices whose value can reach sim
   object state (a ``self.attr`` store or a scheduler argument), with
   the attribute/callee it reaches,
 
 and the caller-side analysis can then turn "I passed a tainted value
 into parameter 2 of ``netstack.NetStack.set_stamp``" into a finding at
-the call site.
-
-Control flow is approximated, not solved exactly: branches join by
-union, loop bodies are scanned twice (enough for the loop-carried
-assignments this codebase writes), and attribute state is deliberately
-untracked — a taint *dies* at the ``self.attr`` store, which is
-exactly the point where DETFLOW reports it.
+the call site.  Attribute state is deliberately untracked: a taint
+*dies* at the ``self.attr`` store, which is exactly the point where
+DETFLOW reports it.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Generic, Iterable, List, Mapping,
+                    Optional, Type, TypeVar)
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, ProjectInfo
 from repro.analysis.imports import ImportMap, call_qualname
@@ -35,8 +51,173 @@ from repro.analysis.imports import ImportMap, call_qualname
 #: Method names that hand a value to the discrete-event scheduler.
 SCHEDULER_METHODS = frozenset({"schedule", "at", "call_soon", "call_at"})
 
-#: Fixpoint safety valve; summaries for this codebase settle in 2-3.
+#: Fixpoint safety valve.  Summaries compare facts only, so the taint
+#: domain settles on this repository in 5 sweeps and units in 2.
 _MAX_ITERATIONS = 10
+
+#: An abstract value of the walker's domain.
+V = TypeVar("V")
+
+
+class ForwardEngine:
+    """Runs one domain's walker over every function to a fixpoint."""
+
+    #: The domain's walker class, set by each engine.
+    walker: Type[ForwardWalker]
+
+    def __init__(self, project: ProjectInfo, graph: CallGraph) -> None:
+        self.project = project
+        self.graph = graph
+        self.summaries: Dict[str, Any] = {}
+        self._hits: Dict[str, List[Any]] = {}
+
+    def run(self) -> None:
+        """Iterate summaries to fixpoint, then record final hits."""
+        for _ in range(_MAX_ITERATIONS):
+            changed = False
+            for fn in self.project.functions.values():
+                walker = self.walker(self, fn)
+                walker.run()
+                summary = walker.summary()
+                if self.summaries.get(fn.qualname) != summary:
+                    self.summaries[fn.qualname] = summary
+                    changed = True
+                self._hits[fn.qualname] = walker.hits
+            if not changed:
+                break
+
+    def hits(self, qualname: str) -> List[Any]:
+        """Hits of one function from the last sweep."""
+        return self._hits.get(qualname, [])
+
+
+class ForwardWalker(Generic[V]):
+    """One forward pass over one function body, in one domain.
+
+    A domain sets ``bottom`` and implements the methods under "the
+    domain" below; the augmented-assignment and loop-element rules
+    have defaults it may override.
+    """
+
+    #: Value of an unbound name, and the identity of :meth:`_join`.
+    bottom: V
+
+    def __init__(self, engine: ForwardEngine, fn: FunctionInfo) -> None:
+        self.engine = engine
+        self.fn = fn
+        self.imports: ImportMap = engine.project.imports.get(fn.module,
+                                                             ImportMap())
+        self.env: Dict[str, V] = {name: self._param(index, name)
+                                  for index, name in enumerate(fn.params)}
+        self.hits: List[Any] = []
+        self.returns: V = self.bottom
+
+    # -- the domain ----------------------------------------------------
+
+    def _join(self, a: V, b: V) -> V:
+        """Least upper bound of two values."""
+        raise NotImplementedError
+
+    def _param(self, index: int, name: str) -> V:
+        """Entry value of parameter ``index``."""
+        raise NotImplementedError
+
+    def _expr(self, node: Optional[ast.expr]) -> V:
+        """Expression transfer: the value of ``node``, noting any hits."""
+        raise NotImplementedError
+
+    def _assign(self, target: ast.expr, value: V,
+                statement: ast.stmt) -> None:
+        """Store transfer: bind ``value`` to ``target``."""
+        raise NotImplementedError
+
+    def summary(self) -> Any:
+        """The facts this function exports to its callers."""
+        raise NotImplementedError
+
+    def _augmented(self, node: ast.AugAssign) -> V:
+        """Value ``target op= value`` stores: the join of both sides."""
+        return self._join(self._expr(node.value), self._read(node.target))
+
+    def _loop_element(self, iterable: V) -> V:
+        """Value a ``for`` target is bound to: the iterable's own."""
+        return iterable
+
+    # -- statements ----------------------------------------------------
+
+    def run(self) -> None:
+        self._scan_block(getattr(self.fn.node, "body", []))
+
+    def _scan_block(self, statements: Iterable[ast.stmt]) -> None:
+        for statement in statements:
+            self._scan_statement(statement)
+
+    def _scan_statement(self, node: ast.stmt) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            return  # nested scopes are analyzed as their own functions
+        if isinstance(node, ast.Assign):
+            value = self._expr(node.value)
+            for target in node.targets:
+                self._assign(target, value, node)
+        elif isinstance(node, ast.AnnAssign):
+            if node.value is not None:
+                self._assign(node.target, self._expr(node.value), node)
+        elif isinstance(node, ast.AugAssign):
+            self._assign(node.target, self._augmented(node), node)
+        elif isinstance(node, ast.Return):
+            if node.value is not None:
+                self.returns = self._join(self.returns,
+                                          self._expr(node.value))
+        elif isinstance(node, ast.Expr):
+            self._expr(node.value)
+        elif isinstance(node, ast.If):
+            self._expr(node.test)
+            before = dict(self.env)
+            self._scan_block(node.body)
+            after_body = self.env
+            self.env = before
+            self._scan_block(node.orelse)
+            self._merge(after_body)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            element = self._loop_element(self._expr(node.iter))
+            # Two passes approximate the loop fixpoint.
+            for _ in range(2):
+                self._assign(node.target, element, node)
+                self._scan_block(node.body)
+            self._scan_block(node.orelse)
+        elif isinstance(node, ast.While):
+            for _ in range(2):
+                self._expr(node.test)
+                self._scan_block(node.body)
+            self._scan_block(node.orelse)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                value = self._expr(item.context_expr)
+                if item.optional_vars is not None:
+                    self._assign(item.optional_vars, value, node)
+            self._scan_block(node.body)
+        elif isinstance(node, ast.Try):
+            self._scan_block(node.body)
+            for handler in node.handlers:
+                self._scan_block(handler.body)
+            self._scan_block(node.orelse)
+            self._scan_block(node.finalbody)
+        elif isinstance(node, (ast.Raise, ast.Assert)):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.expr):
+                    self._expr(child)
+        # Pass/Break/Continue/Import/Global/Nonlocal/Delete: no flow.
+
+    def _merge(self, other: Dict[str, V]) -> None:
+        for name, value in other.items():
+            self.env[name] = (self._join(self.env[name], value)
+                              if name in self.env else value)
+
+    def _read(self, target: ast.expr) -> V:
+        if isinstance(target, ast.Name):
+            return self.env.get(target.id, self.bottom)
+        return self.bottom
 
 
 @dataclass(frozen=True)
@@ -70,7 +251,11 @@ class SinkHit:
 
 @dataclass(frozen=True)
 class FunctionSummary:
-    """Interprocedural facts about one function."""
+    """Interprocedural facts about one function.
+
+    Equality compares facts: the returned origins and *which*
+    parameters reach state, not the reach text that says how.
+    """
 
     returns: Taint = _CLEAN
     params_to_state: Mapping[int, str] = field(default_factory=dict)
@@ -78,180 +263,53 @@ class FunctionSummary:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FunctionSummary)
                 and self.returns == other.returns
-                and dict(self.params_to_state) == dict(other.params_to_state))
+                and set(self.params_to_state) == set(other.params_to_state))
 
 
-class TaintEngine:
-    """Runs the per-function analysis to a whole-project fixpoint."""
+class _TaintWalker(ForwardWalker[Taint]):
+    """The taint domain: origin sets joined by union."""
 
-    def __init__(self, project: ProjectInfo, graph: CallGraph,
-                 sources: Mapping[str, str]) -> None:
-        """``sources`` maps qualified call names to a short description."""
-        self.project = project
-        self.graph = graph
-        self.sources = dict(sources)
-        self.summaries: Dict[str, FunctionSummary] = {}
-        self._hits: Dict[str, List[SinkHit]] = {}
-
-    # ------------------------------------------------------------------
-
-    def run(self) -> None:
-        """Iterate summaries to fixpoint, then record final sink hits."""
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for fn in self.project.functions.values():
-                summary, hits = self._analyze(fn)
-                if self.summaries.get(fn.qualname) != summary:
-                    self.summaries[fn.qualname] = summary
-                    changed = True
-                self._hits[fn.qualname] = hits
-            if not changed:
-                break
-
-    def hits(self, qualname: str) -> List[SinkHit]:
-        """Sink hits of one function (source origins only are findings)."""
-        return self._hits.get(qualname, [])
-
-    def source_hits(self, qualname: str) -> List[SinkHit]:
-        """Sink hits carrying at least one true-source origin."""
-        out = []
-        for hit in self.hits(qualname):
-            sources = frozenset(o for o in hit.origins if o.kind == "source")
-            if sources:
-                out.append(replace(hit, origins=sources))
-        return out
-
-    # ------------------------------------------------------------------
-
-    def _analyze(self, fn: FunctionInfo) -> Tuple[FunctionSummary,
-                                                  List[SinkHit]]:
-        walker = _FunctionWalker(self, fn)
-        walker.run()
-        return walker.summary(), walker.hits
-
-
-class _FunctionWalker:
-    """One forward pass over one function body."""
+    engine: TaintEngine
+    bottom = _CLEAN
 
     def __init__(self, engine: TaintEngine, fn: FunctionInfo) -> None:
-        self.engine = engine
-        self.fn = fn
-        self.imports: ImportMap = engine.project.imports.get(fn.module,
-                                                             ImportMap())
-        self.env: Dict[str, Taint] = {
-            name: frozenset({Origin(kind="param", detail=name, param=index)})
-            for index, name in enumerate(fn.params)
-        }
-        self.hits: List[SinkHit] = []
-        self.returns: Set[Origin] = set()
+        super().__init__(engine, fn)
         self.params_to_state: Dict[int, str] = {}
 
-    # -- driver --------------------------------------------------------
+    def _join(self, a: Taint, b: Taint) -> Taint:
+        return a | b
 
-    def run(self) -> None:
-        body = getattr(self.fn.node, "body", [])
-        self._scan_block(body)
+    def _param(self, index: int, name: str) -> Taint:
+        return frozenset({Origin(kind="param", detail=name, param=index)})
 
     def summary(self) -> FunctionSummary:
-        return FunctionSummary(returns=frozenset(self.returns),
+        return FunctionSummary(returns=self.returns,
                                params_to_state=dict(self.params_to_state))
-
-    # -- statements ----------------------------------------------------
-
-    def _scan_block(self, statements: Iterable[ast.stmt]) -> None:
-        for statement in statements:
-            self._scan_statement(statement)
-
-    def _scan_statement(self, node: ast.stmt) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return  # nested scopes are analyzed as their own functions
-        if isinstance(node, ast.Assign):
-            taint = self._expr(node.value)
-            for target in node.targets:
-                self._assign(target, taint)
-        elif isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                self._assign(node.target, self._expr(node.value))
-        elif isinstance(node, ast.AugAssign):
-            taint = self._expr(node.value) | self._read(node.target)
-            self._assign(node.target, taint)
-        elif isinstance(node, ast.Return):
-            if node.value is not None:
-                taint = self._expr(node.value)
-                self.returns |= taint
-        elif isinstance(node, ast.Expr):
-            self._expr(node.value)
-        elif isinstance(node, ast.If):
-            self._expr(node.test)
-            before = dict(self.env)
-            self._scan_block(node.body)
-            after_body = self.env
-            self.env = before
-            self._scan_block(node.orelse)
-            self._merge(after_body)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            iter_taint = self._expr(node.iter)
-            # Two passes approximate the loop fixpoint.
-            for _ in range(2):
-                self._assign(node.target, iter_taint)
-                self._scan_block(node.body)
-            self._scan_block(node.orelse)
-        elif isinstance(node, ast.While):
-            for _ in range(2):
-                self._expr(node.test)
-                self._scan_block(node.body)
-            self._scan_block(node.orelse)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                taint = self._expr(item.context_expr)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, taint)
-            self._scan_block(node.body)
-        elif isinstance(node, ast.Try):
-            self._scan_block(node.body)
-            for handler in node.handlers:
-                self._scan_block(handler.body)
-            self._scan_block(node.orelse)
-            self._scan_block(node.finalbody)
-        elif isinstance(node, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self._expr(child)
-        # Pass/Break/Continue/Import/Global/Nonlocal/Delete: no flow.
-
-    def _merge(self, other: Dict[str, Taint]) -> None:
-        for name, taint in other.items():
-            self.env[name] = self.env.get(name, _CLEAN) | taint
 
     # -- assignment targets --------------------------------------------
 
-    def _assign(self, target: ast.expr, taint: Taint) -> None:
+    def _assign(self, target: ast.expr, value: Taint,
+                statement: ast.stmt) -> None:
         if isinstance(target, ast.Name):
-            self.env[target.id] = taint
+            self.env[target.id] = value
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._assign(element, taint)
+                self._assign(element, value, statement)
         elif isinstance(target, ast.Starred):
-            self._assign(target.value, taint)
+            self._assign(target.value, value, statement)
         elif isinstance(target, ast.Attribute):
             if (isinstance(target.value, ast.Name)
-                    and target.value.id == "self" and taint):
-                self._record_state_hit(target, target.attr, taint)
+                    and target.value.id == "self" and value):
+                self._record_state_hit(target, target.attr, value)
         elif isinstance(target, ast.Subscript):
             # ``container[k] = tainted``: the container becomes tainted.
-            if isinstance(target.value, ast.Name) and taint:
+            if isinstance(target.value, ast.Name) and value:
                 base = self.env.get(target.value.id, _CLEAN)
-                self.env[target.value.id] = base | taint
+                self.env[target.value.id] = base | value
             elif (isinstance(target.value, ast.Attribute)
                   and isinstance(target.value.value, ast.Name)
-                  and target.value.value.id == "self" and taint):
-                self._record_state_hit(target, target.value.attr, taint)
-
-    def _read(self, target: ast.expr) -> Taint:
-        if isinstance(target, ast.Name):
-            return self.env.get(target.id, _CLEAN)
-        return _CLEAN
+                  and target.value.value.id == "self" and value):
+                self._record_state_hit(target, target.value.attr, value)
 
     def _record_state_hit(self, node: ast.AST, attr: str,
                           taint: Taint) -> None:
@@ -358,3 +416,24 @@ class _FunctionWalker:
                 if origin.kind == "param" and origin.param >= 0:
                     self.params_to_state.setdefault(
                         origin.param, f"scheduler .{func.attr}()")
+
+
+class TaintEngine(ForwardEngine):
+    """Runs the taint walker to a whole-project fixpoint."""
+
+    walker = _TaintWalker
+
+    def __init__(self, project: ProjectInfo, graph: CallGraph,
+                 sources: Mapping[str, str]) -> None:
+        """``sources`` maps qualified call names to a short description."""
+        super().__init__(project, graph)
+        self.sources = dict(sources)
+
+    def source_hits(self, qualname: str) -> List[SinkHit]:
+        """Sink hits carrying at least one true-source origin."""
+        out = []
+        for hit in self.hits(qualname):
+            sources = frozenset(o for o in hit.origins if o.kind == "source")
+            if sources:
+                out.append(replace(hit, origins=sources))
+        return out

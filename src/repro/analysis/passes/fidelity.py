@@ -101,8 +101,8 @@ class FidelityParityPass(ProjectPass):
         for label, keys in emissions:
             missing = sorted(union - keys)
             if missing:
-                yield self._provenanced(
-                    fn.module_info, branch,
+                yield self.finding(
+                    fn.module_info, branch, RULE_FIDELITY_PARITY,
                     f"fidelity branch in {fn.qualname} emits "
                     f"{sorted(union)} on some arms but its {label} "
                     f"misses {missing}; emit the same instruments on "
@@ -173,9 +173,3 @@ class FidelityParityPass(ProjectPass):
         if isinstance(node, ast.Name):
             return node.id
         return "<expr>"
-
-    def _provenanced(self, module, node, message, provenance) -> Finding:
-        base = self.finding(module, node, RULE_FIDELITY_PARITY, message)
-        return Finding(file=base.file, line=base.line, col=base.col,
-                       rule=base.rule, severity=base.severity,
-                       message=base.message, provenance=provenance)

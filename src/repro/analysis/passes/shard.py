@@ -132,7 +132,7 @@ class ShardIsolationPass(ProjectPass):
             node = module_bindings.get(qual)
             if info is None or node is None:
                 continue
-            yield self._provenanced(
+            yield self.finding(
                 info, node, RULE_SHARED_STATE,
                 f"module-level mutable '{var}' is mutated by sim code "
                 f"({sites[0]}); interpreter history leaks across shard "
@@ -147,7 +147,7 @@ class ShardIsolationPass(ProjectPass):
             node = class_attrs.get((cls_qual, attr), cls_info.node)
             if info is None:
                 continue
-            yield self._provenanced(
+            yield self.finding(
                 info, node, RULE_SHARED_STATE,
                 f"class-level '{cls_qual.rsplit('.', 1)[-1]}.{attr}' is "
                 f"mutated ({sites[0]}); every instance in the process "
@@ -360,15 +360,6 @@ class ShardIsolationPass(ProjectPass):
                         out.add(target.attr)
         return out
 
-    # ------------------------------------------------------------------
-
-    def _provenanced(self, module, node, rule, message,
-                     provenance) -> Finding:
-        base = self.finding(module, node, rule, message)
-        return Finding(file=base.file, line=base.line, col=base.col,
-                       rule=base.rule, severity=base.severity,
-                       message=base.message, provenance=provenance)
-
 
 class _SimEscapeWalker:
     """SHARD002: per-function Simulator identity tracking."""
@@ -389,8 +380,8 @@ class _SimEscapeWalker:
             if key in seen:
                 continue
             seen.add(key)
-            yield owner._provenanced(self.fn.module_info, node,
-                                     RULE_SIM_ESCAPE, message, provenance)
+            yield owner.finding(self.fn.module_info, node,
+                                RULE_SIM_ESCAPE, message, provenance)
 
     # -- statements ----------------------------------------------------
 

@@ -56,11 +56,6 @@ class UnitsPass(ProjectPass):
         engine.run()
         for fn in project.functions.values():
             for hit in engine.hits(fn.qualname):
-                rule = _RULES_BY_ID[hit.rule]
-                base = self.finding(
-                    fn.module_info, hit.node, rule,
-                    f"{hit.message} (in {fn.qualname})")
-                yield Finding(
-                    file=base.file, line=base.line, col=base.col,
-                    rule=base.rule, severity=base.severity,
-                    message=base.message, provenance=hit.provenance)
+                yield self.finding(
+                    fn.module_info, hit.node, _RULES_BY_ID[hit.rule],
+                    f"{hit.message} (in {fn.qualname})", hit.provenance)

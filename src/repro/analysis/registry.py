@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Type
+from typing import Dict, Iterator, List, Tuple, Type
 
 from repro.analysis.findings import SEVERITIES, Finding
 
@@ -48,7 +48,24 @@ class ModuleInfo:
                    lines=source.splitlines())
 
 
-class LintPass:
+class _PassBase:
+    """What both pass bases share: the finding constructor."""
+
+    def finding(self, module: ModuleInfo, node: ast.AST, rule: Rule,
+                message: str,
+                provenance: Tuple[str, ...] = ()) -> Finding:
+        return Finding(
+            file=module.display,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            rule=rule.id,
+            severity=rule.severity,
+            message=message,
+            provenance=provenance,
+        )
+
+
+class LintPass(_PassBase):
     """Base class for a family of rules.
 
     Subclasses set :attr:`name` and :attr:`rules` and implement
@@ -62,19 +79,8 @@ class LintPass:
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(self, module: ModuleInfo, node: ast.AST, rule: Rule,
-                message: str) -> Finding:
-        return Finding(
-            file=module.display,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=rule.id,
-            severity=rule.severity,
-            message=message,
-        )
 
-
-class ProjectPass:
+class ProjectPass(_PassBase):
     """Base class for whole-program (deep) passes.
 
     Deep passes see the full :class:`~repro.analysis.callgraph.ProjectInfo`
@@ -95,17 +101,6 @@ class ProjectPass:
         loosely here to keep registry import-light).
         """
         raise NotImplementedError
-
-    def finding(self, module: ModuleInfo, node: ast.AST, rule: Rule,
-                message: str) -> Finding:
-        return Finding(
-            file=module.display,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=rule.id,
-            severity=rule.severity,
-            message=message,
-        )
 
 
 #: All registered pass classes, in registration order.

@@ -9,16 +9,16 @@ two batches.  (An earlier version of the perf bench reported *negative*
 overhead this way.)
 
 This module measures instead with **interleaved paired rounds**: each
-round times disabled / enabled-ring / enabled-objects / disabled
-back-to-back, so every arm sees the same drift, and the two disabled
-timings bracket the enabled ones.  Each round yields overhead
-percentages against its *own* baseline (the mean of the bracketing
-disabled runs); the rounds are then summarised as mean plus a Student-t
-95% confidence interval.  The disabled-vs-disabled column is the noise
-floor: if its magnitude rivals the enabled overhead, the measurement --
-not the recorder -- is the story.
+round times disabled / enabled / disabled back-to-back, so both arms
+see the same drift, and the two disabled timings bracket the enabled
+one.  Each round yields an overhead percentage against its *own*
+baseline (the mean of the bracketing disabled runs); the rounds are
+then summarised with :mod:`repro.metrics.stats` as mean, median and a
+Student-t 95% confidence interval.  The disabled-vs-disabled column is
+the noise floor: if its magnitude rivals the enabled overhead, the
+measurement -- not the recorder -- is the story.
 
-``benchmarks/test_perf_microbench.py`` asserts the ring-mode mean stays
+``benchmarks/test_perf_microbench.py`` asserts the median round stays
 under the 10% budget; ``python -m repro report --bench`` records the
 same columns into ``BENCH_obs.json``.
 """
@@ -29,52 +29,10 @@ import gc
 import time
 from typing import Dict, List
 
-#: Two-sided 95% Student-t critical values by degrees of freedom.
-#: Hardcoded because scipy is not a dependency; above df=30 the normal
-#: approximation is within 2%.
-_T95 = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
-    6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
-    11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145, 15: 2.131,
-    16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
-    25: 2.060, 30: 2.042,
-}
+from repro.metrics.stats import aggregate, percentile
 
 
-def _t95(df: int) -> float:
-    if df <= 0:
-        return 0.0
-    if df in _T95:
-        return _T95[df]
-    for bound in (25, 30):
-        if df <= bound:
-            return _T95[bound]
-    return 1.960
-
-
-def _mean(values: List[float]) -> float:
-    return sum(values) / len(values)
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _ci95(values: List[float]) -> float:
-    """Half-width of the 95% CI of the mean; 0 for fewer than 2 samples."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    mean = _mean(values)
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return _t95(n - 1) * (variance / n) ** 0.5
-
-
-def _session(observe: bool, ring: bool, seed: int) -> None:
+def _session(observe: bool, seed: int) -> None:
     """One busy §2.3 ping exchange, optionally with a recorder attached.
 
     Ten echoes over ~400 simulated seconds: long enough (~20ms wall)
@@ -88,7 +46,7 @@ def _session(observe: bool, ring: bool, seed: int) -> None:
 
     tb = build_gateway_testbed(seed=seed)
     if observe:
-        FlightRecorder(tb.tracer, ring=ring)
+        FlightRecorder(tb.tracer)
     pinger = Pinger(tb.pc.stack)
     pinger.send("128.95.1.2", count=10, interval=15 * SECOND)
     tb.sim.run(until=400 * SECOND)
@@ -97,7 +55,7 @@ def _session(observe: bool, ring: bool, seed: int) -> None:
             f"overhead session degenerated: {pinger.received}/10 replies")
 
 
-def _timed(observe: bool, ring: bool, seed: int, repeats: int = 3) -> float:
+def _timed(observe: bool, seed: int, repeats: int = 3) -> float:
     """Best-of-``repeats`` wall time for one arm (timeit's min trick:
     scheduler preemption only ever adds time, so the min is the least
     contaminated sample).  The collector is drained before and disabled
@@ -110,7 +68,7 @@ def _timed(observe: bool, ring: bool, seed: int, repeats: int = 3) -> float:
         gc.disable()
         try:
             start = time.perf_counter()
-            _session(observe, ring, seed)
+            _session(observe, seed)
             elapsed = time.perf_counter() - start
         finally:
             gc.enable()
@@ -122,10 +80,10 @@ def measure(rounds: int = 5, seed: int = 1,
             isolate: bool = True) -> Dict[str, float]:
     """Run the paired-round measurement; returns the BENCH column dict.
 
-    Columns: mean per-arm session seconds, overhead percentages for the
-    ring and object recorders (mean, median and CI95 half-width,
-    against the per-round disabled baseline), and the
-    disabled-vs-disabled noise floor measured the same way.
+    Columns: mean per-arm session seconds, the recorder's overhead
+    percentage (mean, median and CI95 half-width, against the
+    per-round disabled baseline), and the disabled-vs-disabled noise
+    floor measured the same way.
 
     With ``isolate=True`` (the default) the measurement runs in a fresh
     subprocess: a percent-level differential is unrecoverable inside a
@@ -151,38 +109,31 @@ def measure(rounds: int = 5, seed: int = 1,
             check=True, capture_output=True, text=True)
         return {key: float(value)
                 for key, value in json.loads(proc.stdout).items()}
-    _session(False, True, seed)  # warm imports/caches outside the timings
+    _session(False, seed)  # warm imports/caches outside the timings
 
     disabled_s: List[float] = []
     ring_s: List[float] = []
-    objects_s: List[float] = []
     ring_pct: List[float] = []
-    objects_pct: List[float] = []
     noise_pct: List[float] = []
     for _ in range(rounds):
-        d1 = _timed(False, True, seed)
-        ring = _timed(True, True, seed)
-        objects = _timed(True, False, seed)
-        d2 = _timed(False, True, seed)
+        d1 = _timed(False, seed)
+        ring = _timed(True, seed)
+        d2 = _timed(False, seed)
         baseline = (d1 + d2) / 2.0
         disabled_s.append(baseline)
         ring_s.append(ring)
-        objects_s.append(objects)
         ring_pct.append(100.0 * (ring - baseline) / baseline)
-        objects_pct.append(100.0 * (objects - baseline) / baseline)
         noise_pct.append(100.0 * (d2 - d1) / baseline)
 
+    overhead = aggregate(ring_pct)
+    noise = aggregate(noise_pct)
     return {
         "rounds": float(rounds),
-        "session_disabled_s": _mean(disabled_s),
-        "session_enabled_ring_s": _mean(ring_s),
-        "session_enabled_objects_s": _mean(objects_s),
-        "obs_enabled_overhead_pct": _mean(ring_pct),
-        "obs_enabled_overhead_median_pct": _median(ring_pct),
-        "obs_enabled_overhead_ci95_pct": _ci95(ring_pct),
-        "obs_enabled_overhead_objects_pct": _mean(objects_pct),
-        "obs_enabled_overhead_objects_median_pct": _median(objects_pct),
-        "obs_enabled_overhead_objects_ci95_pct": _ci95(objects_pct),
-        "obs_disabled_overhead_pct": _mean(noise_pct),
-        "obs_disabled_overhead_ci95_pct": _ci95(noise_pct),
+        "session_disabled_s": aggregate(disabled_s).mean,
+        "session_enabled_ring_s": aggregate(ring_s).mean,
+        "obs_enabled_overhead_pct": overhead.mean,
+        "obs_enabled_overhead_median_pct": percentile(sorted(ring_pct), 0.5),
+        "obs_enabled_overhead_ci95_pct": overhead.ci95,
+        "obs_disabled_overhead_pct": noise.mean,
+        "obs_disabled_overhead_ci95_pct": noise.ci95,
     }

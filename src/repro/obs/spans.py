@@ -23,7 +23,7 @@ line):
   frame's AX.25 destination callsign, so bystander copies of a frame never
   terminate the real span.
 
-**Ring encoding (the hot path).**  By default the recorder does not build a
+**Ring encoding (the hot path).**  The recorder does not build a
 :class:`SpanEvent` object per sighting.  Events land in a flat ring of
 integer slots -- six per record: ``(time, pkt_id, stage, event,
 source, reason)`` with the strings interned into one symbol table -- that
@@ -34,10 +34,7 @@ query time.  The per-event cost on the emission path is therefore a few
 integer stores and dict lookups instead of a dataclass allocation.  When the
 ring wraps, the oldest unmaterialised records are overwritten (counted in
 ``events_overwritten``); every *counter* stays exact because terminal state,
-``pending_lost`` and the per-span event count are maintained inline.  Pass
-``ring=False`` for the original object-per-event storage -- the two modes are
-metric-identical when the ring does not wrap, which the before/after
-benchmark columns in ``BENCH_perf.json`` rely on.
+``pending_lost`` and the per-span event count are maintained inline.
 
 **Cross-shard traces.**  In the sharded regional runner each region owns a
 recorder salted with a ``trace_base`` so ``pkt_id`` is globally unique.  A
@@ -211,11 +208,11 @@ class SpanEvent:
 class PacketSpan:
     """Everything the recorder knows about one datagram.
 
-    In ring mode ``events`` stays empty until the recorder materialises
-    the ring (finalize or a timeline query); the inline fields --
-    ``event_count``, ``last_seen``, ``pending_lost`` -- are maintained on
-    every sighting so settlement and the sanitizer's staleness census
-    never need the event objects.
+    ``events`` stays empty until the recorder materialises the ring
+    (finalize or a timeline query); the inline fields -- ``event_count``,
+    ``last_seen``, ``pending_lost`` -- are maintained on every sighting
+    so settlement and the sanitizer's staleness census never need the
+    event objects.
     """
 
     pkt_id: int
@@ -250,12 +247,11 @@ class FlightRecorder:
 
     ``trace_base`` salts ``pkt_id`` allocation for sharded runs (region
     ``r`` uses ``r << 40``) so trace ids stay globally unique when spans
-    migrate between recorders.  ``ring=False`` selects the legacy
-    object-per-event storage (the "before" column of the overhead bench).
+    migrate between recorders.
     """
 
     def __init__(self, tracer: "Tracer", capacity: int = 16384,
-                 max_events_per_packet: int = 96, ring: bool = True,
+                 max_events_per_packet: int = 96,
                  ring_slots: int = DEFAULT_RING_SLOTS,
                  trace_base: int = 0) -> None:
         self.tracer = tracer
@@ -309,17 +305,15 @@ class FlightRecorder:
         # conversion on the hot path.  It grows by appending until
         # ``ring_slots`` records (a short run never pays for the full
         # ring) and wraps thereafter.
-        self._ring: Optional[List[int]] = None
-        if ring:
-            if ring_slots < 1:
-                raise ValueError("ring_slots must be positive")
-            self._ring = []
-            self._ring_slots = ring_slots
-            self._ring_next = 0      # absolute index of the next record
-            self._mat_next = 0       # absolute index of the next
-            #                          not-yet-materialised record
-            self._symbols: List[str] = [""]
-            self._codes: Dict[str, int] = {"": 0}
+        if ring_slots < 1:
+            raise ValueError("ring_slots must be positive")
+        self._ring: List[int] = []
+        self._ring_slots = ring_slots
+        self._ring_next = 0      # absolute index of the next record
+        self._mat_next = 0       # absolute index of the next
+        #                          not-yet-materialised record
+        self._symbols: List[str] = [""]
+        self._codes: Dict[str, int] = {"": 0}
         tracer.flight = self
 
     @staticmethod
@@ -486,11 +480,6 @@ class FlightRecorder:
         span.last_seen = now
         span.pending_lost = reason if event == "lost" else ""
         ring = self._ring
-        if ring is None:
-            span.events.append(SpanEvent(
-                time=now, pkt_id=span.pkt_id, stage=stage,
-                event=event, source=source, reason=reason))
-            return
         codes = self._codes
         stage_code = codes.get(stage)
         if stage_code is None:
@@ -530,8 +519,6 @@ class FlightRecorder:
         are permanently lost (counted in ``events_overwritten``); records
         of evicted spans are skipped.
         """
-        if self._ring is None:
-            return
         end = self._ring_next
         start = max(self._mat_next, end - self._ring_slots)
         self.events_overwritten += start - self._mat_next
@@ -677,8 +664,7 @@ class FlightRecorder:
         drops with that reason; genuinely in-flight spans stay in flight
         (a legitimate terminal bucket for packets the end of the run
         caught mid-air).  Hop latency is fed here for every retained
-        span -- evicted spans no longer contribute hop samples, in ring
-        and object mode alike.
+        span -- evicted spans no longer contribute hop samples.
         """
         if self._finalized:
             return

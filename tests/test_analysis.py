@@ -512,24 +512,11 @@ def test_module_entry_point_gates_seeded_violation(tmp_path):
 
 from repro.analysis.callgraph import CallGraph, ProjectInfo, module_dotted_name  # noqa: E402
 from repro.analysis.registry import ModuleInfo  # noqa: E402
-
-
-def _deep_findings(tmp_path, files):
-    """Lint a synthetic package (written under tmp_path) with --deep."""
-    pkg = tmp_path / "pkg"
-    for relpath, source in files.items():
-        target = pkg / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        step = target.parent
-        while step != tmp_path:
-            (step / "__init__.py").touch()
-            step = step.parent
-        target.write_text(source)
-    return LintEngine(deep=True).lint_paths([pkg]).new_findings
+from tests.conftest import deep_findings  # noqa: E402
 
 
 def _deep_rules(tmp_path, files):
-    return [finding.rule for finding in _deep_findings(tmp_path, files)]
+    return [finding.rule for finding in deep_findings(tmp_path, files)]
 
 
 # ---------------------------------------------------------------- DETFLOW001
@@ -577,6 +564,64 @@ def test_detflow001_allows_diagnostic_perf_counter(tmp_path):
         "    fn()\n"
         "    return time.perf_counter() - started\n")})
     assert "DETFLOW001" not in rules
+
+
+#: Self-recursive helpers that pass a parameter to themselves: each
+#: fixpoint sweep adds one ``callee ->`` hop to their reach text, so
+#: summaries must compare on facts for the fixpoint to settle.
+_RECURSIVE_STORE = (
+    "import time\n"
+    "class Model:\n"
+    "    def store(self, path, value):\n"
+    "        if path:\n"
+    "            self.store(path[1:], value)\n"
+    "        self.table = value\n"
+    "    def tick(self):\n"
+    "        self.store('ab', time.time())\n")
+_RECURSIVE_WAIT = (
+    "class Timer:\n"
+    "    def wait(self, n, delay):\n"
+    "        if n:\n"
+    "            self.wait(n - 1, delay)\n"
+    "        self.sim.schedule(delay, self.tick)\n"
+    "    def tick(self):\n"
+    "        pass\n"
+    "    def start(self, timeout_seconds):\n"
+    "        self.wait(3, timeout_seconds)\n")
+
+
+def test_detflow001_names_a_recursive_helper_once(tmp_path):
+    findings = [f for f in deep_findings(tmp_path,
+                                         {"model.py": _RECURSIVE_STORE})
+                if f.rule == "DETFLOW001"]
+    assert len(findings) == 1
+    message = findings[0].message
+    assert "reaches pkg.model.Model.store -> self.table (call-arg)" in message
+    assert message.count("Model.store") == 1
+
+
+def test_fixpoint_settles_on_recursive_helpers(tmp_path):
+    from repro.analysis.absint import UnitEngine
+    from repro.analysis.dataflow import TaintEngine
+    from repro.analysis.passes.detflow import _taint_sources
+
+    (tmp_path / "model.py").write_text(_RECURSIVE_STORE)
+    (tmp_path / "timer.py").write_text(_RECURSIVE_WAIT)
+    modules = [ModuleInfo.parse(path, path.name)
+               for path in sorted(tmp_path.glob("*.py"))]
+    project = ProjectInfo.build(modules)
+    graph = CallGraph(project)
+    taint = TaintEngine(project, graph, sources=_taint_sources())
+    units = UnitEngine(project, graph)
+    for engine in (taint, units):
+        engine.run()
+        settled = {qual: dict(vars(summary))
+                   for qual, summary in engine.summaries.items()}
+        engine.run()  # one more sweep, compared field by field
+        assert {qual: dict(vars(summary))
+                for qual, summary in engine.summaries.items()} == settled
+    assert set(taint.summaries["model.Model.store"].params_to_state) == {1}
+    assert set(units.summaries["timer.Timer.wait"].params_to_sink) == {1}
 
 
 # ---------------------------------------------------------------- DETFLOW002
@@ -670,7 +715,7 @@ def test_race001_follows_conflicts_through_helpers(tmp_path):
 # ------------------------------------------------------------------ CONS001
 
 def test_cons001_flags_invented_reason_word(tmp_path):
-    findings = _deep_findings(tmp_path, {"layer.py": (
+    findings = deep_findings(tmp_path, {"layer.py": (
         "class Layer:\n"
         "    def toss(self, recorder, key):\n"
         "        recorder.drop_key(key, 'ip.rx', 'gw', 'gremlins_ate_it')\n")})
@@ -737,7 +782,7 @@ _FSM_PREAMBLE = (
 
 
 def test_fsm001_flags_dead_unreachable_and_unhandled_states(tmp_path):
-    findings = _deep_findings(tmp_path, {"link.py": (
+    findings = deep_findings(tmp_path, {"link.py": (
         _FSM_PREAMBLE +
         "class Link:\n"
         "    def __init__(self):\n"
@@ -798,7 +843,7 @@ def test_fsm001_dict_dispatch_values_still_enter_states(tmp_path):
     # A transition table's *values* are entries, not dispatch: a state
     # that only ever appears as a dict value must still be flagged as
     # unhandled (no branch or key ever tests for it).
-    findings = _deep_findings(tmp_path, {"link.py": (
+    findings = deep_findings(tmp_path, {"link.py": (
         _FSM_PREAMBLE +
         "class Link:\n"
         "    def __init__(self):\n"
@@ -888,8 +933,8 @@ def test_projectinfo_symbol_tables(tmp_path):
 
 # ------------------------------------------------- the deep gate itself
 
-def test_repo_src_deep_lints_clean():
-    report = LintEngine(deep=True).lint_paths([SRC_ROOT])
+def test_repo_src_deep_lints_clean(src_deep_report):
+    report = src_deep_report
     deep_rules = {"DETFLOW001", "DETFLOW002", "RACE001", "CONS001",
                   "FSM001", "UNIT001", "UNIT002", "SHARD001", "SHARD002",
                   "FID001"}

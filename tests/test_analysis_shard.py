@@ -9,25 +9,8 @@ field defaults must stay silent because the rule requires an observed
 mutation, not mere mutability.
 """
 
-from pathlib import Path
-
-from repro.analysis.engine import DEFAULT_ALLOWLIST, LintEngine
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC_ROOT = REPO_ROOT / "src"
-
-
-def _deep_findings(tmp_path, files):
-    pkg = tmp_path / "pkg"
-    for relpath, source in files.items():
-        target = pkg / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        step = target.parent
-        while step != tmp_path:
-            (step / "__init__.py").touch()
-            step = step.parent
-        target.write_text(source)
-    return LintEngine(deep=True).lint_paths([pkg]).new_findings
+from repro.analysis.engine import DEFAULT_ALLOWLIST
+from tests.conftest import deep_findings
 
 
 def _rules(findings):
@@ -53,7 +36,7 @@ _PREFIX_PINGER = (
 
 
 def test_shard001_catches_prefix_pinger_ident_counter(tmp_path):
-    findings = _deep_findings(tmp_path, {"ping.py": _PREFIX_PINGER})
+    findings = deep_findings(tmp_path, {"ping.py": _PREFIX_PINGER})
     hits = [f for f in findings if f.rule == "SHARD001"]
     assert hits, "the PR 6 Pinger ident bug must be caught"
     assert "next_ident" in hits[0].message
@@ -62,7 +45,7 @@ def test_shard001_catches_prefix_pinger_ident_counter(tmp_path):
 
 
 def test_shard001_catches_cls_and_type_self_spellings(tmp_path):
-    findings = _deep_findings(tmp_path, {"ping.py": (
+    findings = deep_findings(tmp_path, {"ping.py": (
         "class A:\n"
         "    counter = 0\n"
         "    def bump(self):\n"
@@ -77,7 +60,7 @@ def test_shard001_catches_cls_and_type_self_spellings(tmp_path):
 
 
 def test_shard001_catches_module_registry_mutation(tmp_path):
-    findings = _deep_findings(tmp_path, {"state.py": (
+    findings = deep_findings(tmp_path, {"state.py": (
         "LISTENERS = []\n"
         "def subscribe(callback):\n"
         "    LISTENERS.append(callback)\n")})
@@ -85,7 +68,7 @@ def test_shard001_catches_module_registry_mutation(tmp_path):
 
 
 def test_shard001_catches_imported_registry_mutation(tmp_path):
-    findings = _deep_findings(tmp_path, {
+    findings = deep_findings(tmp_path, {
         "state.py": "CACHE = {}\n",
         "user.py": (
             "from pkg import state\n"
@@ -97,7 +80,7 @@ def test_shard001_catches_imported_registry_mutation(tmp_path):
 def test_shard001_catches_shared_class_level_list(tmp_path):
     # Mutable class-level literal mutated through self, never rebound
     # per-instance: all instances share one list.
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Stack:\n"
         "    listeners = []\n"
         "    def __init__(self, sim):\n"
@@ -108,7 +91,7 @@ def test_shard001_catches_shared_class_level_list(tmp_path):
 
 
 def test_shard001_silent_on_dunder_all(tmp_path):
-    findings = _deep_findings(tmp_path, {"api.py": (
+    findings = deep_findings(tmp_path, {"api.py": (
         "__all__ = ['one', 'two']\n"
         "def one():\n"
         "    return 1\n"
@@ -119,7 +102,7 @@ def test_shard001_silent_on_dunder_all(tmp_path):
 
 def test_shard001_silent_on_frozen_constants(tmp_path):
     # Read-only module tables are fine: no observed mutation, no report.
-    findings = _deep_findings(tmp_path, {"consts.py": (
+    findings = deep_findings(tmp_path, {"consts.py": (
         "ESCAPES = {0xC0: b'\\\\xdb\\\\xdc'}\n"
         "NAMES = ['fend', 'fesc']\n"
         "def escape(byte):\n"
@@ -131,7 +114,7 @@ def test_shard001_silent_on_frozen_constants(tmp_path):
 
 def test_shard001_silent_on_per_instance_rebind(tmp_path):
     # The fixed Pinger shape: identity derived from owned state.
-    findings = _deep_findings(tmp_path, {"ping.py": (
+    findings = deep_findings(tmp_path, {"ping.py": (
         "class Pinger:\n"
         "    def __init__(self, stack):\n"
         "        self.ident = 100 + len(stack.icmp_listeners)\n"
@@ -142,7 +125,7 @@ def test_shard001_silent_on_per_instance_rebind(tmp_path):
 
 
 def test_shard001_silent_on_local_shadowing(tmp_path):
-    findings = _deep_findings(tmp_path, {"state.py": (
+    findings = deep_findings(tmp_path, {"state.py": (
         "ITEMS = []\n"
         "def build():\n"
         "    ITEMS = []\n"
@@ -151,12 +134,11 @@ def test_shard001_silent_on_local_shadowing(tmp_path):
     assert "SHARD001" not in _rules(findings)
 
 
-def test_shard001_allowlists_the_analysis_registries():
+def test_shard001_allowlists_the_analysis_registries(src_deep_report):
     """PASS_REGISTRY/DEEP_PASS_REGISTRY are by-design decorator state."""
     assert any(pattern.endswith("repro/analysis/*")
                for pattern in DEFAULT_ALLOWLIST["SHARD001"])
-    report = LintEngine(deep=True).lint_paths([SRC_ROOT])
-    shard = [f for f in report.new_findings if f.rule == "SHARD001"]
+    shard = [f for f in src_deep_report.new_findings if f.rule == "SHARD001"]
     assert shard == [], [f.render() for f in shard]
 
 
@@ -177,7 +159,7 @@ _TWO_REGIONS_HEADER = (
 
 
 def test_shard002_flags_object_escaping_into_other_region(tmp_path):
-    findings = _deep_findings(tmp_path, {"regions.py": (
+    findings = deep_findings(tmp_path, {"regions.py": (
         _TWO_REGIONS_HEADER +
         "def build():\n"
         "    sim_a = Simulator()\n"
@@ -192,7 +174,7 @@ def test_shard002_flags_object_escaping_into_other_region(tmp_path):
 
 
 def test_shard002_flags_callback_scheduled_on_foreign_sim(tmp_path):
-    findings = _deep_findings(tmp_path, {"regions.py": (
+    findings = deep_findings(tmp_path, {"regions.py": (
         _TWO_REGIONS_HEADER +
         "def build():\n"
         "    sim_a = Simulator()\n"
@@ -203,7 +185,7 @@ def test_shard002_flags_callback_scheduled_on_foreign_sim(tmp_path):
 
 
 def test_shard002_silent_within_one_region(tmp_path):
-    findings = _deep_findings(tmp_path, {"regions.py": (
+    findings = deep_findings(tmp_path, {"regions.py": (
         _TWO_REGIONS_HEADER +
         "def build():\n"
         "    sim = Simulator()\n"
@@ -217,7 +199,7 @@ def test_shard002_silent_within_one_region(tmp_path):
 def test_shard002_silent_on_byte_handoff(tmp_path):
     # The sanctioned seam: regions exchange bytes, and bytes() scrubs
     # the region identity.
-    findings = _deep_findings(tmp_path, {"regions.py": (
+    findings = deep_findings(tmp_path, {"regions.py": (
         _TWO_REGIONS_HEADER +
         "def relay(frame):\n"
         "    sim_a = Simulator()\n"
@@ -233,7 +215,7 @@ def test_shard002_silent_on_byte_handoff(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_fid001_flags_one_armed_emission(tmp_path):
-    findings = _deep_findings(tmp_path, {"line.py": (
+    findings = deep_findings(tmp_path, {"line.py": (
         "class Endpoint:\n"
         "    def write(self, data):\n"
         "        if self.fidelity == 'frame':\n"
@@ -249,7 +231,7 @@ def test_fid001_flags_one_armed_emission(tmp_path):
 
 def test_fid001_flags_missing_else_arm(tmp_path):
     # The implicit empty else is an arm too.
-    findings = _deep_findings(tmp_path, {"line.py": (
+    findings = deep_findings(tmp_path, {"line.py": (
         "class Endpoint:\n"
         "    def write(self, data):\n"
         "        if self.fidelity == 'frame':\n"
@@ -258,7 +240,7 @@ def test_fid001_flags_missing_else_arm(tmp_path):
 
 
 def test_fid001_silent_on_symmetric_emission(tmp_path):
-    findings = _deep_findings(tmp_path, {"line.py": (
+    findings = deep_findings(tmp_path, {"line.py": (
         "class Endpoint:\n"
         "    def write(self, data):\n"
         "        if self.fidelity == 'frame':\n"
@@ -272,7 +254,7 @@ def test_fid001_silent_on_symmetric_emission(tmp_path):
 
 def test_fid001_silent_on_pure_dispatch(tmp_path):
     # No emissions anywhere: behaviour may differ, digests cannot.
-    findings = _deep_findings(tmp_path, {"line.py": (
+    findings = deep_findings(tmp_path, {"line.py": (
         "class Endpoint:\n"
         "    def write(self, data):\n"
         "        if self.fidelity == 'frame':\n"
@@ -284,7 +266,7 @@ def test_fid001_silent_on_pure_dispatch(tmp_path):
 
 def test_fid001_silent_on_validation_raise(tmp_path):
     # validate_line_fidelity's shape: a raise-only guard branch.
-    findings = _deep_findings(tmp_path, {"fidelity.py": (
+    findings = deep_findings(tmp_path, {"fidelity.py": (
         "LEVELS = ('per_char', 'frame')\n"
         "def validate(fidelity):\n"
         "    if fidelity not in LEVELS:\n"
@@ -295,7 +277,7 @@ def test_fid001_silent_on_validation_raise(tmp_path):
 
 def test_fid001_sees_through_project_helpers(tmp_path):
     # Pushing the emission into a helper must not fake an asymmetry.
-    findings = _deep_findings(tmp_path, {"line.py": (
+    findings = deep_findings(tmp_path, {"line.py": (
         "class Endpoint:\n"
         "    def _account(self):\n"
         "        self.instruments.bump('writes')\n"
@@ -308,7 +290,7 @@ def test_fid001_sees_through_project_helpers(tmp_path):
 
 
 def test_fid001_sees_asymmetry_through_helpers(tmp_path):
-    findings = _deep_findings(tmp_path, {"line.py": (
+    findings = deep_findings(tmp_path, {"line.py": (
         "class Endpoint:\n"
         "    def _account(self):\n"
         "        self.instruments.bump('frames_sent')\n"

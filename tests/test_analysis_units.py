@@ -18,29 +18,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import units
-from repro.analysis.engine import LintEngine
 from repro.analysis.units import MIXED, UNKNOWN
+from tests.conftest import deep_findings
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
 
 _ELEMENTS = (UNKNOWN, MIXED) + units.DIMENSIONS
-
-
-def _deep_findings(tmp_path, files):
-    pkg = tmp_path / "pkg"
-    for relpath, source in files.items():
-        target = pkg / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        step = target.parent
-        while step != tmp_path:
-            (step / "__init__.py").touch()
-            step = step.parent
-        target.write_text(source)
-    return LintEngine(deep=True).lint_paths([pkg]).new_findings
 
 
 def _rules(findings):
@@ -143,7 +128,7 @@ def test_scheduler_sink_set_matches_dataflow():
 # ----------------------------------------------------------------------
 
 def test_unit001_flags_seconds_plus_microseconds(tmp_path):
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Region:\n"
         "    def deadline(self, start_us, duration_seconds):\n"
         "        return start_us + duration_seconds\n")})
@@ -155,7 +140,7 @@ def test_unit001_flags_seconds_plus_microseconds(tmp_path):
 
 
 def test_unit001_flags_wall_clock_vs_sim_clock_compare(tmp_path):
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "import time\n"
         "class Watch:\n"
         "    def late(self, deadline_us):\n"
@@ -165,7 +150,7 @@ def test_unit001_flags_wall_clock_vs_sim_clock_compare(tmp_path):
 
 
 def test_unit001_silent_on_consistent_arithmetic(tmp_path):
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Region:\n"
         "    def deadline(self, start_us, pause_us, count):\n"
         "        return start_us + pause_us * count + 1\n")})
@@ -174,7 +159,7 @@ def test_unit001_silent_on_consistent_arithmetic(tmp_path):
 
 def test_unit001_silent_on_dimensional_conversion(tmp_path):
     # bits / baud and bytes * byte_time are the sanctioned algebra.
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Line:\n"
         "    def airtime(self, payload_bytes, byte_time):\n"
         "        return payload_bytes * byte_time\n")})
@@ -186,7 +171,7 @@ def test_unit001_silent_on_dimensional_conversion(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_unit002_flags_seconds_into_scheduler(tmp_path):
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Station:\n"
         "    def wait(self, duration_seconds):\n"
         "        self.sim.schedule(duration_seconds, self.poll)\n")})
@@ -195,7 +180,7 @@ def test_unit002_flags_seconds_into_scheduler(tmp_path):
 
 def test_unit002_flags_interprocedural_laundering(tmp_path):
     """The ms-vs-s case where neither function alone looks wrong."""
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Station:\n"
         "    def wait(self, pause):\n"
         "        self.sim.schedule(pause, self.poll)\n"
@@ -210,7 +195,7 @@ def test_unit002_flags_interprocedural_laundering(tmp_path):
 
 
 def test_unit002_flags_time_into_bare_counter(tmp_path):
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Cloud:\n"
         "    def account(self, airtime):\n"
         "        self.counters.bump('bursts', airtime)\n")})
@@ -219,7 +204,7 @@ def test_unit002_flags_time_into_bare_counter(tmp_path):
 
 def test_unit002_silent_when_counter_name_declares_unit(tmp_path):
     # flow.py's pattern: the dashboard name says microseconds.
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Cloud:\n"
         "    def account(self, airtime):\n"
         "        self.counters.bump('flow_airtime_us', airtime)\n")})
@@ -227,7 +212,7 @@ def test_unit002_silent_when_counter_name_declares_unit(tmp_path):
 
 
 def test_unit002_flags_bits_stored_as_bytes(tmp_path):
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Frame:\n"
         "    def size(self, header_bits):\n"
         "        self.length_bytes = header_bits\n")})
@@ -235,7 +220,7 @@ def test_unit002_flags_bits_stored_as_bytes(tmp_path):
 
 
 def test_unit002_silent_after_explicit_conversion(tmp_path):
-    findings = _deep_findings(tmp_path, {
+    findings = deep_findings(tmp_path, {
         "clock.py": (
             "SECOND = 1_000_000\n"
             "def seconds(value):\n"
@@ -254,7 +239,7 @@ def test_unit002_silent_after_explicit_conversion(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_finding_provenance_roundtrips_json(tmp_path):
-    findings = _deep_findings(tmp_path, {"model.py": (
+    findings = deep_findings(tmp_path, {"model.py": (
         "class Region:\n"
         "    def deadline(self, start_us, duration_seconds):\n"
         "        return start_us + duration_seconds\n")})
