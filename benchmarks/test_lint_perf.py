@@ -1,20 +1,19 @@
 """reprolint performance microbenchmark.
 
 The lint gate runs on every CI push, so it must stay cheap: a full-repo
-pass (parse + three AST passes over ~100 files) has to finish well
-inside a generous wall-clock bound.  The measured rate is written to
-``BENCH_lint.json`` through the PR 1 results schema so the linter's
-cost is tracked across PRs like every other hot path.
+pass (parse + three AST passes over ~100 files) and the ``--deep``
+whole-program pass each have to finish well inside a generous
+wall-clock bound.  These tests only assert the budgets; the per-pass
+deep-lint seconds are recorded in ``BENCH_lint.json`` by its one
+writer, ``python -m repro lint src --deep --bench``.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict
 
 from repro.analysis import LintEngine, load_baseline
-from repro.harness.results import bench_json_path, write_bench_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -27,8 +26,6 @@ FULL_LINT_BUDGET_SECONDS = 20.0
 #: Ceiling for the --deep whole-program pass (call graph + dataflow
 #: fixpoint over every function).  The PR 5 acceptance bound.
 DEEP_LINT_BUDGET_SECONDS = 30.0
-
-_RESULTS: Dict[str, Dict[str, float]] = {}
 
 
 def test_full_repo_lint_under_budget(benchmark):
@@ -52,12 +49,6 @@ def test_full_repo_lint_under_budget(benchmark):
     assert mean < FULL_LINT_BUDGET_SECONDS, (
         f"full-repo lint took {mean:.2f}s, budget "
         f"{FULL_LINT_BUDGET_SECONDS}s")
-    _RESULTS["full_repo_lint"] = {
-        "files": float(report.files_scanned),
-        "mean_seconds": mean,
-        "files_per_s": report.files_scanned / mean if mean else 0.0,
-        "budget_seconds": FULL_LINT_BUDGET_SECONDS,
-    }
 
 
 def test_deep_lint_under_budget(benchmark):
@@ -84,28 +75,3 @@ def test_deep_lint_under_budget(benchmark):
     assert mean < DEEP_LINT_BUDGET_SECONDS, (
         f"deep lint took {mean:.2f}s, budget "
         f"{DEEP_LINT_BUDGET_SECONDS}s")
-    metrics = {
-        "files": float(report.files_scanned),
-        "mean_seconds": mean,
-        "budget_seconds": DEEP_LINT_BUDGET_SECONDS,
-    }
-    # Per-pass columns: where the deep wall-clock actually goes.
-    for name, seconds in sorted(report.deep_timings.items()):
-        metrics[f"pass_{name}_seconds"] = round(seconds, 4)
-    _RESULTS["deep_lint"] = metrics
-
-
-def test_emit_bench_json():
-    """Write BENCH_lint.json from whatever ran above."""
-    assert _RESULTS, "lint bench must run before the JSON emitter"
-    runs = [
-        {"params": {"case": case}, "seed": 0, "metrics": metrics}
-        for case, metrics in sorted(_RESULTS.items())
-    ]
-    write_bench_json(
-        bench_json_path("lint"),
-        {"bench": "lint",
-         "spec": {"source": "benchmarks/test_lint_perf.py"},
-         "runs": runs},
-    )
-    assert bench_json_path("lint").exists()

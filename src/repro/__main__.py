@@ -1,79 +1,12 @@
-"""Command-line front door: ``python -m repro <scenario>``.
+"""Command-line front door: ``python -m repro <command> [options]``.
 
-Runs the bundled example scenarios without needing the examples/
-directory, so an installed copy of the library can demonstrate itself:
-
-    python -m repro quickstart     # Figure 1 ping
-    python -m repro gateway        # §2.3 telnet session over the gateway
-    python -m repro observatory    # axdump + netstat on a live gateway
-    python -m repro sweep ...      # parallel seeded experiment sweeps
-    python -m repro chaos ...      # fault-injection soak + digest gate
-    python -m repro tournament ... # recovery-policy tournament gate
-    python -m repro report ...     # packet flight recorder report / gate
-    python -m repro scale ...      # multi-fidelity sharding digest gate
-    python -m repro lint ...       # reprolint static-analysis gate
-    python -m repro mc ...         # reprocheck model-checking gate
-    python -m repro list           # show this list
-
-``sweep`` is the experiment harness: it fans a seed sweep of a named
-experiment (e3, a3, soak, perf) across worker processes, prints
-mean +/- 95% CI per grid point, and writes a machine-readable
-``BENCH_<name>.json``:
-
-    python -m repro sweep --bench e3 --seeds 8 --procs 4
-
-``tournament`` is the recovery-policy gate: every (rto x cc x
-link-timer) policy combination runs against the hostile-link fault
-plans at 1200 and 9600 bps, on 1 and N worker processes; the gate
-requires zero crashes, span conservation, byte-identical digests
-across layouts, and the §4.1 headline (AdaptiveRto+Reno strictly
-beats FixedRto+NoCongestion on goodput under the storm plan),
-writing per-cell Student-t CIs to ``BENCH_tournament.json``:
-
-    python -m repro tournament --seeds 3
-
-``report`` is the observability front door: it runs an instrumented
-gateway scenario and prints the flight recorder's report (top talkers,
-drop reasons, latency histograms, per-hop percentiles), optionally
-capturing the radio channel to a Wireshark-readable pcap, the sampled
-time-series (``--timeline``) and a sim-time profile in folded-stacks
-format (``--flame``).  With ``--bench`` it becomes the observability
-gate: the ``obs`` experiment over N seeds on 1 and 2 worker processes
-requiring span conservation and byte-identical digests across layouts,
-a sharded 2-region trace gate across 1/2/4 processes, and the paired
-obs-overhead measurement:
-
-    python -m repro report --pcap capture.pcap --timeline --flame
-    python -m repro report --bench --seeds 3
-
-``scale`` is the multi-fidelity sharding gate: every seed's regional
-layout runs with 1, 2 and 4 worker processes and must produce
-byte-identical merged digests; a fault-free scenario must produce
-identical metrics at ``per_char`` and ``frame`` serial fidelity; and a
-headline run with thousands of flow-level background stations records
-wall-clock and events/s into ``BENCH_scale.json``:
-
-    python -m repro scale --seeds 3 --flow 1000
-
-``lint`` is the reprolint static-analysis gate: AST passes for
-determinism, sim-safety, and protocol invariants, exiting nonzero on
-any finding not baselined or inline-suppressed:
-
-    python -m repro lint src --format json
-
-``mc`` is the reprocheck model-checking gate: bounded explicit-state
-exploration of the preset worlds (2-station LAPB handshake, 3-station
-hidden terminal, TCP transfer under lossy choice) with zero-violation
-gating, the partial-order-reduction ratio measured against a
-no-reduction baseline walk, and a mutation gate proving the checker
-finds three seeded protocol bugs with deterministically replayable
-counterexamples:
-
-    python -m repro mc
-    python -m repro mc --worlds lapb2 --counterexamples
-
-The fuller scenarios (BBS, emergency net, NET/ROM node network, ...)
-live as scripts in the repository's examples/ directory.
+Runs the bundled example scenarios and the gates without needing the
+examples/ directory, so an installed copy of the library can
+demonstrate and check itself.  ``python -m repro list`` prints every
+command beside the first line of its docstring, and ``python -m repro
+<command> --help`` lists its options.  The fuller scenarios (BBS,
+emergency net, NET/ROM node network, ...) live as scripts in the
+repository's examples/ directory.
 """
 
 from __future__ import annotations
@@ -84,6 +17,7 @@ from typing import Callable, Dict, List
 
 
 def _quickstart(argv: List[str]) -> int:
+    """Figure 1: a radio host pings its peer across the 1200 bps path."""
     from repro.apps.ping import Pinger
     from repro.core.topology import build_figure1_testbed
     from repro.sim.clock import SECOND
@@ -100,6 +34,7 @@ def _quickstart(argv: List[str]) -> int:
 
 
 def _gateway(argv: List[str]) -> int:
+    """§2.3: telnet from the radio PC through the gateway to Ethernet."""
     from repro.apps.telnet import TelnetClient, TelnetServer
     from repro.core.topology import build_gateway_testbed
     from repro.sim.clock import SECOND
@@ -116,6 +51,7 @@ def _gateway(argv: List[str]) -> int:
 
 
 def _observatory(argv: List[str]) -> int:
+    """axdump and netstat on a live gateway while the PC pings."""
     from repro.apps.ping import Pinger
     from repro.core.topology import build_gateway_testbed
     from repro.sim.clock import SECOND
@@ -134,7 +70,12 @@ def _observatory(argv: List[str]) -> int:
 
 
 def _sweep(argv: List[str]) -> int:
-    """``python -m repro sweep``: run a seeded experiment sweep."""
+    """A seeded experiment sweep with 95% CIs (see sweep --list).
+
+    Writes ``BENCH_<name>.json``.  The BENCH file of an experiment a gate
+    sweeps (chaos, obs, tournament) belongs to that gate, so sweeping one
+    without ``--out`` exits 2 and names the gate.
+    """
     from repro.harness import (
         EXPERIMENTS,
         SweepSpec,
@@ -168,6 +109,12 @@ def _sweep(argv: List[str]) -> int:
         return 0 if args.list else 2
     if args.bench not in EXPERIMENTS:
         print(f"unknown bench {args.bench!r}; try --list", file=sys.stderr)
+        return 2
+    owner = {"chaos": "chaos", "obs": "report --bench",
+             "tournament": "tournament"}.get(args.bench)
+    if owner is not None and args.out is None:
+        print(f"BENCH_{args.bench}.json is written by `python -m repro "
+              f"{owner}`; give --out to sweep {args.bench}", file=sys.stderr)
         return 2
 
     if args.procs < 1:
@@ -208,7 +155,7 @@ def _sweep(argv: List[str]) -> int:
 
 
 def _chaos(argv: List[str]) -> int:
-    """``python -m repro chaos``: the fault-injection soak gate.
+    """The fault-injection soak gate: watchdog recovery under chaos.
 
     Runs the ``chaos`` experiment over N seeds twice -- once inline,
     once across worker processes -- and requires (1) zero crashed runs,
@@ -264,7 +211,7 @@ def _chaos(argv: List[str]) -> int:
 
 
 def _tournament(argv: List[str]) -> int:
-    """``python -m repro tournament``: the recovery-policy tournament gate.
+    """The recovery-policy tournament gate: the §4.1 headline.
 
     Sweeps every (rto x cc x link-timer) policy combination across the
     hostile-link fault plans and both link speeds, twice -- once inline,
@@ -394,7 +341,7 @@ def _tournament(argv: List[str]) -> int:
 
 
 def _report(argv: List[str]) -> int:
-    """``python -m repro report``: the packet flight recorder front door.
+    """One run's flight recorder report, or with --bench the obs gate.
 
     Without ``--bench``: run one instrumented gateway scenario and print
     the human-readable observability report; ``--pcap PATH`` also taps
@@ -416,8 +363,11 @@ def _report(argv: List[str]) -> int:
     (``total/obs_sharded_conservation_ok``).  (3) The paired-round
     obs-overhead measurement (recorded, not gated here -- the perf
     bench asserts the budget).  Writes ``BENCH_obs.json``.
+
+    Each mode ignores the other's options, so setting one of those away
+    from its default is a usage error (exit 2) naming it.
     """
-    from repro.harness.gate import parse_gate_args
+    from repro.harness.gate import parse_gate_args, usage_error
 
     parser = argparse.ArgumentParser(
         prog="python -m repro report",
@@ -451,6 +401,17 @@ def _report(argv: List[str]) -> int:
                              "report then fails with a clear error; "
                              "useful with --flame)")
     args = parse_gate_args(parser, argv, "obs")
+    if args.bench:
+        mode = "--bench sweeps the obs grid"
+        other = ("seed", "variant", "stations", "duration", "pcap",
+                 "timeline", "flame", "no_observe")
+    else:
+        mode = "without --bench runs one scenario"
+        other = ("seeds", "seed_base", "out")
+    ignored = [f"--{dest.replace('_', '-')}" for dest in other
+               if getattr(args, dest) != parser.get_default(dest)]
+    if ignored:
+        usage_error(f"report {mode} and ignores {', '.join(ignored)}")
     return _obs_gate(args) if args.bench else _single_report(args)
 
 
@@ -593,7 +554,7 @@ def _obs_gate(args: argparse.Namespace) -> int:
 
 
 def _scale(argv: List[str]) -> int:
-    """``python -m repro scale``: the multi-fidelity sharding gate.
+    """The multi-fidelity sharding gate: shard and fidelity invariance.
 
     Three checks, all digest-based:
 
@@ -731,7 +692,7 @@ def _scale(argv: List[str]) -> int:
 
 
 def _mc(argv: List[str]) -> int:
-    """``python -m repro mc``: the model-checking gate.
+    """The model-checking gate: preset worlds, POR ratio, mutations.
 
     Explores every preset world to fixpoint (or budget) and requires
     zero property violations; measures the partial-order-reduction
@@ -897,6 +858,7 @@ def _mc(argv: List[str]) -> int:
 
 
 def _lint(argv: List[str]) -> int:
+    """The reprolint static-analysis gate (see lint --help)."""
     from repro.analysis.cli import main as lint_main
     return lint_main(argv)
 
@@ -922,12 +884,14 @@ def main(argv: list) -> int:
     name = argv[1] if len(argv) > 1 else "list"
     if name in COMMANDS:
         return COMMANDS[name](argv[2:])
-    if name not in ("list", "-h", "--help"):
-        print(f"unknown scenario {name!r}", file=sys.stderr)
-    print(__doc__.strip())
-    print("\ncommands:", ", ".join(sorted(COMMANDS)))
+    listing = name in ("list", "-h", "--help")
+    if not listing:
+        print(f"unknown command {name!r}", file=sys.stderr)
+    print("usage: python -m repro <command> [options]\n\ncommands:")
+    for command, run in COMMANDS.items():
+        print(f"  {command:12s} {run.__doc__.strip().splitlines()[0]}")
     print("richer versions live in examples/*.py")
-    return 0 if name in ("list", "-h", "--help") else 2
+    return 0 if listing else 2
 
 
 if __name__ == "__main__":

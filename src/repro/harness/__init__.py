@@ -13,8 +13,7 @@ Entry points:
 * ``python -m repro sweep --bench e3 --seeds 8 --procs 4`` -- the CLI;
 * :func:`repro.harness.runner.run_sweep` -- the library call;
 * :data:`repro.harness.experiments.EXPERIMENTS` -- the registry of
-  named experiments (e3, a3, soak, chaos, obs, sanitize, scale,
-  tournament, mc, perf);
+  named experiments (e3, a3, soak, chaos, obs, sanitize, tournament);
 * :class:`repro.harness.gate.Gate` -- the runner behind the CLI gates.
 """
 

@@ -6,14 +6,14 @@ import it), plus a default parameter grid and seed count.  The E3 and
 A3 experiments are the paper benchmarks, re-based onto the workload
 generators so their offered load is a seeded arrival process rather
 than a hand-rolled timer loop; ``soak`` exercises the declarative
-scenario layer at population scale; ``perf`` measures the simulator
-itself (its metrics are wall-clock rates and therefore *not*
-seed-deterministic, unlike every other experiment).
+scenario layer at population scale; ``sanitize`` runs the dynamic
+ordering and conservation checks.  ``chaos``, ``obs`` and
+``tournament`` are the experiments the CLI gates sweep, so their
+``BENCH_<name>.json`` belongs to the gate, not to ``sweep``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Tuple
 
@@ -394,38 +394,6 @@ def run_sanitize(
 
 
 # ----------------------------------------------------------------------
-# scale -- multi-fidelity sharded regional runner (PR 6)
-# ----------------------------------------------------------------------
-
-def run_scale(
-    seed: int = 0,
-    regions: int = 2,
-    stations_per_region: int = 2,
-    flow_stations: int = 200,
-    duration_seconds: float = 60.0,
-    fidelity: str = "frame",
-) -> Dict[str, float]:
-    """One sharded regional condition, run inline (procs=1).
-
-    The harness already fans seeds across worker processes, and Python
-    daemonic pool workers cannot fork grandchildren, so this entry
-    always runs the shard loop inline; the ``python -m repro scale``
-    gate is where 1/2/4-process layouts are compared by digest.
-    """
-    # Imported here, not at module top: repro.scale.regions pulls in the
-    # workload generators, and the harness is imported by __main__ early.
-    from repro.scale.regions import ScaleLayout
-    from repro.scale.shard import run_sharded
-
-    layout = ScaleLayout(
-        regions=regions, stations_per_region=stations_per_region,
-        flow_stations=flow_stations, duration_seconds=duration_seconds,
-        fidelity=fidelity, seed=seed,
-    )
-    return run_sharded(layout, procs=1)
-
-
-# ----------------------------------------------------------------------
 # tournament -- recovery policies under hostile links (the §4.1 grid)
 # ----------------------------------------------------------------------
 
@@ -493,80 +461,6 @@ def run_tournament(
 
 
 # ----------------------------------------------------------------------
-# perf -- the simulator as software (wall-clock; not seed-deterministic)
-# ----------------------------------------------------------------------
-
-def run_perf(seed: int = 0, loop_events: int = 100_000) -> Dict[str, float]:
-    """Event-loop and end-to-end simulation throughput, wall-clock."""
-    sim = Simulator()
-    state = {"count": 0}
-
-    def tick() -> None:
-        state["count"] += 1
-        if state["count"] < loop_events:
-            sim.schedule(10, tick)
-
-    sim.schedule(1, tick)
-    started = time.perf_counter()
-    sim.run_until_idle()
-    loop_wall = time.perf_counter() - started
-
-    tb = build_gateway_testbed(seed=seed)
-    pinger = Pinger(tb.pc.stack)
-    pinger.send("128.95.1.2", count=2, interval=30 * SECOND)
-    started = time.perf_counter()
-    tb.sim.run(until=200 * SECOND)
-    session_wall = time.perf_counter() - started
-
-    return {
-        "event_loop_events_per_s": loop_events / max(loop_wall, 1e-9),
-        "gateway_session_events": float(tb.sim.events_executed),
-        "gateway_session_events_per_s":
-            tb.sim.events_executed / max(session_wall, 1e-9),
-        "gateway_pings_received": float(pinger.received),
-    }
-
-
-# ----------------------------------------------------------------------
-# mc -- the model checker as software (wall-clock; not seed-deterministic)
-# ----------------------------------------------------------------------
-
-def run_mc(seed: int = 0, world: str = "lapb2", por: bool = True,
-           dedup: bool = True, max_states: int = 50_000,
-           max_depth: int = 400,
-           max_wall_seconds: float = 60.0) -> Dict[str, float]:
-    """One bounded exploration of a preset world, as flat metrics.
-
-    The worlds are closed systems -- every branch is an explicit choice
-    point, not a seeded draw -- so ``seed`` is accepted for harness
-    compatibility and ignored.  Throughput numbers are wall-clock, which
-    is why the experiment is registered non-deterministic.
-    """
-    from repro.check import Budget, Explorer, build_world
-
-    del seed  # exploration is exhaustive, not sampled
-    explorer = Explorer(
-        lambda: build_world(world), por=por, dedup=dedup,
-        budget=Budget(max_states=max_states, max_depth=max_depth,
-                      max_wall_seconds=max_wall_seconds))
-    result = explorer.run()
-    return {
-        "states": float(result.states),
-        "transitions": float(result.transitions),
-        "revisits": float(result.revisits),
-        "sleep_skips": float(result.sleep_skips),
-        "terminal_states": float(result.terminal_states),
-        "cycles": float(result.cycles),
-        "truncated": float(result.truncated),
-        "max_depth_seen": float(result.max_depth_seen),
-        "complete": 1.0 if result.complete else 0.0,
-        "violations": float(len(result.violations)),
-        "elapsed_s": result.elapsed,
-        "states_per_second": result.states_per_second,
-    }
-
-
-# ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
 
@@ -579,7 +473,6 @@ class Experiment:
     fn: Callable[..., Dict[str, float]]
     grid: Tuple[Mapping[str, object], ...]
     default_seed_count: int = 5
-    deterministic: bool = True
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
@@ -642,14 +535,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
             default_seed_count=3,
         ),
         Experiment(
-            name="scale",
-            description="multi-fidelity sharded regional runner: frame "
-                        "foreground + flow background, windowed sync",
-            fn=run_scale,
-            grid=({"regions": 2, "flow_stations": 200},),
-            default_seed_count=3,
-        ),
-        Experiment(
             name="tournament",
             description="recovery-policy tournament: (rto x cc x "
                         "link-timer) under hostile-link fault plans "
@@ -666,25 +551,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 {"rto": "adaptive", "cc": "paced", "plan": "storm"},
             ),
             default_seed_count=3,
-        ),
-        Experiment(
-            name="mc",
-            description="bounded model checking of the preset worlds "
-                        "(wall-clock rates; not seed-deterministic)",
-            fn=run_mc,
-            grid=({"world": "lapb2"}, {"world": "hidden3"},
-                  {"world": "tcpxfer"}),
-            default_seed_count=1,
-            deterministic=False,
-        ),
-        Experiment(
-            name="perf",
-            description="simulator throughput microbench "
-                        "(wall-clock rates; not seed-deterministic)",
-            fn=run_perf,
-            grid=({},),
-            default_seed_count=3,
-            deterministic=False,
         ),
     )
 }

@@ -3,7 +3,9 @@
 Stub variants pin the runner's contract -- the invariance check, the
 per-run predicates and the BENCH tail -- without simulating anything;
 small in-process runs through ``main()`` check that each gate still
-writes the BENCH layout the checked-in files carry.
+writes the BENCH layout the checked-in files carry, that ``sweep`` and
+``report`` refuse what would write or ignore the wrong thing, and that
+``list`` names every command.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import COMMANDS, main
 from repro.harness.gate import Gate, parse_gate_args
 from repro.harness.results import metrics_digest
 
@@ -125,6 +127,9 @@ def test_tournament_single_layout_is_a_usage_error(tmp_path):
                "--headline-flow", "0"]),
     ("mc", ["mc", "--worlds", "hidden3", "--skip-por-ratio",
             "--skip-mutation-gate"]),
+    ("tournament", ["tournament", "--seeds", "1", "--plans", "noise",
+                    "--speeds", "9600", "--duration", "60"]),
+    ("obs", ["report", "--bench", "--seeds", "1"]),
 ])
 def test_gate_writes_the_checked_in_layout(name, argv, tmp_path, capsys):
     out = tmp_path / f"BENCH_{name}.json"
@@ -135,6 +140,41 @@ def test_gate_writes_the_checked_in_layout(name, argv, tmp_path, capsys):
     assert set(written) == set(checked_in)
     if "digests" in written:
         assert written["digests"]["identical"] is True
+
+
+def test_sweep_leaves_gate_files_to_their_gates(tmp_path, monkeypatch,
+                                                capsys):
+    """A gate's BENCH file has one writer: ``sweep`` needs ``--out``."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["repro", "sweep", "--bench", "chaos", "--seeds", "1"]) == 2
+    assert "python -m repro chaos" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--duration", "20", "--stations", "2"], "--out"),
+    (["--bench", "--seeds", "1", "--stations", "2"], "--stations"),
+], ids=("single-report", "bench"))
+def test_report_rejects_options_its_mode_ignores(argv, named, tmp_path,
+                                                 capsys):
+    out = tmp_path / "BENCH_obs.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["repro", "report", *argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.endswith(f"ignores {named}")
+    assert not out.exists()
+
+
+def test_list_shows_every_command_with_its_summary(capsys):
+    assert main(["repro", "list"]) == 0
+    listed = dict(line.split(None, 1)
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  "))
+    assert set(listed) == set(COMMANDS)
+    assert all(summary.strip() for summary in listed.values())
+    assert main(["repro", "no-such-command"]) == 2
+    assert "no-such-command" in capsys.readouterr().err
 
 
 def test_lint_bench_reports_a_dead_scenario_not_a_disagreement(

@@ -105,10 +105,7 @@ def test_experiment_registry_shape():
         assert experiment.name == name
         assert experiment.grid, f"{name} has an empty default grid"
         assert experiment.description
-    assert {"e3", "a3", "soak", "perf"} <= set(EXPERIMENTS)
-    # perf measures wall-clock, so it is exempt from the determinism
-    # contract and the docs/CLI must know that.
-    assert not EXPERIMENTS["perf"].deterministic
+    assert {"e3", "a3", "soak"} <= set(EXPERIMENTS)
 
 
 def test_bench_json_roundtrip(tmp_path):
