@@ -417,7 +417,7 @@ def _report(argv: List[str]) -> int:
 
 def _single_report(args: argparse.Namespace) -> int:
     """``report`` without ``--bench``: one instrumented scenario."""
-    from repro.harness.experiments import OBS_MIX
+    from repro.harness.experiments import OBS_MIX, with_chaos
     from repro.obs.pcap import PcapWriter
     from repro.obs.report import ReportError, render_report, require_reportable
     from repro.tools.axdump import ChannelMonitor
@@ -429,13 +429,7 @@ def _single_report(args: argparse.Namespace) -> int:
         mix=OBS_MIX, seed=args.seed, observe=not args.no_observe,
     )
     if args.variant == "chaos":
-        from dataclasses import replace
-
-        from repro.faults import chaos_plan
-        plan = chaos_plan(int(args.duration), gateway="gateway",
-                          stations=["WL0"])
-        scenario = replace(scenario, fault_plan=plan, watchdog=True,
-                           shed_threshold_bytes=2048)
+        scenario = with_chaos(scenario)
     run = build_scenario(scenario)
     profiler = None
     if args.flame:

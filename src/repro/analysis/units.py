@@ -226,8 +226,8 @@ EXACT_NAME_SEEDS: Dict[str, str] = {
     "epoch": "sim_us",          # FlowStationCloud's decision period
     "airtime": "sim_us",        # channel occupancy spans
     "frame_airtime": "sim_us",
-    "baud": "baud",             # SerialLine / ScaleLayout line rate
-    "serial_baud": "baud",
+    "baud": "baud",             # SerialLine's line rate
+    "serial_baud": "baud",      # Scenario's and the host builders' line rate
     "bit_rate": "baud",         # ModemProfile's on-air rate
     "bits_per_char": "bits",    # 8N1 framing arithmetic
     "mtu": "bytes",

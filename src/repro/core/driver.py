@@ -299,8 +299,9 @@ class PacketRadioInterface(NetworkInterface):
         try:
             destination, _last, _bit = AX25Address.decode(entry.hw_address)
         except AddressError:
-            self.tracer.log("driver.drop", str(self.callsign),
-                            "undecodable ARP hardware address")
+            if self.tracer is not None:
+                self.tracer.log("driver.drop", str(self.callsign),
+                                "undecodable ARP hardware address")
             recorder = self._obs()
             if recorder is not None:
                 recorder.drop(packet, "driver.tx", str(self.callsign),
@@ -319,8 +320,9 @@ class PacketRadioInterface(NetworkInterface):
         try:
             destination, _last, _bit = AX25Address.decode(entry.hw_address)
         except AddressError:
-            self.tracer.log("driver.drop", str(self.callsign),
-                            "undecodable ARP hardware address")
+            if self.tracer is not None:
+                self.tracer.log("driver.drop", str(self.callsign),
+                                "undecodable ARP hardware address")
             return
         path = entry.link_hint if isinstance(entry.link_hint, AX25Path) else self.default_path
         self._transmit_ui(destination.base, PID_ARPA_ARP, packet, path,

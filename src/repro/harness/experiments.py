@@ -196,6 +196,19 @@ MIX_PRESETS: Dict[str, Tuple[GeneratorMix, ...]] = {
 }
 
 
+def scaled_mix(mix: str, rate_scale: float) -> Tuple[GeneratorMix, ...]:
+    """The ``mix`` preset with every component's rate times ``rate_scale``."""
+    if mix not in MIX_PRESETS:
+        raise ValueError(f"unknown mix preset {mix!r}")
+    if rate_scale <= 0:
+        raise ValueError("rate_scale must be positive")
+    return tuple(
+        replace(component,
+                rate_per_minute=component.rate_per_minute * rate_scale)
+        for component in MIX_PRESETS[mix]
+    )
+
+
 def run_soak(
     seed: int = 0,
     stations: int = 20,
@@ -211,18 +224,9 @@ def run_soak(
     rates are sized for ~20 stations, so a 50-station population wants
     a scale well below 1 to stay on the air at 1200 bps.
     """
-    if mix not in MIX_PRESETS:
-        raise ValueError(f"unknown mix preset {mix!r}")
-    if rate_scale <= 0:
-        raise ValueError("rate_scale must be positive")
-    components = tuple(
-        replace(component,
-                rate_per_minute=component.rate_per_minute * rate_scale)
-        for component in MIX_PRESETS[mix]
-    )
     scenario = Scenario(
         name=f"soak-{mix}", topology="gateway", stations=stations,
-        duration_seconds=duration_seconds, mix=components,
+        duration_seconds=duration_seconds, mix=scaled_mix(mix, rate_scale),
         seed=seed, tnc_address_filter=address_filter,
     )
     return run_scenario(scenario)
@@ -251,19 +255,11 @@ def run_chaos(
     again.  Every metric is a pure function of (params, seed); the
     ``chaos`` CLI asserts that by digest across process layouts.
     """
-    if mix not in MIX_PRESETS:
-        raise ValueError(f"unknown mix preset {mix!r}")
-    if rate_scale <= 0:
-        raise ValueError("rate_scale must be positive")
-    components = tuple(
-        replace(component,
-                rate_per_minute=component.rate_per_minute * rate_scale)
-        for component in MIX_PRESETS[mix]
-    )
     scenario = Scenario(
         name=f"chaos-{mix}", topology="gateway", stations=stations,
-        duration_seconds=duration_seconds, mix=components, seed=seed,
-        watchdog=watchdog, shed_threshold_bytes=shed_threshold_bytes,
+        duration_seconds=duration_seconds, mix=scaled_mix(mix, rate_scale),
+        seed=seed, watchdog=watchdog,
+        shed_threshold_bytes=shed_threshold_bytes,
     )
     ip_count = sum(1 for c in scenario.station_allocation()
                    if c.kind in ("ping", "udp", "tcp"))
@@ -300,6 +296,18 @@ OBS_MIX: Tuple[GeneratorMix, ...] = (
 )
 
 
+def with_chaos(scenario: Scenario) -> Scenario:
+    """``scenario`` under the standard chaos schedule, aimed at ``WL0``.
+
+    The fault plan spans the scenario's duration; the driver watchdog
+    is on and the gateway sheds bulk traffic past a 2 KB serial backlog.
+    """
+    plan = chaos_plan(int(scenario.duration_seconds), gateway="gateway",
+                      stations=["WL0"])
+    return replace(scenario, fault_plan=plan, watchdog=True,
+                   shed_threshold_bytes=2048)
+
+
 def run_obs(
     seed: int = 0,
     variant: str = "e3",
@@ -322,10 +330,7 @@ def run_obs(
         observe=True,
     )
     if variant == "chaos":
-        plan = chaos_plan(int(duration_seconds), gateway="gateway",
-                          stations=["WL0"])
-        scenario = replace(scenario, fault_plan=plan, watchdog=True,
-                           shed_threshold_bytes=2048)
+        scenario = with_chaos(scenario)
     run = build_scenario(scenario)
     metrics = run.run()
     recorder = run.recorder
@@ -350,12 +355,7 @@ def sanitize_scenario(seed: int, variant: str, stations: int,
         duration_seconds=duration_seconds, mix=OBS_MIX, seed=seed,
         sanitize=True,
     )
-    if variant == "chaos":
-        plan = chaos_plan(int(duration_seconds), gateway="gateway",
-                          stations=["WL0"])
-        scenario = replace(scenario, fault_plan=plan, watchdog=True,
-                           shed_threshold_bytes=2048)
-    return scenario
+    return with_chaos(scenario) if variant == "chaos" else scenario
 
 
 def run_sanitize(

@@ -456,78 +456,6 @@ class PacedRate(CongestionPolicy):
         return f"PacedRate({self.pacing_rate} B/s)"
 
 
-class StepController:
-    """Interface for step-based (learned or scripted) congestion control.
-
-    :class:`ControllerLoop` calls :meth:`observe` on a fixed sim-time
-    cadence with a counter snapshot; the controller returns an action
-    dict -- any of ``{"cwnd": bytes, "pacing_rate": bytes_per_second}``
-    (or ``None`` / ``{}`` for no change) -- which the loop applies to
-    the connection's policy.  This is the plug point for RL controllers
-    without importing an RL dependency.
-    """
-
-    def observe(self, counters: Dict[str, int]) -> Optional[Dict[str, int]]:
-        """Map one counter snapshot to an action dict."""
-        raise NotImplementedError
-
-
-class ControllerLoop:
-    """Drives a :class:`StepController` against one connection.
-
-    Scheduled on a fixed cadence of simulated time; each step snapshots
-    the connection's counters (stats, flight, rto, cwnd, pacing) and
-    applies the controller's action to the congestion policy.  The loop
-    stops itself once the connection closes.
-    """
-
-    def __init__(self, conn: "TcpConnection", controller: StepController,
-                 interval: int = 200 * MS) -> None:
-        if interval <= 0:
-            raise ValueError("controller interval must be positive")
-        self.conn = conn
-        self.controller = controller
-        self.interval = interval
-        self.steps = 0
-        self._event: Optional[Event] = conn.sim.schedule(
-            interval, self._step, label=f"tcp-controller {conn.local_port}")
-
-    def cancel(self) -> None:
-        """Stop stepping."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def counters(self) -> Dict[str, int]:
-        """Snapshot the connection state a controller may observe."""
-        conn = self.conn
-        snapshot = dict(conn.stats)
-        snapshot["bytes_in_flight"] = conn.bytes_in_flight
-        snapshot["bytes_unsent"] = conn.bytes_unsent
-        snapshot["rto_us"] = conn.rto_policy.current()
-        snapshot["cwnd_bytes"] = conn.cc_policy.window()
-        snapshot["pacing_rate"] = getattr(conn.cc_policy, "pacing_rate", 0)
-        return snapshot
-
-    def _step(self) -> None:
-        self._event = None
-        conn = self.conn
-        if conn.state is TcpState.CLOSED:
-            return
-        self.steps += 1
-        action = self.controller.observe(self.counters())
-        if action:
-            policy = conn.cc_policy
-            if "cwnd" in action:
-                policy.cwnd = max(1, int(action["cwnd"]))
-            if "pacing_rate" in action and hasattr(policy, "pacing_rate"):
-                policy.pacing_rate = max(1, int(action["pacing_rate"]))
-            conn._push()
-        self._event = conn.sim.schedule(
-            self.interval, self._step,
-            label=f"tcp-controller {conn.local_port}")
-
-
 # ----------------------------------------------------------------------
 # connection
 # ----------------------------------------------------------------------

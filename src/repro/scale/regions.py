@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional
 
 from repro.core.hosts import PcHost, make_radio_host
 from repro.core.topology import synthesize_stations
@@ -32,19 +32,15 @@ from repro.netif.ifnet import InterfaceFlags, NetworkInterface
 from repro.obs.pcap import PcapWriter
 from repro.obs.spans import FlightRecorder, SpanContext
 from repro.radio.channel import RadioChannel
-from repro.radio.modem import ModemProfile
-from repro.scale.fidelity import validate_line_fidelity
 from repro.scale.flow import FlowStationCloud
+from repro.serialio.line import validate_line_fidelity
 from repro.sim.clock import MS, seconds
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import Tracer
 from repro.tools.axdump import ChannelMonitor
 from repro.workload.arrivals import make_arrivals
-from repro.workload.generators import PingGenerator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.workload.scenario import Scenario
+from repro.workload.generators import PingGenerator, load_metrics
 
 #: Second octet of region 0's subnet (the paper's 44.24 Seattle space);
 #: region ``r`` lives in ``44.(24 + r)``.
@@ -53,6 +49,9 @@ REGION_SUBNET_BASE = 24
 #: Default one-way latency of the inter-region gateway link, which is
 #: also the conservative synchronisation lookahead of the shard runner.
 DEFAULT_LINK_LATENCY = 250 * MS
+
+#: Mean Poisson rate of each foreground station's cross-region pings.
+PING_RATE_PER_MINUTE = 4.0
 
 #: Ident base for foreground pingers: layout-stable so digests do not
 #: depend on how many Pinger objects a worker process created before.
@@ -65,24 +64,20 @@ class ScaleLayout:
 
     Every derived quantity (region seeds, addresses, callsigns) is a
     pure function of this value, which is what makes the sharded run a
-    pure function of (layout, seed) regardless of worker count.
+    pure function of (layout, seed) regardless of worker count.  The
+    modem, serial line, ping payload and flow cloud keep their own
+    components' defaults.
     """
 
     regions: int = 2
     stations_per_region: int = 2
     flow_stations: int = 0
-    flow_rate_per_minute: float = 0.5
-    flow_frame_bytes: int = 96
     fidelity: str = "frame"
     duration_seconds: float = 60.0
     #: Extra windows after the load stops, so in-flight replies land.
     drain_seconds: float = 30.0
     seed: int = 0
-    bit_rate: int = 1200
-    serial_baud: int = 9600
     link_latency: int = DEFAULT_LINK_LATENCY
-    ping_rate_per_minute: float = 4.0
-    ping_payload_bytes: int = 56
     #: Applied to region 0 only (the shard protocol keeps the other
     #: regions' RNG streams untouched either way).
     fault_plan: Optional[FaultPlan] = None
@@ -266,12 +261,9 @@ def build_region(layout: ScaleLayout, index: int) -> Region:
     if layout.capture:
         monitor = ChannelMonitor(channel, name=f"MON{index}",
                                  pcap=PcapWriter())
-    modem = ModemProfile(bit_rate=layout.bit_rate)
-
     gateway = make_radio_host(
         sim, channel, f"rgw{index}", f"GW{index}", layout.gateway_ip(index),
-        tracer=tracer, modem=modem, serial_baud=layout.serial_baud,
-        fidelity=layout.fidelity,
+        tracer=tracer, fidelity=layout.fidelity,
     )
     gateway.stack.ip_forwarding = True
     link = RegionGatewayLink(sim, index, recorder=recorder)
@@ -291,8 +283,7 @@ def build_region(layout: ScaleLayout, index: int) -> Region:
 
     stations = synthesize_stations(
         sim, channel, layout.stations_per_region,
-        tracer=tracer, modem=modem, serial_baud=layout.serial_baud,
-        default_gateway=layout.gateway_ip(index),
+        tracer=tracer, default_gateway=layout.gateway_ip(index),
         subnet=f"44.{REGION_SUBNET_BASE + index}",
         fidelity=layout.fidelity,
     )
@@ -313,11 +304,9 @@ def build_region(layout: ScaleLayout, index: int) -> Region:
     for position, host in enumerate(stations):
         arrivals = make_arrivals(
             "poisson", streams.stream(f"scale/ping/{position}"),
-            layout.ping_rate_per_minute)
-        generator = PingGenerator(
-            sim, host.stack, target, arrivals,
-            payload_size=layout.ping_payload_bytes, duration=duration,
-        )
+            PING_RATE_PER_MINUTE)
+        generator = PingGenerator(sim, host.stack, target, arrivals,
+                                  duration=duration)
         # Layout-stable ident: the class-level allocator depends on how
         # many Pingers this *process* made before, which would differ
         # between worker layouts and leak into on-air bytes.
@@ -330,9 +319,7 @@ def build_region(layout: ScaleLayout, index: int) -> Region:
     if share > 0:
         flow = FlowStationCloud(
             sim, channel, streams, name=f"R{index}",
-            stations=share, rate_per_minute=layout.flow_rate_per_minute,
-            frame_bytes=layout.flow_frame_bytes, modem=modem,
-            duration=duration,
+            stations=share, duration=duration,
         )
 
     injector: Optional[FaultInjector] = None
@@ -362,22 +349,10 @@ def build_region(layout: ScaleLayout, index: int) -> Region:
 
 def region_metrics(region: Region) -> Dict[str, float]:
     """One region's flat end-of-run metrics (all picklable floats)."""
-    out: Dict[str, float] = {}
-    rtts: List[float] = []
-    for generator in region.generators:
-        for key, value in generator.metrics().items():
-            if key == "ping_mean_rtt_s":
-                rtts.append(value)  # means do not sum
-            else:
-                out[key] = out.get(key, 0.0) + value
-    if rtts:
-        out["ping_mean_rtt_s"] = sum(rtts) / len(rtts)
+    channel = region.channel
+    out = load_metrics(region.generators, channel)
     if region.flow is not None:
         out.update(region.flow.metrics())
-    channel = region.channel
-    out["channel_transmissions"] = float(channel.total_transmissions)
-    out["channel_collisions"] = float(channel.total_collisions)
-    out["channel_utilisation"] = float(channel.utilisation())
     out["gateway_ip_forwarded"] = float(
         region.gateway.stack.counters["ip_forwarded"])
     out["link_packets_out"] = float(region.link.opackets)
@@ -410,30 +385,3 @@ def region_dump(region: Region) -> Dict[str, object]:
         dump["pcap"] = region.monitor.pcap.getvalue()
     return dump
 
-
-def layout_from_scenario(scenario: "Scenario") -> ScaleLayout:
-    """Map a regional :class:`~repro.workload.scenario.Scenario` onto a layout.
-
-    Only ping mixes translate -- the cross-region data path carries IP,
-    and the regional world has no shared BBS or discard host -- so any
-    other generator kind is rejected loudly rather than silently skewed.
-    """
-    kinds = sorted({component.kind for component in scenario.mix})
-    if kinds != ["ping"]:
-        raise ValueError(
-            f"regional scenarios support ping-only mixes, got {kinds}")
-    return ScaleLayout(
-        regions=scenario.regions,
-        stations_per_region=max(1, scenario.stations // scenario.regions),
-        flow_stations=scenario.flow_stations,
-        flow_rate_per_minute=scenario.flow_rate_per_minute,
-        fidelity=scenario.fidelity,
-        duration_seconds=scenario.duration_seconds,
-        seed=scenario.seed,
-        bit_rate=scenario.bit_rate,
-        serial_baud=scenario.serial_baud,
-        ping_rate_per_minute=scenario.mix[0].rate_per_minute,
-        ping_payload_bytes=scenario.mix[0].payload_bytes,
-        fault_plan=scenario.fault_plan,
-        observe=scenario.observe,
-    )

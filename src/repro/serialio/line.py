@@ -19,6 +19,11 @@ automatically downshifts to per-character delivery whenever a receive
 fault filter is installed on the destination endpoint (serial noise /
 drop windows from :mod:`repro.faults`), so fault semantics are
 unchanged.
+
+:func:`validate_line_fidelity` is the one check of a line fidelity
+name; ``Scenario`` and ``ScaleLayout`` call it too.  The scale
+subsystem's third level, ``flow``, replaces the line entirely (see
+:mod:`repro.scale.flow`), so it is not a line fidelity.
 """
 
 from __future__ import annotations
@@ -27,6 +32,18 @@ from typing import Callable, Optional
 
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
+
+#: Serial-line fidelity levels: one event per byte, or one per write.
+LINE_FIDELITY_LEVELS = ("per_char", "frame")
+
+
+def validate_line_fidelity(fidelity: str) -> str:
+    """Check a serial-line fidelity name; returns it for chaining."""
+    if fidelity not in LINE_FIDELITY_LEVELS:
+        raise ValueError(
+            f"unknown line fidelity {fidelity!r}; "
+            f"expected one of {LINE_FIDELITY_LEVELS}")
+    return fidelity
 
 
 class SerialEndpoint:
@@ -164,8 +181,7 @@ class SerialLine:
                  name: str = "serial", fidelity: str = "per_char") -> None:
         if baud <= 0:
             raise ValueError("baud must be positive")
-        if fidelity not in ("per_char", "frame"):
-            raise ValueError(f"unknown serial fidelity {fidelity!r}")
+        validate_line_fidelity(fidelity)
         self.sim = sim
         self.baud = baud
         self.bits_per_char = bits_per_char

@@ -17,12 +17,13 @@ experiment harness aggregate.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.apps.ping import Pinger
 from repro.inet.netstack import NetStack
 from repro.inet.sockets import TcpServerSocket, TcpSocket, UdpSocket
 from repro.metrics.counters import CounterSet
+from repro.radio.channel import RadioChannel
 from repro.radio.station import RadioStation
 from repro.sim.clock import seconds
 from repro.sim.engine import Simulator
@@ -30,6 +31,10 @@ from repro.workload.arrivals import ArrivalProcess
 
 #: Port the discard/UDP sink services listen on (RFC 863's number).
 DISCARD_PORT = 9
+
+#: Per-generator means: a population averages them over the generators
+#: that report one instead of summing them.
+MEAN_METRICS = ("ping_mean_rtt_s", "tcp_transfer_mean_latency_s")
 
 
 class TrafficGenerator:
@@ -368,3 +373,27 @@ class BbsTerminalGenerator(TrafficGenerator):
         out = super().metrics()
         out["screen_bytes"] = float(len(self.terminal.screen))
         return out
+
+
+def load_metrics(generators: Iterable[TrafficGenerator],
+                 channel: RadioChannel) -> Dict[str, float]:
+    """A population's summed generator metrics plus its channel counters.
+
+    :data:`MEAN_METRICS` are averaged over the generators that report
+    them; every other generator metric is summed.  The shared channel
+    adds its transmission, collision and utilisation counters.
+    """
+    out: Dict[str, float] = {}
+    means: Dict[str, List[float]] = {}
+    for generator in generators:
+        for key, value in generator.metrics().items():
+            if key in MEAN_METRICS:
+                means.setdefault(key, []).append(value)
+            else:
+                out[key] = out.get(key, 0.0) + value
+    for key, values in means.items():
+        out[key] = sum(values) / len(values)
+    out["channel_transmissions"] = float(channel.total_transmissions)
+    out["channel_collisions"] = float(channel.total_collisions)
+    out["channel_utilisation"] = float(channel.utilisation())
+    return out

@@ -20,7 +20,7 @@ seeds across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.bbs import BulletinBoard
@@ -40,8 +40,8 @@ from repro.obs.spans import FlightRecorder
 from repro.obs.timeseries import TimeSeries
 from repro.radio.modem import ModemProfile
 from repro.radio.station import RadioStation
-from repro.scale.fidelity import validate_line_fidelity
 from repro.scale.flow import FlowStationCloud
+from repro.serialio.line import validate_line_fidelity
 from repro.sim.clock import seconds
 from repro.sim.sanitizer import OrderShuffleSimulator, SimSanitizer
 from repro.workload.arrivals import make_arrivals
@@ -54,6 +54,7 @@ from repro.workload.generators import (
     UdpBlastGenerator,
     UdpSink,
     UiChatterGenerator,
+    load_metrics,
 )
 
 #: Topology names accepted by :class:`Scenario`.
@@ -114,13 +115,11 @@ class Scenario:
     watchdog: bool = False
     shed_threshold_bytes: Optional[int] = None
     #: Attach a packet flight recorder (repro.obs) to the shared tracer;
-    #: adds ``obs_*`` span-conservation and latency metrics to results.
+    #: adds ``obs_*`` span-conservation and latency metrics to results,
+    #: and a TimeSeries of instrument snapshots at the TimeSeries default
+    #: cadence (only snapshot counts enter the metric dict; the sampled
+    #: values feed ``report --timeline``).
     observe: bool = False
-    #: Cadence (simulated seconds) of the TimeSeries instrument
-    #: snapshots taken when ``observe`` is on.  Only snapshot counts
-    #: enter the metric dict; the sampled values feed ``report
-    #: --timeline``.
-    snapshot_cadence_seconds: float = 10.0
     #: Attach the runtime SimSanitizer (repro.sim.sanitizer): live span
     #: conservation checks plus a stale-span census at the end of the
     #: run.  Implies a flight recorder; adds ``sanitizer_*`` metrics.
@@ -135,15 +134,10 @@ class Scenario:
     #: digest-equal on fault-free lines -- see :mod:`repro.scale`).
     fidelity: str = "per_char"
     #: Flow-level background stations: an analytic
-    #: :class:`~repro.scale.flow.FlowStationCloud` sharing the channel,
-    #: offering ``flow_rate_per_minute`` frames per station per minute.
+    #: :class:`~repro.scale.flow.FlowStationCloud` sharing the channel
+    #: at the cloud's default per-station rate.  A multi-region world is
+    #: a :class:`~repro.scale.regions.ScaleLayout`, not a Scenario.
     flow_stations: int = 0
-    flow_rate_per_minute: float = 0.5
-    #: Partition the world into this many regions and run it through the
-    #: sharded runner (:mod:`repro.scale.shard`).  ``regions > 1`` is
-    #: handled by :func:`run_scenario` (ping-only mixes) and is not
-    #: buildable as a single in-process testbed.
-    regions: int = 1
     #: Recovery policies (the tournament axes): RTO estimation and
     #: congestion control for every TCP endpoint in the scenario, and
     #: the T1 timer policy for every LAPB link (BBS + terminal TNCs).
@@ -169,15 +163,7 @@ class Scenario:
             raise ValueError("duration must be positive")
         if self.flow_stations < 0:
             raise ValueError("flow_stations must be non-negative")
-        if self.regions < 1:
-            raise ValueError("regions must be at least 1")
-        if self.snapshot_cadence_seconds <= 0:
-            raise ValueError("snapshot cadence must be positive")
         validate_line_fidelity(self.fidelity)
-
-    def with_seed(self, seed: int) -> "Scenario":
-        """The same scenario in a different seeded universe."""
-        return replace(self, seed=seed)
 
     def station_allocation(self) -> List[GeneratorMix]:
         """Which mix component each of the N stations runs.
@@ -237,22 +223,8 @@ class ScenarioRun:
 
     def results(self) -> Dict[str, float]:
         """Aggregate generator, sink and channel metrics, flat."""
-        out: Dict[str, float] = {}
-        rtts: List[float] = []
-        latencies: List[float] = []
-        for generator in self.generators:
-            for key, value in generator.metrics().items():
-                if key == "ping_mean_rtt_s":
-                    rtts.append(value)  # means do not sum
-                elif key == "tcp_transfer_mean_latency_s":
-                    latencies.append(value)
-                else:
-                    out[key] = out.get(key, 0.0) + value
-        if rtts:
-            out["ping_mean_rtt_s"] = sum(rtts) / len(rtts)
-        if latencies:
-            out["tcp_transfer_mean_latency_s"] = (
-                sum(latencies) / len(latencies))
+        channel = self.testbed.channel
+        out = load_metrics(self.generators, channel)
         if self.udp_sink is not None:
             out["udp_sink_datagrams"] = float(self.udp_sink.datagrams)
             out["udp_sink_bytes"] = float(self.udp_sink.bytes)
@@ -261,10 +233,6 @@ class ScenarioRun:
             out["tcp_sink_bytes"] = float(self.discard.bytes)
         if self.flow_cloud is not None:
             out.update(self.flow_cloud.metrics())
-        channel = self.testbed.channel
-        out["channel_transmissions"] = float(channel.total_transmissions)
-        out["channel_collisions"] = float(channel.total_collisions)
-        out["channel_utilisation"] = float(channel.utilisation())
         gateway = getattr(self.testbed, "gateway", None)
         if gateway is not None:
             out["gateway_ip_forwarded"] = float(
@@ -324,10 +292,6 @@ class ScenarioRun:
 
 def build_scenario(scenario: Scenario) -> ScenarioRun:
     """Materialise a :class:`Scenario` into a live simulation."""
-    if scenario.regions > 1:
-        raise ValueError(
-            "regional scenarios are not buildable in-process; "
-            "run_scenario() hands them to repro.scale.shard.run_sharded")
     modem = ModemProfile(bit_rate=scenario.bit_rate)
     engine = (OrderShuffleSimulator(scenario.order_salt)
               if scenario.order_salt is not None else None)
@@ -383,9 +347,7 @@ def build_scenario(scenario: Scenario) -> ScenarioRun:
     if scenario.flow_stations > 0:
         run.flow_cloud = FlowStationCloud(
             sim, testbed.channel, streams,
-            stations=scenario.flow_stations,
-            rate_per_minute=scenario.flow_rate_per_minute,
-            modem=modem, duration=seconds(scenario.duration_seconds),
+            stations=scenario.flow_stations, modem=modem, duration=seconds(scenario.duration_seconds),
         )
     if any(m.kind == "udp" for m in allocation):
         run.udp_sink = UdpSink(target_stack)
@@ -469,9 +431,7 @@ def build_scenario(scenario: Scenario) -> ScenarioRun:
         backlog_gauge = recorder.instruments.gauge("gateway_serial_backlog")
         primary.serial.a.on_backlog_sample = backlog_gauge.sample
         if scenario.observe:
-            run.timeseries = TimeSeries(
-                sim, recorder.summary,
-                cadence=seconds(scenario.snapshot_cadence_seconds))
+            run.timeseries = TimeSeries(sim, recorder.summary)
             run.timeseries.start()
         if scenario.sanitize:
             run.sanitizer = SimSanitizer(sim, recorder)
@@ -493,16 +453,5 @@ def build_scenario(scenario: Scenario) -> ScenarioRun:
 
 
 def run_scenario(scenario: Scenario) -> Dict[str, float]:
-    """Build and run a scenario; the one-call entry point.
-
-    ``regions > 1`` scenarios are handed to the sharded regional runner
-    (one simulator per region, conservative windowed sync); everything
-    else builds the usual single-simulator testbed.
-    """
-    if scenario.regions > 1:
-        # Imported lazily: repro.scale.regions depends on the workload
-        # generators, so a module-level import would be circular.
-        from repro.scale.regions import layout_from_scenario
-        from repro.scale.shard import run_sharded
-        return run_sharded(layout_from_scenario(scenario))
+    """Build and run a scenario; the one-call entry point."""
     return build_scenario(scenario).run()

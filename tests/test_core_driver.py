@@ -10,7 +10,7 @@ from repro.ax25.address import AX25Address, AX25Path
 from repro.ax25.defs import PID_ARPA_ARP, PID_ARPA_IP, PID_NO_L3
 from repro.ax25.frames import AX25Frame
 from repro.core.driver import PacketRadioInterface
-from repro.inet.arp import ARP_REPLY, ArpPacket, HRD_AX25
+from repro.inet.arp import ARP_REPLY, ARP_REQUEST, ArpPacket, HRD_AX25
 from repro.inet.ip import IPv4Address
 from repro.kiss import commands
 from repro.kiss.framing import FEND, KissDeframer, frame as kiss_frame
@@ -227,6 +227,28 @@ def test_static_arp_entry_with_path(sim):
     sent = harness.sent_frames()[0]
     assert str(sent.path) == "WB7DIG"
     assert sent.link_destination.matches(AX25Address("WB7DIG"))
+
+
+def test_undecodable_arp_hardware_address_dropped_without_tracer(sim):
+    """Line noise can leave a garbage hardware address in the ARP cache.
+
+    A driver built without a tracer (``attach_kiss_radio``'s default)
+    must drop on both send paths, the resolved IP datagram and the ARP
+    reply, rather than raise; nothing goes toward the TNC.
+    """
+    harness = DriverHarness(sim)
+    assert harness.driver.tracer is None
+    garbage = b"\xff" * 7
+    harness.driver.arp.add_static(PEER_IP, garbage)
+    assert harness.driver.if_output(b"ip-payload", PEER_IP)
+    sim.run_until_idle()
+    request = ArpPacket(HRD_AX25, ARP_REQUEST, garbage,
+                        IPv4Address.parse("44.24.0.6"), bytes(7), MY_IP)
+    harness.feed_frame(AX25Frame.ui(MY_CALL, PEER_CALL, PID_ARPA_ARP,
+                                    request.encode()))
+    assert harness.driver.arp.replies_sent == 1
+    assert harness.line.a.bytes_sent == 0
+    assert harness.tnc_deframer.frames == []
 
 
 def test_broadcast_ip_goes_to_qst(sim):

@@ -15,6 +15,8 @@ from repro.apps.ping import Pinger
 from repro.core.topology import build_gateway_testbed
 from repro.harness.experiments import run_chaos, sanitize_scenario
 from repro.harness.results import metrics_digest
+from repro.scale.regions import ScaleLayout
+from repro.scale.shard import run_sharded
 from repro.sim.clock import SECOND
 from repro.workload.scenario import build_scenario
 
@@ -76,3 +78,18 @@ def test_salted_order_digest_is_pinned():
     assert metrics["events_executed"] == 70_278
     assert metrics_digest(metrics) == (
         "590c52eb33d7d382e1960d35787a12fffd245a19eb3cc56a0bd5c1898ad1fdd2")
+
+
+def test_sharded_scale_digest_is_pinned():
+    """The scale gate's seed-1 layout, run inline, keeps its merged metrics.
+
+    Two regions with a flow cloud and cross-region pingers: the one pin
+    on the regional defaults (modem and serial rates, ping rate and
+    payload, flow-cloud rate and frame size).  The value equals
+    BENCH_scale.json's ``digests.procs1["seed=1"]``.
+    """
+    layout = ScaleLayout(regions=2, stations_per_region=2,
+                         flow_stations=1000, duration_seconds=60.0,
+                         fidelity="per_char", seed=1)
+    assert metrics_digest(run_sharded(layout, procs=1)) == (
+        "5b2b988a851bd74bd22ba4f37b7981569af7d882299cac3cef72d08c5de80f56")

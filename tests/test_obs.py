@@ -410,8 +410,7 @@ def test_scenario_exports_snapshot_cadence_metrics():
 
     metrics = run_scenario(Scenario(
         name="ts", topology="gateway", stations=2,
-        duration_seconds=45.0, seed=4, observe=True,
-        snapshot_cadence_seconds=10.0))
+        duration_seconds=45.0, seed=4, observe=True))
     assert metrics["obs_timeseries_snapshots"] >= 4.0
     assert metrics["obs_timeseries_cadence_us"] == float(10 * SECOND)
 

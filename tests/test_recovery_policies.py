@@ -1,5 +1,5 @@
-"""Tests for the pluggable recovery layer: congestion policies, the
-step-based controller loop, and the policy-tournament experiment.
+"""Tests for the pluggable recovery layer: congestion policies and the
+policy-tournament experiment.
 
 Policy objects are exercised both as pure units (integer arithmetic,
 state transitions) and on the wire through the same two-stack pipe
@@ -15,12 +15,10 @@ from repro.faults.plan import TOURNAMENT_PLANS, tournament_plan
 from repro.harness.experiments import run_tournament
 from repro.inet.sockets import TcpSocket
 from repro.inet.tcp import (
-    ControllerLoop,
     FixedRto,
     NoCongestion,
     PacedRate,
     Reno,
-    StepController,
     UNBOUNDED_WINDOW,
 )
 from repro.sim.clock import MS, SECOND
@@ -175,61 +173,6 @@ def test_paced_sender_defers_segments_on_the_wire(sim, net):
     stats = client.connection.stats
     assert stats["pacing_deferrals"] >= 1
     assert client.connection.snd_una == client.connection.snd_nxt
-
-
-# ----------------------------------------------------------------------
-# step-based controller interface
-# ----------------------------------------------------------------------
-
-class ScriptedController(StepController):
-    """Replays a fixed action per step and logs what it observed."""
-
-    def __init__(self, actions):
-        self.actions = list(actions)
-        self.observed = []
-
-    def observe(self, counters):
-        self.observed.append(counters)
-        return self.actions.pop(0) if self.actions else None
-
-
-def test_controller_loop_applies_actions(sim, net):
-    def on_accept(conn):
-        TcpSocket(conn)
-
-    net.b.tcp.listen(7, on_accept=on_accept)
-    client = TcpSocket.connect(net.a, B_IP, 7,
-                               cc_policy=PacedRate(MSS, initial_rate=1024))
-    controller = ScriptedController([
-        {"cwnd": 3 * MSS, "pacing_rate": 256},
-        {},                                 # no-op step
-    ])
-    loop = ControllerLoop(client.connection, controller, interval=200 * MS)
-    sim.run(until=1 * SECOND)
-    assert loop.steps >= 2
-    assert client.connection.cc_policy.cwnd == 3 * MSS
-    assert client.connection.cc_policy.pacing_rate == 256
-    # the observation snapshot exposes the controller-facing counters
-    snapshot = controller.observed[0]
-    for key in ("bytes_in_flight", "rto_us", "cwnd_bytes", "pacing_rate"):
-        assert key in snapshot
-
-
-def test_controller_loop_stops_with_connection(sim, net):
-    def on_accept(conn):
-        socket = TcpSocket(conn)
-        socket.on_close = lambda reason: (
-            socket.close() if reason == "peer closed" else None)
-
-    net.b.tcp.listen(7, on_accept=on_accept)
-    client = TcpSocket.connect(net.a, B_IP, 7)
-    controller = ScriptedController([])
-    loop = ControllerLoop(client.connection, controller, interval=100 * MS)
-    client.on_connect = client.close
-    sim.run(until=120 * SECOND)            # past TIME_WAIT expiry
-    steps_at_close = loop.steps
-    sim.run(until=200 * SECOND)
-    assert loop.steps == steps_at_close
 
 
 # ----------------------------------------------------------------------

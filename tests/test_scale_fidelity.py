@@ -18,7 +18,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSpec
 from repro.harness.results import NEUTRAL_METRICS, comparable_metrics
-from repro.scale.fidelity import validate_line_fidelity
+from repro.serialio.line import validate_line_fidelity
 from repro.sim.clock import SECOND
 from repro.workload.scenario import GeneratorMix, Scenario, run_scenario
 
@@ -76,7 +76,7 @@ def test_frame_fidelity_deterministic_per_seed():
                     duration_seconds=60.0, mix=MIX, seed=5,
                     fidelity="frame")
     assert run_scenario(base) == run_scenario(base)
-    assert run_scenario(base) != run_scenario(base.with_seed(6))
+    assert run_scenario(base) != run_scenario(replace(base, seed=6))
 
 
 def test_sanitizer_accepts_frame_fidelity_paths():

@@ -23,7 +23,6 @@ from repro.scale.regions import (
     ScaleLayout,
     build_region,
     derive_region_seed,
-    layout_from_scenario,
     region_metrics,
 )
 from repro.scale.shard import (
@@ -34,7 +33,6 @@ from repro.scale.shard import (
 )
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
-from repro.workload.scenario import GeneratorMix, Scenario
 
 #: Golden merged two-region capture (layout OBS_LAYOUT below, procs=1).
 GOLDEN_SHARD_PCAP = Path(__file__).parent / "data" / "golden_shard_capture.pcap"
@@ -183,26 +181,6 @@ def test_merge_metrics_namespaces_and_totals():
     assert merged["total/pings_sent"] == 5.0
     assert merged["total/ping_mean_rtt_s"] == 5.0  # averaged, not summed
     assert "total/regions" in merged
-
-
-def test_layout_from_scenario_round_trip():
-    scenario = Scenario(name="reg", stations=6, duration_seconds=30.0,
-                        seed=9, regions=3, fidelity="frame",
-                        flow_stations=12,
-                        mix=(GeneratorMix("ping", rate_per_minute=2),))
-    layout = layout_from_scenario(scenario)
-    assert layout.regions == 3
-    assert layout.stations_per_region == 2
-    assert layout.fidelity == "frame"
-    assert layout.flow_stations == 12
-    assert layout.ping_rate_per_minute == 2
-
-
-def test_layout_from_scenario_rejects_non_ping_mixes():
-    scenario = Scenario(name="bad", stations=4, regions=2,
-                        mix=(GeneratorMix("udp"),))
-    with pytest.raises(ValueError, match="ping-only"):
-        layout_from_scenario(scenario)
 
 
 # ----------------------------------------------------------------------
