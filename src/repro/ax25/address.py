@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from repro.ax25.defs import (
@@ -111,21 +112,8 @@ class AX25Address:
         the H bit for digipeater blocks -- the caller knows which role
         the block plays).
         """
-        if len(block) != ADDRESS_BLOCK_LEN:
-            raise AddressError(f"address block must be 7 bytes, got {len(block)}")
-        chars = []
-        for byte in block[:CALLSIGN_MAX]:
-            if byte & ADDR_EXTENSION_BIT:
-                raise AddressError("extension bit set inside callsign bytes")
-            chars.append(chr(byte >> 1))
-        callsign = "".join(chars).rstrip()
-        if not callsign:
-            raise AddressError("empty callsign in address block")
-        ssid_byte = block[CALLSIGN_MAX]
-        ssid = (ssid_byte >> 1) & SSID_MASK
-        last = bool(ssid_byte & ADDR_EXTENSION_BIT)
-        top_bit = bool(ssid_byte & ADDR_C_OR_H_BIT)
-        return cls(callsign, ssid, repeated=top_bit), last, top_bit
+        address, last, top_bit, _base = _decode_block(bytes(block))
+        return address, last, top_bit
 
     # ------------------------------------------------------------------
     # conveniences
@@ -153,6 +141,33 @@ class AX25Address:
 
 #: The link-layer broadcast address checked by the paper's driver.
 BROADCAST = AX25Address("QST")
+
+
+@lru_cache(maxsize=4096)
+def _decode_block(block: bytes) -> Tuple[AX25Address, bool, bool, AX25Address]:
+    """Decode one 7-byte block: ``(address, last, top_bit, address.base)``.
+
+    Memoised on the block: a gateway hears the same few dozen blocks
+    over and over.  The result is a pure function of the immutable key
+    and every value in it is frozen, so a hit returns exactly what a
+    fresh decode would.  A malformed block raises and is not cached.
+    """
+    if len(block) != ADDRESS_BLOCK_LEN:
+        raise AddressError(f"address block must be 7 bytes, got {len(block)}")
+    chars = []
+    for byte in block[:CALLSIGN_MAX]:
+        if byte & ADDR_EXTENSION_BIT:
+            raise AddressError("extension bit set inside callsign bytes")
+        chars.append(chr(byte >> 1))
+    callsign = "".join(chars).rstrip()
+    if not callsign:
+        raise AddressError("empty callsign in address block")
+    ssid_byte = block[CALLSIGN_MAX]
+    ssid = (ssid_byte >> 1) & SSID_MASK
+    last = bool(ssid_byte & ADDR_EXTENSION_BIT)
+    top_bit = bool(ssid_byte & ADDR_C_OR_H_BIT)
+    address = AX25Address(callsign, ssid, repeated=top_bit)
+    return address, last, top_bit, address.base
 
 
 @dataclass(frozen=True)
@@ -256,16 +271,15 @@ def decode_address_field(data: bytes) -> Tuple[AX25Address, AX25Address, AX25Pat
 
     Returns ``(destination, source, path, is_command, bytes_consumed)``.
     """
+    data = bytes(data)
     if len(data) < 2 * ADDRESS_BLOCK_LEN:
         raise AddressError("address field truncated")
-    destination, dest_last, dest_c = AX25Address.decode(data[:ADDRESS_BLOCK_LEN])
+    _, dest_last, dest_c, destination = _decode_block(data[:ADDRESS_BLOCK_LEN])
     if dest_last:
         raise AddressError("address field ends after destination")
-    destination = destination.base
-    source, src_last, src_c = AX25Address.decode(
+    _, src_last, src_c, source = _decode_block(
         data[ADDRESS_BLOCK_LEN : 2 * ADDRESS_BLOCK_LEN]
     )
-    source = source.base
     is_command = dest_c and not src_c
     offset = 2 * ADDRESS_BLOCK_LEN
     hops: List[AX25Address] = []
@@ -275,7 +289,7 @@ def decode_address_field(data: bytes) -> Tuple[AX25Address, AX25Address, AX25Pat
             raise AddressError("more than 8 digipeaters in address field")
         if len(data) < offset + ADDRESS_BLOCK_LEN:
             raise AddressError("digipeater block truncated")
-        hop, last, _ = AX25Address.decode(data[offset : offset + ADDRESS_BLOCK_LEN])
+        hop, last, _, _ = _decode_block(data[offset : offset + ADDRESS_BLOCK_LEN])
         hops.append(hop)
         offset += ADDRESS_BLOCK_LEN
     return destination, source, AX25Path(tuple(hops)), is_command, offset

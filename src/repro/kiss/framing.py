@@ -21,7 +21,10 @@ FESC = 0xDB   #: frame escape
 TFEND = 0xDC  #: transposed frame end (FESC TFEND encodes FEND)
 TFESC = 0xDD  #: transposed frame escape (FESC TFESC encodes FESC)
 
+_FEND_BYTES = bytes((FEND,))
 _FESC_BYTES = bytes((FESC,))
+_ESCAPED_FEND = bytes((FESC, TFEND))
+_ESCAPED_FESC = bytes((FESC, TFESC))
 
 
 class KissError(ValueError):
@@ -29,16 +32,13 @@ class KissError(ValueError):
 
 
 def escape(payload: bytes) -> bytes:
-    """Escape embedded FEND/FESC bytes."""
-    out = bytearray()
-    for byte in payload:
-        if byte == FEND:
-            out += bytes((FESC, TFEND))
-        elif byte == FESC:
-            out += bytes((FESC, TFESC))
-        else:
-            out.append(byte)
-    return bytes(out)
+    """Escape embedded FEND/FESC bytes.
+
+    FESC goes first: the FEND substitution writes FESC bytes of its own,
+    which must not be escaped a second time.
+    """
+    return (bytes(payload).replace(_FESC_BYTES, _ESCAPED_FESC)
+            .replace(_FEND_BYTES, _ESCAPED_FEND))
 
 
 def unescape(payload: bytes) -> bytes:
@@ -74,7 +74,7 @@ def frame(type_byte: int, payload: bytes) -> bytes:
     noise); back-to-back records therefore show doubled FENDs, which the
     deframer treats as empty frames and skips.
     """
-    return bytes((FEND,)) + escape(bytes((type_byte,)) + payload) + bytes((FEND,))
+    return _FEND_BYTES + escape(bytes((type_byte,)) + payload) + _FEND_BYTES
 
 
 class KissDeframer:
@@ -83,7 +83,9 @@ class KissDeframer:
     Push bytes with :meth:`push_byte` (one per simulated tty interrupt)
     or :meth:`push` (a buffer).  Completed records -- type byte plus
     unescaped payload -- are handed to ``on_frame(type_byte, payload)``
-    if given, and also collected in :attr:`frames`.
+    if given, and otherwise collected in :attr:`frames`: a deframer with
+    a callback keeps nothing, so a long-lived driver or TNC does not
+    hold every record it has ever received.
 
     Malformed escape sequences drop the frame in progress and count in
     :attr:`errors` -- a driver must survive line noise, not crash.
@@ -225,8 +227,9 @@ class KissDeframer:
         if self._buffer:
             record = bytes(self._buffer)
             type_byte, payload = record[0], record[1:]
-            self.frames.append((type_byte, payload))
-            if self.on_frame is not None:
+            if self.on_frame is None:
+                self.frames.append((type_byte, payload))
+            else:
                 self.on_frame(type_byte, payload)
         self._reset()
 

@@ -173,8 +173,16 @@ class SerialEndpoint:
 class SerialLine:
     """Full-duplex serial line joining two endpoints.
 
+    >>> from repro.sim.engine import Simulator
+    >>> sim = Simulator()
     >>> line = SerialLine(sim, baud=9600)
-    >>> line.a.write(b"hello")   # arrives at line.b, one byte per ~1.04 ms
+    >>> received = bytearray()
+    >>> line.b.on_receive(received.append)
+    >>> line.a.write(b"hello")   # one byte per ~1.04 ms; returns when the last lands
+    5210
+    >>> _ = sim.run_until_idle()
+    >>> bytes(received), sim.now
+    (b'hello', 5210)
     """
 
     def __init__(self, sim: Simulator, baud: int = 9600, bits_per_char: int = 10,

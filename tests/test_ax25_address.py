@@ -108,6 +108,49 @@ def test_encode_decode_property(callsign, ssid):
     assert last
 
 
+def _reference_decode(block: bytes):
+    """The per-character block decode, with no memo."""
+    if len(block) != 7:
+        raise AddressError(f"address block must be 7 bytes, got {len(block)}")
+    chars = []
+    for byte in block[:6]:
+        if byte & 0x01:
+            raise AddressError("extension bit set inside callsign bytes")
+        chars.append(chr(byte >> 1))
+    callsign = "".join(chars).rstrip()
+    if not callsign:
+        raise AddressError("empty callsign in address block")
+    ssid_byte = block[6]
+    top_bit = bool(ssid_byte & 0x80)
+    address = AX25Address(callsign, (ssid_byte >> 1) & 0x0F, repeated=top_bit)
+    return address, bool(ssid_byte & 0x01), top_bit
+
+
+def _outcome(decode, block):
+    try:
+        return decode(block)
+    except AddressError as exc:
+        return "AddressError", str(exc)
+
+
+#: Arbitrary 7-byte blocks (mostly malformed) and well-formed ones.
+blocks = st.one_of(
+    st.binary(min_size=7, max_size=7),
+    st.builds(lambda callsign, ssid, last, command:
+              AX25Address(callsign, ssid).encode(last=last, command=command),
+              callsigns, ssids, st.booleans(), st.booleans()),
+)
+
+
+@given(blocks)
+def test_decode_matches_uncached_reference(block):
+    expected = _outcome(_reference_decode, block)
+    assert _outcome(AX25Address.decode, block) == expected
+    # The repeat is a memo hit, or raises the same error again.
+    assert _outcome(AX25Address.decode, block) == expected
+    assert _outcome(AX25Address.decode, bytearray(block)) == expected
+
+
 def test_matches_ignores_repeated_flag():
     a = AX25Address("K3MC", 7)
     assert a.matches(a.with_repeated())

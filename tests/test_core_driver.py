@@ -6,7 +6,7 @@ from typing import List
 
 import pytest
 
-from repro.ax25.address import AX25Address, AX25Path
+from repro.ax25.address import AX25Address, AX25Path, encode_address_field
 from repro.ax25.defs import PID_ARPA_ARP, PID_ARPA_IP, PID_NO_L3
 from repro.ax25.frames import AX25Frame
 from repro.core.driver import PacketRadioInterface
@@ -134,6 +134,27 @@ def test_undecodable_frame_counted_bad(harness):
     harness.sim.run_until_idle()
     assert harness.driver.frames_bad == 1
     assert harness.ip_in == []
+
+
+def _bad_destination_block() -> bytes:
+    field = bytearray(encode_address_field(AX25Address("W9XYZ"), PEER_CALL))
+    field[0] |= 0x01  # extension bit inside the callsign bytes
+    return bytes(field) + bytes([0x03, 0xCC])
+
+
+@pytest.mark.parametrize("raw", [
+    # A well-formed address field for another station, then a control
+    # byte no frame type uses.
+    encode_address_field(AX25Address("W9XYZ"), PEER_CALL) + bytes([0xEF]),
+    _bad_destination_block(),
+], ids=["unknown-control", "bad-destination-block"])
+def test_malformed_frame_counts_bad_every_time(harness, raw):
+    record = kiss_frame(commands.type_byte(commands.CMD_DATA), raw)
+    for _ in range(2):
+        harness.line.b.write(record)
+        harness.sim.run_until_idle()
+    assert harness.driver.frames_bad == 2
+    assert harness.driver.frames_not_for_us == 0
 
 
 def test_escaped_bytes_decoded_on_the_fly(harness):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.inet.checksum import internet_checksum, verify_checksum
 from repro.inet.ip import (
@@ -22,6 +22,29 @@ from repro.inet.ip import (
 
 def test_checksum_of_zeroes():
     assert internet_checksum(b"\x00" * 8) == 0xFFFF
+
+
+def _reference_word_sum(data: bytes) -> int:
+    """The per-word loop: folded one's-complement sum, odd tail padded."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for index in range(0, len(data), 2):
+        total += (data[index] << 8) | data[index + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+@given(st.binary(max_size=1500))
+@example(bytes.fromhex("ffffffff0001"))  # the first fold carries out again
+def test_checksum_matches_per_word_reference(data):
+    reference = _reference_word_sum(data)
+    assert internet_checksum(data) == (~reference) & 0xFFFF
+    assert verify_checksum(data) == (reference == 0xFFFF)
+    if len(data) % 2 == 0:
+        stamped = data + internet_checksum(data).to_bytes(2, "big")
+        assert verify_checksum(stamped)
 
 
 def test_checksum_detects_corruption():

@@ -59,6 +59,47 @@ def test_escaped_stream_contains_no_fend(payload):
     assert FEND not in escape(payload)
 
 
+def _reference_escape(payload) -> bytes:
+    """The per-byte escape loop that ``escape`` must match."""
+    out = bytearray()
+    for byte in payload:
+        if byte == FEND:
+            out += bytes((FESC, TFEND))
+        elif byte == FESC:
+            out += bytes((FESC, TFESC))
+        else:
+            out.append(byte)
+    return bytes(out)
+
+
+#: Payloads dense in the four KISS special bytes, and arbitrary ones.
+payloads = st.one_of(
+    st.lists(st.sampled_from([FEND, FESC, TFEND, TFESC, 0x00, 0x41]),
+             max_size=64).map(bytes),
+    st.binary(max_size=512),
+)
+buffer_types = st.sampled_from([bytes, bytearray])
+
+
+@given(payloads, buffer_types)
+def test_escape_matches_per_byte_reference(payload, kind):
+    escaped = escape(kind(payload))
+    assert type(escaped) is bytes
+    assert escaped == _reference_escape(payload)
+
+
+@given(st.lists(payloads, max_size=6), buffer_types)
+def test_framed_payloads_come_back_whole(records, kind):
+    stream = b"".join(frame(0x00, kind(payload)) for payload in records)
+    whole = KissDeframer()
+    whole.push(stream)
+    single = KissDeframer()
+    for byte in stream:
+        single.push_byte(byte)
+    expected = [(0x00, payload) for payload in records]
+    assert whole.frames == single.frames == expected
+
+
 # ----------------------------------------------------------------------
 # framing and the per-character deframer
 # ----------------------------------------------------------------------
@@ -129,6 +170,17 @@ def test_deframer_callback_invoked():
     deframer = KissDeframer(on_frame=lambda t, p: seen.append((t, p)))
     deframer.push(frame(0x21, b"zz"))
     assert seen == [(0x21, b"zz")]
+
+
+def test_deframer_with_callback_keeps_no_frames():
+    seen = []
+    deframer = KissDeframer(on_frame=lambda t, p: seen.append((t, p)))
+    stream = frame(0, b"one") + frame(0, b"two")
+    deframer.push(stream)
+    for byte in stream:
+        deframer.push_byte(byte)
+    assert [p for _t, p in seen] == [b"one", b"two", b"one", b"two"]
+    assert deframer.frames == []
 
 
 @given(st.lists(st.binary(min_size=1, max_size=64), max_size=8),
