@@ -21,7 +21,6 @@ from repro.core.driver import PacketRadioInterface
 from repro.kiss import commands
 from repro.kiss.framing import FEND, FESC, frame as kiss_frame
 from repro.serialio.line import SerialLine
-from repro.serialio.tty import Tty
 from repro.sim.engine import Simulator
 
 from benchmarks.conftest import report
@@ -34,8 +33,7 @@ PAYLOAD = bytes([FEND, FESC, 0x41, FEND]) * 40
 def run_mode(mode: str):
     sim = Simulator()
     line = SerialLine(sim, baud=9600)
-    tty = Tty(line.a)
-    driver = PacketRadioInterface(sim, tty, AX25Address("NT7GW"),
+    driver = PacketRadioInterface(sim, line.a, AX25Address("NT7GW"),
                                   reassembly=mode)
     received = []
     driver.input_handler = lambda packet, iface, proto: received.append(packet)
@@ -61,7 +59,7 @@ def run_mode(mode: str):
             if last["acc"]:
                 spikes.append(last["acc"])
             last["time"], last["acc"] = sim.now, delta
-    tty.hook_interrupt(spy)
+    line.a.on_receive(spy)
 
     for _ in range(FRAMES):
         line.b.write(record)
@@ -100,7 +98,7 @@ def test_a1_per_char_vs_buffered(benchmark):
 
     per_char = results["per_char"]
     buffered = results["buffered"]
-    # Identical interrupt counts (the tty behaviour is fixed)...
+    # Identical interrupt counts (the DZ line behaviour is fixed)...
     assert per_char["interrupts"] == buffered["interrupts"]
     # ...but post-processing touches every byte twice...
     assert buffered["total_ops"] > 1.8 * per_char["total_ops"]

@@ -253,7 +253,15 @@ def _tournament(argv: List[str]) -> int:
     if not plans or unknown:
         usage_error(f"unknown plan(s) {unknown}; known: "
                     f"{', '.join(TOURNAMENT_PLANS)}")
-    speeds = tuple(int(s) for s in args.speeds.split(",") if s.strip())
+    try:
+        speeds = tuple(int(s) for s in args.speeds.split(",") if s.strip())
+    except ValueError:
+        speeds = ()
+    if not speeds or min(speeds) < 1:
+        usage_error(f"--speeds needs comma-separated positive bit rates, "
+                    f"got {args.speeds!r}")
+    if args.procs < 1:
+        usage_error(f"--procs must be >= 1, got {args.procs}")
 
     def cell(rto: str, cc: str, link_timer: str, plan: str,
              bit_rate: int) -> Dict[str, object]:

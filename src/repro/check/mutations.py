@@ -78,7 +78,7 @@ def _mutant_transmit_ui(self, destination, pid, payload, path,
                         priority: int = PRIO_BULK) -> None:
     """The backlog shed guard without the control-traffic exemption."""
     if (self.shed_threshold_bytes is not None
-            and self.tty.tx_backlog_bytes > self.shed_threshold_bytes):
+            and self.serial.tx_backlog_bytes > self.shed_threshold_bytes):
         # BUG: sheds regardless of priority -- ARP and ICMP die with
         # the bulk, so a congested link also goes undiagnosable.
         self.count_shed()
@@ -87,7 +87,7 @@ def _mutant_transmit_ui(self, destination, pid, payload, path,
         if self.tracer is not None:
             self.tracer.log("driver.shed", str(self.callsign),
                             "output shed under backlog (no exemption)",
-                            backlog=self.tty.tx_backlog_bytes)
+                            backlog=self.serial.tx_backlog_bytes)
         return
     _ORIGINAL_TRANSMIT_UI(self, destination, pid, payload, path, priority)
 

@@ -10,8 +10,10 @@ the packet radio interrupt handler to process the character."
 
 The driver below follows that structure byte for byte:
 
-* it hooks the tty line discipline and receives **one character per
-  interrupt**;
+* it registers its interrupt handler on the DZ tty line itself, a
+  :class:`~repro.serialio.line.SerialEndpoint`, and receives **one
+  character per interrupt** (at frame fidelity, a whole write per call,
+  counted the same);
 * escaped KISS frame-end characters are decoded **on the fly** (or, for
   ablation A1, buffered raw and post-processed when the final FEND
   arrives -- ``reassembly="buffered"``);
@@ -22,7 +24,8 @@ The driver below follows that structure byte for byte:
   routine that deals specifically with AX.25 addresses");
 * non-IP packets are offered to a pluggable handler so a user program
   can run AX.25 level-2 services on top (§2.4) -- by default they land
-  on a tty-style input queue exactly as the paper proposes.
+  on the bounded :attr:`~PacketRadioInterface.non_ip_queue` a user
+  program reads, as the paper proposes.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.inet.ip import IPv4Address, PROTO_ICMP
 from repro.kiss import commands
 from repro.kiss.framing import FEND, KissDeframer, frame as kiss_frame
 from repro.netif.ifnet import InterfaceFlags, NetworkInterface
-from repro.serialio.tty import Tty
+from repro.serialio.line import SerialEndpoint
 from repro.sim.clock import SECOND
 from repro.sim.engine import Event, Simulator
 from repro.sim.rand import RandomStreams
@@ -58,7 +61,7 @@ class PacketRadioInterface(NetworkInterface):
     def __init__(
         self,
         sim: Simulator,
-        tty: Tty,
+        serial: SerialEndpoint,
         callsign: "AX25Address | str",
         name: str = "pr0",
         mtu: int = AX25_MTU,
@@ -69,7 +72,7 @@ class PacketRadioInterface(NetworkInterface):
         super().__init__(sim, name, mtu, flags=InterfaceFlags.UP | InterfaceFlags.BROADCAST)
         if reassembly not in ("per_char", "buffered"):
             raise ValueError(f"unknown reassembly mode {reassembly!r}")
-        self.tty = tty
+        self.serial = serial
         self.callsign = (
             callsign if isinstance(callsign, AX25Address) else AX25Address.parse(callsign)
         )
@@ -108,8 +111,8 @@ class PacketRadioInterface(NetworkInterface):
         #: line noise grows the buffer without bound.
         self.raw_buffer_limit = 2 * self._deframer.max_frame + 2
         self._raw_discarding = False
-        tty.hook_interrupt(self._rx_char_interrupt)
-        tty.hook_burst(self._rx_burst)
+        serial.on_receive(self._rx_char_interrupt)
+        serial.on_receive_burst(self._rx_burst)
 
         #: When set, bulk (non-ARP/ICMP) output is shed once the serial
         #: backlog toward the TNC exceeds this many bytes.  None = off.
@@ -158,7 +161,7 @@ class PacketRadioInterface(NetworkInterface):
     # ------------------------------------------------------------------
 
     def _rx_char_interrupt(self, byte: int) -> None:
-        """Called by the tty driver once per received character."""
+        """Called by the DZ tty line once per received character."""
         self.rx_char_interrupts += 1
         if self.reassembly == "per_char":
             # On-the-fly processing: unescape as each character arrives.
@@ -339,7 +342,7 @@ class PacketRadioInterface(NetworkInterface):
                      path: AX25Path, priority: int = PRIO_BULK) -> None:
         if (self.shed_threshold_bytes is not None
                 and priority != PRIO_CONTROL
-                and self.tty.tx_backlog_bytes > self.shed_threshold_bytes):
+                and self.serial.tx_backlog_bytes > self.shed_threshold_bytes):
             # Graceful degradation: the serial line is the §4.1 choke
             # point; shed bulk output rather than queueing unboundedly,
             # but keep ARP/ICMP flowing so the link stays diagnosable.
@@ -349,7 +352,7 @@ class PacketRadioInterface(NetworkInterface):
             if self.tracer is not None:
                 self.tracer.log("driver.shed", str(self.callsign),
                                 "bulk output shed under backlog",
-                                backlog=self.tty.tx_backlog_bytes)
+                                backlog=self.serial.tx_backlog_bytes)
             recorder = self._obs()
             if recorder is not None and pid == PID_ARPA_IP:
                 recorder.shed_packet(payload, "driver.tx", str(self.callsign),
@@ -366,7 +369,7 @@ class PacketRadioInterface(NetworkInterface):
     def _write_kiss(self, frame_bytes: bytes) -> None:
         record = kiss_frame(commands.type_byte(commands.CMD_DATA), frame_bytes)
         self.frames_to_tnc += 1
-        self.tty.write(record)
+        self.serial.write(record)
 
     # ------------------------------------------------------------------
     # parameter control (if_ioctl extensions)
@@ -385,13 +388,13 @@ class PacketRadioInterface(NetworkInterface):
         if command is None:
             return super().if_ioctl(request, value)
         record = kiss_frame(commands.type_byte(command), bytes((int(value) & 0xFF,)))
-        self.tty.write(record)
+        self.serial.write(record)
         return None
 
     @property
     def output_backlog(self) -> int:
         """Bytes still serialising toward the TNC (the §4.1 queue)."""
-        return self.tty.tx_backlog_bytes
+        return self.serial.tx_backlog_bytes
 
     def add_arp_entry(self, ip: "IPv4Address | str",
                       callsign: "AX25Address | str",
@@ -414,7 +417,7 @@ class PacketRadioInterface(NetworkInterface):
         when the main loop is hung (see :meth:`repro.tnc.kiss_tnc.KissTnc.wedge`).
         """
         record = kiss_frame(commands.type_byte(commands.CMD_RETURN), b"")
-        self.tty.write(record)
+        self.serial.write(record)
         if self.tracer is not None:
             self.tracer.log("driver.reset_tnc", str(self.callsign),
                             "KISS return sent to TNC")

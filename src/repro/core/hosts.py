@@ -28,7 +28,6 @@ from repro.radio.channel import RadioChannel
 from repro.radio.csma import CsmaParameters
 from repro.radio.modem import ModemProfile
 from repro.serialio.line import SerialLine
-from repro.serialio.tty import Tty
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.tnc.kiss_tnc import KissTnc
@@ -43,7 +42,6 @@ class RadioAttachment:
     """The serial-line + TNC + driver bundle shared by radio-capable hosts."""
 
     serial: SerialLine
-    tty: Tty
     tnc: KissTnc
     interface: PacketRadioInterface
 
@@ -75,7 +73,6 @@ def attach_kiss_radio(
     )
     serial = SerialLine(sim, baud=serial_baud, name=f"{stack.hostname}.dz0",
                         fidelity=fidelity)
-    tty = Tty(serial.a, name=f"{stack.hostname}.tty0")
     tnc = KissTnc(
         sim,
         channel,
@@ -88,10 +85,10 @@ def attach_kiss_radio(
         tracer=tracer,
     )
     interface = PacketRadioInterface(
-        sim, tty, callsign, name=ifname, default_path=default_path, tracer=tracer
+        sim, serial.a, callsign, name=ifname, default_path=default_path, tracer=tracer
     )
     stack.attach_interface(interface, ip)
-    return RadioAttachment(serial=serial, tty=tty, tnc=tnc, interface=interface)
+    return RadioAttachment(serial=serial, tnc=tnc, interface=interface)
 
 
 @dataclass

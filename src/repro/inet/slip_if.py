@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.inet.ip import IPv4Address
+from repro.kiss.framing import escape
 from repro.netif.ifnet import InterfaceFlags, NetworkInterface
 from repro.serialio.line import SerialEndpoint
 from repro.sim.engine import Simulator
@@ -31,19 +32,16 @@ SLIP_ESC_ESC = 0xDD
 #: historically common value; 296 was the interactive-response choice).
 SLIP_MTU = 1006
 
+_END_BYTES = bytes((SLIP_END,))
+
 
 def slip_encode(packet: bytes) -> bytes:
-    """Frame one packet: leading+trailing END, ESC stuffing inside."""
-    out = bytearray((SLIP_END,))
-    for byte in packet:
-        if byte == SLIP_END:
-            out += bytes((SLIP_ESC, SLIP_ESC_END))
-        elif byte == SLIP_ESC:
-            out += bytes((SLIP_ESC, SLIP_ESC_ESC))
-        else:
-            out.append(byte)
-    out.append(SLIP_END)
-    return bytes(out)
+    """Frame one packet: leading+trailing END, ESC stuffing inside.
+
+    SLIP's END/ESC/ESC_END/ESC_ESC are KISS's FEND/FESC/TFEND/TFESC, so
+    the stuffing is :func:`repro.kiss.framing.escape`.
+    """
+    return _END_BYTES + escape(packet) + _END_BYTES
 
 
 class SlipDeframer:
@@ -52,6 +50,8 @@ class SlipDeframer:
     RFC 1055 behaviour for protocol violations: a bad escape puts the
     errant byte into the packet (the reference implementation's choice)
     but we count it, and the IP checksum upstream catches the damage.
+    That is why SLIP keeps its own deframer while sharing KISS's
+    escaping: :class:`~repro.kiss.framing.KissDeframer` drops the frame.
     """
 
     def __init__(self) -> None:

@@ -1,12 +1,5 @@
 """Measurement helpers shared by tests, examples and benchmarks."""
 
 from repro.metrics.counters import CounterSet
-from repro.metrics.stats import LatencyRecorder, Summary, ThroughputMeter, summarize
 
-__all__ = [
-    "CounterSet",
-    "LatencyRecorder",
-    "Summary",
-    "ThroughputMeter",
-    "summarize",
-]
+__all__ = ["CounterSet"]

@@ -1,36 +1,10 @@
-"""Summary statistics, latency recording, and throughput metering."""
+"""Percentiles and cross-run aggregates with Student-t intervals."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-from repro.sim.clock import SECOND
-from repro.sim.engine import Simulator
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-ish summary of a sample."""
-
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    p50: float
-    p90: float
-    p99: float
-    stdev: float
-
-    def render(self, unit: str = "") -> str:
-        """Render as human-readable text."""
-        suffix = f" {unit}" if unit else ""
-        return (
-            f"n={self.count} mean={self.mean:.3f}{suffix} "
-            f"min={self.minimum:.3f} p50={self.p50:.3f} p90={self.p90:.3f} "
-            f"p99={self.p99:.3f} max={self.maximum:.3f}"
-        )
+from typing import Dict, Sequence
 
 
 def percentile(sorted_values: Sequence[float], fraction: float) -> float:
@@ -51,29 +25,6 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     # form: a*(1-w) + b*w underflows to 0.0 when a == b is denormal,
     # returning a value outside [lower, upper].
     return lower + (upper - lower) * weight
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    """Compute a :class:`Summary`; raises on an empty sample."""
-    if not values:
-        raise ValueError("cannot summarize an empty sample")
-    ordered = sorted(float(v) for v in values)
-    count = len(ordered)
-    mean = sum(ordered) / count
-    if count > 1:
-        variance = sum((v - mean) ** 2 for v in ordered) / (count - 1)
-    else:
-        variance = 0.0
-    return Summary(
-        count=count,
-        mean=mean,
-        minimum=ordered[0],
-        maximum=ordered[-1],
-        p50=percentile(ordered, 0.50),
-        p90=percentile(ordered, 0.90),
-        p99=percentile(ordered, 0.99),
-        stdev=math.sqrt(variance),
-    )
 
 
 #: Two-sided 95% Student-t critical values by degrees of freedom.  The
@@ -138,65 +89,3 @@ def aggregate(values: Sequence[float]) -> Aggregate:
         ci95 = 0.0
     return Aggregate(count=count, mean=mean, stdev=stdev, ci95=ci95,
                      minimum=min(data), maximum=max(data))
-
-
-class LatencyRecorder:
-    """Start/stop latency measurement keyed by an opaque token."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._starts: Dict[object, int] = {}
-        self.samples_us: List[int] = []
-
-    def start(self, token: object) -> None:
-        """Begin the measurement/operation."""
-        self._starts[token] = self.sim.now
-
-    def stop(self, token: object) -> Optional[int]:
-        """Record and return the elapsed time; None for unknown tokens."""
-        started = self._starts.pop(token, None)
-        if started is None:
-            return None
-        elapsed = self.sim.now - started
-        self.samples_us.append(elapsed)
-        return elapsed
-
-    @property
-    def outstanding(self) -> int:
-        """Number of started-but-unfinished items."""
-        return len(self._starts)
-
-    def summary_seconds(self) -> Summary:
-        """Summary statistics of the samples, in seconds."""
-        return summarize([value / SECOND for value in self.samples_us])
-
-
-class ThroughputMeter:
-    """Byte counter with a measurement window."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self.bytes = 0
-        self._window_start = sim.now
-        self._window_bytes = 0
-
-    def add(self, count: int) -> None:
-        """Add one item."""
-        self.bytes += count
-        self._window_bytes += count
-
-    def reset_window(self) -> None:
-        """Restart the measurement window at the current time."""
-        self._window_start = self.sim.now
-        self._window_bytes = 0
-
-    def bytes_per_second(self) -> float:
-        """Throughput over the current window, bytes/second."""
-        elapsed = self.sim.now - self._window_start
-        if elapsed <= 0:
-            return 0.0
-        return self._window_bytes * SECOND / elapsed
-
-    def bits_per_second(self) -> float:
-        """Throughput over the current window, bits/second."""
-        return 8 * self.bytes_per_second()

@@ -61,10 +61,6 @@ class TimeSeries:
         self.snapshots.append((self.sim.now, dict(self.sampler())))
         self.sim.schedule(self.cadence, self._snap, label="timeseries-snap")
 
-    def sample_now(self) -> None:
-        """Take one unscheduled snapshot (e.g. a final end-of-run point)."""
-        self.snapshots.append((self.sim.now, dict(self.sampler())))
-
     # ------------------------------------------------------------------
     # exports
     # ------------------------------------------------------------------

@@ -4,11 +4,12 @@
 Instead, one communicates with it through a serial line."  The DZ
 serial interface of Figure 1 delivers received characters to the host
 one interrupt at a time; :class:`~repro.serialio.line.SerialLine` models
-the byte-timed wire and :class:`~repro.serialio.tty.Tty` models the tty
-device the driver hangs its per-character interrupt handler on.
+the byte-timed wire, and each :class:`~repro.serialio.line.SerialEndpoint`
+is one DZ tty line: it calls the receive interrupt handler its consumer
+registers (the pr0 driver, a TNC, a SLIP interface or a terminal) once
+per character.
 """
 
 from repro.serialio.line import SerialEndpoint, SerialLine
-from repro.serialio.tty import Tty, TtyInputQueue
 
-__all__ = ["SerialEndpoint", "SerialLine", "Tty", "TtyInputQueue"]
+__all__ = ["SerialEndpoint", "SerialLine"]

@@ -9,13 +9,12 @@ objects instead.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.inet.ip import IPv4Address
 from repro.inet.netstack import NetStack
 from repro.inet.tcp import TcpConnection
 from repro.netif.ifnet import InterfaceFlags
-from repro.obs.instruments import Gauge, Histogram, Instruments, Rate
 
 
 def format_interfaces(stack: NetStack) -> str:
@@ -113,29 +112,3 @@ def format_netstat(stack: NetStack) -> str:
     else:
         lines.append("    (none)")
     return "\n".join(lines)
-
-
-def format_instruments(instruments: Optional[Instruments]) -> str:
-    """vmstat-ish summary of obs instruments (gauges, rates, histograms)."""
-    if instruments is None:
-        return "(no instruments attached)"
-    lines: List[str] = []
-    for name in sorted(instruments._instruments):
-        instrument = instruments._instruments[name]
-        if isinstance(instrument, Gauge):
-            if instrument.samples:
-                mean = instrument.sum // instrument.samples
-                lines.append(f"{name:<28} gauge n={instrument.samples} "
-                             f"min={instrument.min} mean~{mean} "
-                             f"max={instrument.max} last={instrument.last}")
-        elif isinstance(instrument, Rate):
-            if instrument.total:
-                lines.append(f"{name:<28} rate total={instrument.total} "
-                             f"max/window={instrument.max_per_window()}")
-        elif isinstance(instrument, Histogram):
-            if instrument.total:
-                lines.append(f"{name:<28} hist n={instrument.total} "
-                             f"p50<={instrument.percentile(50)} "
-                             f"p95<={instrument.percentile(95)} "
-                             f"max={instrument.max}")
-    return "\n".join(lines) if lines else "(no samples)"

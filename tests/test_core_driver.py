@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import List
 
 import pytest
@@ -14,8 +15,7 @@ from repro.inet.arp import ARP_REPLY, ARP_REQUEST, ArpPacket, HRD_AX25
 from repro.inet.ip import IPv4Address
 from repro.kiss import commands
 from repro.kiss.framing import FEND, KissDeframer, frame as kiss_frame
-from repro.serialio.line import SerialLine
-from repro.serialio.tty import Tty
+from repro.serialio.line import LINE_FIDELITY_LEVELS, SerialLine
 
 MY_CALL = AX25Address("NT7GW")
 PEER_CALL = AX25Address("KB7DZ")
@@ -24,14 +24,14 @@ PEER_IP = IPv4Address.parse("44.24.0.5")
 
 
 class DriverHarness:
-    """Driver + tty + a fake TNC endpoint we control byte-by-byte."""
+    """Driver on a DZ line whose far end is a fake TNC we control."""
 
-    def __init__(self, sim, reassembly="per_char", **kwargs):
+    def __init__(self, sim, reassembly="per_char", fidelity="per_char",
+                 **kwargs):
         self.sim = sim
-        self.line = SerialLine(sim, baud=9600)
-        self.tty = Tty(self.line.a)
+        self.line = SerialLine(sim, baud=9600, fidelity=fidelity)
         self.driver = PacketRadioInterface(
-            sim, self.tty, MY_CALL, reassembly=reassembly, **kwargs
+            sim, self.line.a, MY_CALL, reassembly=reassembly, **kwargs
         )
         self.driver.address = MY_IP
         self.ip_in: List[bytes] = []
@@ -187,7 +187,98 @@ def test_buffered_reassembly_mode_equivalent_output(sim):
 def test_unknown_reassembly_mode_rejected(sim):
     line = SerialLine(sim, baud=9600)
     with pytest.raises(ValueError):
-        PacketRadioInterface(sim, Tty(line.a), MY_CALL, reassembly="psychic")
+        PacketRadioInterface(sim, line.a, MY_CALL, reassembly="psychic")
+
+
+# ----------------------------------------------------------------------
+# burst handler: frame fidelity ends where the per-char handler ends
+# ----------------------------------------------------------------------
+
+def _record(raw: bytes) -> bytes:
+    return kiss_frame(commands.type_byte(commands.CMD_DATA), raw)
+
+
+def _receive_outcome(harness):
+    """Every driver counter, the line's fault count, and what was delivered."""
+    counters = {name: value for name, value in vars(harness.driver).items()
+                if isinstance(value, int)}
+    return (counters, harness.line.a.rx_faulted, harness.ip_in,
+            [frame.encode() for frame in harness.driver.non_ip_queue])
+
+
+#: The receive-path cases above, one KISS payload each: IP, broadcast,
+#: not for us, still digipeating, digipeated, non-IP, undecodable, the
+#: two malformed frames and escaped bytes.
+RECEIVE_CASES = (
+    AX25Frame.ui(MY_CALL, PEER_CALL, PID_ARPA_IP, b"ip-bytes").encode(),
+    AX25Frame.ui(AX25Address("QST"), PEER_CALL, PID_ARPA_IP, b"bcast").encode(),
+    AX25Frame.ui(AX25Address("W9XYZ"), PEER_CALL, PID_ARPA_IP,
+                 b"not-ours").encode(),
+    AX25Frame.ui(MY_CALL, PEER_CALL, PID_ARPA_IP, b"in transit",
+                 AX25Path.of("WB7DIG")).encode(),
+    AX25Frame.ui(MY_CALL, PEER_CALL, PID_ARPA_IP, b"arrived",
+                 AX25Path.of("WB7DIG").mark_repeated(
+                     AX25Address("WB7DIG"))).encode(),
+    AX25Frame.ui(MY_CALL, PEER_CALL, PID_NO_L3, b"chat text").encode(),
+    b"\x01\x02garbage",
+    encode_address_field(AX25Address("W9XYZ"), PEER_CALL) + bytes([0xEF]),
+    _bad_destination_block(),
+    AX25Frame.ui(MY_CALL, PEER_CALL, PID_ARPA_IP,
+                 bytes([FEND, 0xDB, FEND, 0x41])).encode(),
+)
+
+
+@pytest.mark.parametrize("reassembly", ["per_char", "buffered"])
+def test_burst_handler_matches_per_char_handler(sim, reassembly):
+    """At frame fidelity each record reaches ``_rx_burst`` whole.
+
+    It must leave every counter and delivery exactly as the per-char
+    line's one interrupt per byte does, in both reassembly modes.
+    """
+    per_char, frame = (
+        DriverHarness(sim, reassembly=reassembly, fidelity=fidelity)
+        for fidelity in LINE_FIDELITY_LEVELS)
+    for harness in (per_char, frame):
+        for raw in RECEIVE_CASES:
+            harness.line.b.write(_record(raw))
+    sim.run_until_idle()
+    assert _receive_outcome(frame) == _receive_outcome(per_char)
+    driver = frame.driver
+    assert (driver.frames_ip_in, driver.frames_not_for_us,
+            driver.frames_non_ip, driver.frames_bad) == (4, 2, 1, 3)
+
+
+def _drop_every(nth):
+    """A deterministic ``rx_fault`` that drops every ``nth`` byte it sees."""
+    seen = itertools.count(1)
+    return lambda byte: None if next(seen) % nth == 0 else byte
+
+
+def test_receive_fault_downshift_matches_per_char(sim):
+    """Under a receive fault, frame fidelity delivers byte by byte.
+
+    Half the records are written before the fault filter goes on, so at
+    frame fidelity they are bursts already scheduled; the other half are
+    written after it.  Both must reach the driver exactly as the
+    per-char line delivers them.
+    """
+    records = [
+        _record(AX25Frame.ui(MY_CALL, PEER_CALL, PID_ARPA_IP,
+                             bytes([index]) * 24).encode())
+        for index in range(8)
+    ]
+    per_char, frame = (DriverHarness(sim, fidelity=fidelity)
+                       for fidelity in LINE_FIDELITY_LEVELS)
+    for harness in (per_char, frame):
+        for record in records[:4]:
+            harness.line.b.write(record)
+        harness.line.a.rx_fault = _drop_every(61)
+        for record in records[4:]:
+            harness.line.b.write(record)
+    sim.run_until_idle()
+    assert _receive_outcome(frame) == _receive_outcome(per_char)
+    assert per_char.line.a.rx_faulted > 0
+    assert 0 < len(per_char.ip_in) < len(records)
 
 
 # ----------------------------------------------------------------------

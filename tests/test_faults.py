@@ -26,7 +26,6 @@ from repro.inet.ip import PROTO_ICMP, PROTO_UDP
 from repro.kiss import commands
 from repro.kiss.framing import frame as kiss_frame
 from repro.serialio.line import SerialLine
-from repro.serialio.tty import Tty
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
@@ -147,8 +146,7 @@ def test_install_rejects_unknown_targets_up_front():
 
 def test_tnc_garbage_burst_is_survivable(sim, streams):
     line = SerialLine(sim, baud=9600)
-    tty = Tty(line.a)
-    driver = PacketRadioInterface(sim, tty, AX25Address("NT7GW"))
+    driver = PacketRadioInterface(sim, line.a, AX25Address("NT7GW"))
     received = []
     driver.input_handler = lambda packet, iface, proto: received.append(packet)
     injector = FaultInjector(sim, streams)
@@ -280,7 +278,7 @@ def test_driver_sheds_bulk_but_keeps_icmp_under_backlog():
     testbed = build_figure1_testbed(seed=2)
     driver = testbed.host.radio.interface
     driver.shed_threshold_bytes = 64
-    testbed.host.radio.tty.write(bytes(600))   # park a deep tx backlog
+    driver.serial.write(bytes(600))   # park a deep tx backlog
     from repro.inet.ip import IPv4Address
     broadcast = IPv4Address.coerce("255.255.255.255")
 

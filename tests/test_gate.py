@@ -110,14 +110,22 @@ def test_shared_options_parse_and_validate():
 # ----------------------------------------------------------------------
 
 def test_tournament_single_layout_is_a_usage_error(tmp_path):
-    """``--procs 1`` used to compare the inline layout with itself."""
+    """``--procs 1`` used to compare the inline layout with itself.
+
+    The other cases are values the gate cannot run: an empty
+    ``--speeds`` used to fall back to the registry's default grid, a
+    malformed one ended in a traceback, and ``--procs 0`` ran the whole
+    inline sweep before failing.  Each must exit 2 before any sweep.
+    """
     out = tmp_path / "BENCH_tournament.json"
-    with pytest.raises(SystemExit) as exit_info:
-        main(["repro", "tournament", "--procs", "1", "--seeds", "1",
-              "--plans", "noise", "--speeds", "9600", "--duration", "30",
-              "--out", str(out)])
-    assert exit_info.value.code == 2
-    assert not out.exists()
+    for speeds, procs in (("9600", "1"), ("", "2"), ("12x", "2"),
+                          ("9600", "0")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["repro", "tournament", "--procs", procs, "--seeds", "1",
+                  "--plans", "noise", "--speeds", speeds,
+                  "--duration", "30", "--out", str(out)])
+        assert exit_info.value.code == 2, (speeds, procs)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -9,6 +9,8 @@ from repro.inet.netstack import NetStack
 from repro.inet.slip_if import (
     SLIP_END,
     SLIP_ESC,
+    SLIP_ESC_END,
+    SLIP_ESC_ESC,
     SlipDeframer,
     SlipInterface,
     slip_encode,
@@ -31,6 +33,30 @@ def test_encode_wraps_with_end():
 def test_encode_escapes_special_bytes():
     framed = slip_encode(bytes([SLIP_END, SLIP_ESC]))
     assert framed == bytes([SLIP_END, SLIP_ESC, 0xDC, SLIP_ESC, 0xDD, SLIP_END])
+
+
+def _reference_encode(packet) -> bytes:
+    """RFC 1055's per-byte send loop, which ``slip_encode`` must match."""
+    out = bytearray((SLIP_END,))
+    for byte in packet:
+        if byte == SLIP_END:
+            out += bytes((SLIP_ESC, SLIP_ESC_END))
+        elif byte == SLIP_ESC:
+            out += bytes((SLIP_ESC, SLIP_ESC_ESC))
+        else:
+            out.append(byte)
+    out.append(SLIP_END)
+    return bytes(out)
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from([SLIP_END, SLIP_ESC, SLIP_ESC_END,
+                              SLIP_ESC_ESC, 0x00, 0x41]),
+             max_size=64).map(bytes),
+    st.binary(max_size=512),
+))
+def test_encode_matches_per_byte_reference(packet):
+    assert slip_encode(packet) == _reference_encode(packet)
 
 
 def test_deframer_round_trip():

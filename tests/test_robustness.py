@@ -26,7 +26,6 @@ from repro.inet.tcp import AdaptiveRto
 from repro.kiss.framing import KissDeframer
 from repro.radio.modem import ModemProfile
 from repro.serialio.line import SerialLine
-from repro.serialio.tty import Tty
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
 
@@ -93,8 +92,7 @@ def test_netrom_decodes_never_crash(noise):
 
 def make_driver(sim):
     line = SerialLine(sim, baud=9600)
-    tty = Tty(line.a)
-    driver = PacketRadioInterface(sim, tty, AX25Address("NT7GW"))
+    driver = PacketRadioInterface(sim, line.a, AX25Address("NT7GW"))
     received = []
     driver.input_handler = lambda packet, iface, proto: received.append(packet)
     return line, driver, received
@@ -208,8 +206,7 @@ def test_buffered_driver_bounds_raw_buffer_against_fendless_flood(sim):
     # unbounded reassembly buffer when the line delivered bytes with no
     # FEND in sight (a wedged TNC spewing garbage can do exactly that).
     line = SerialLine(sim, baud=9600)
-    tty = Tty(line.a)
-    driver = PacketRadioInterface(sim, tty, AX25Address("NT7GW"),
+    driver = PacketRadioInterface(sim, line.a, AX25Address("NT7GW"),
                                   reassembly="buffered")
     received = []
     driver.input_handler = lambda packet, iface, proto: received.append(packet)

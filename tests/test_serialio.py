@@ -1,9 +1,8 @@
-"""Tests for the serial line and tty layer."""
+"""Tests for the serial line (the DZ tty lines of Figure 1)."""
 
 from __future__ import annotations
 
 from repro.serialio.line import SerialLine
-from repro.serialio.tty import Tty
 from repro.sim.clock import SECOND
 
 import pytest
@@ -81,78 +80,9 @@ def test_counters(sim):
     assert line.b.bytes_received == 5
 
 
-# ----------------------------------------------------------------------
-# tty
-# ----------------------------------------------------------------------
-
-def test_tty_interrupt_handler_gets_every_char(sim):
-    line = SerialLine(sim, baud=9600)
-    tty = Tty(line.b)
-    got = []
-    tty.hook_interrupt(got.append)
-    line.a.write(b"chars")
-    sim.run_until_idle()
-    assert bytes(got) == b"chars"
-    assert tty.rx_interrupts == 5
-
-
-def test_tty_without_handler_queues_input(sim):
-    line = SerialLine(sim, baud=9600)
-    tty = Tty(line.b)
-    line.a.write(b"queued")
-    sim.run_until_idle()
-    assert tty.input_queue.read() == b"queued"
-
-
-def test_tty_unhook_restores_queueing(sim):
-    line = SerialLine(sim, baud=9600)
-    tty = Tty(line.b)
-    tty.hook_interrupt(lambda byte: None)
-    tty.unhook_interrupt()
-    line.a.write(b"x")
-    sim.run_until_idle()
-    assert tty.input_queue.read() == b"x"
-
-
-def test_tty_input_queue_overflow_drops(sim):
-    line = SerialLine(sim, baud=9600)
-    tty = Tty(line.b)
-    tty.input_queue.limit = 4
-    line.a.write(b"123456")
-    sim.run_until_idle()
-    assert tty.input_queue.read() == b"1234"
-    assert tty.input_queue.dropped == 2
-
-
-def test_tty_input_queue_readable_callback(sim):
-    line = SerialLine(sim, baud=9600)
-    tty = Tty(line.b)
-    pokes = []
-    tty.input_queue.on_readable = lambda: pokes.append(sim.now)
-    line.a.write(b"ab")
-    sim.run_until_idle()
-    assert len(pokes) == 2
-
-
-def test_tty_partial_read(sim):
-    line = SerialLine(sim, baud=9600)
-    tty = Tty(line.b)
-    line.a.write(b"abcdef")
-    sim.run_until_idle()
-    assert tty.input_queue.read(max_bytes=2) == b"ab"
-    assert tty.input_queue.read() == b"cdef"
-
-
 def test_throughput_capacity(sim):
     line = SerialLine(sim, baud=9600)
     assert line.throughput_bytes_per_second() == 960.0
-
-
-def test_tty_put_bytes(sim):
-    line = SerialLine(sim, baud=9600)
-    tty = Tty(line.b)
-    tty.input_queue.put_bytes(b"abc")
-    assert tty.input_queue.read() == b"abc"
 
 
 # ----------------------------------------------------------------------
@@ -185,13 +115,12 @@ def test_rx_fault_filter_corrupts_drops_and_uninstalls(sim):
 
 def test_sustained_overload_backlog_drains_completely(sim):
     line = SerialLine(sim, baud=1200)
-    tty = Tty(line.a)
-    tty.write(bytes(1200))             # ten seconds of line time
-    assert tty.tx_busy
+    line.a.write(bytes(1200))          # ten seconds of line time
+    assert line.a.tx_busy
     sim.run(until=5 * SECOND)
-    backlog_midway = tty.tx_backlog_bytes
+    backlog_midway = line.a.tx_backlog_bytes
     assert 0 < backlog_midway < 1200   # draining, not stuck
     sim.run_until_idle()
-    assert tty.tx_backlog_bytes == 0
-    assert not tty.tx_busy
+    assert line.a.tx_backlog_bytes == 0
+    assert not line.a.tx_busy
     assert line.b.bytes_received == 1200
