@@ -6,6 +6,9 @@ A :class:`~repro.check.explorer.Violation` carries a path of
 point took.  Because the simulator itself is deterministic, feeding
 that path into a *freshly built* world reproduces the violating
 execution exactly: same event order, same drops, same timestamps.
+Each step must offer the recorded head event and make the recorded
+choice points (names and arm counts), or the replay stops with a
+:class:`ReplayError`.
 The replay re-evaluates the world's invariants at every step, so a
 counterexample is confirmed against live code, not trusted from the
 exploration that found it -- and the tracer timeline of the replayed
@@ -79,6 +82,12 @@ def replay(factory, path: List[Step],
                 f"but the world offers {label!r}")
         world.oracle.begin(step.script)
         world.sim.step_event(event)
+        made = [(point.name, point.arms) for point in world.oracle.trace]
+        recorded = [(point.name, point.arms) for point in step.choices]
+        if made != recorded:
+            raise ReplayError(
+                f"step {number}: path recorded choice points {recorded} "
+                f"but the world made {made}")
         result.steps_run = number
         if check_invariants:
             for invariant in world.invariants:

@@ -9,6 +9,14 @@ fresh, independent graph.  The pickler reduces a bound method to
 patched onto the class under another name, as the mutation gate does),
 and its ``__self__`` is the *restored* component, never the live one.
 
+A snapshot carries only state the search can read back.  A
+:class:`~repro.sim.trace.Tracer` travels with its simulator, echo flag,
+listeners and flight recorder but an empty log: nothing a restored
+world runs reads its records, and a counterexample's timeline comes
+from a replay on a fresh world.  A ``random.Random`` travels as its
+624 twister words and index packed into bytes, plus ``gauss_next``,
+and is restored by ``setstate`` on an instance that was never seeded.
+
 Whatever pickle cannot carry -- a lambda or nested function, a
 generator, an OS handle -- makes :meth:`StateCapturer.capture` raise
 instead of aliasing the live world.  That is the runtime backstop for
@@ -19,6 +27,9 @@ shipped sim state needs one.
 
 Fingerprints canonicalise a world's *behavioural* state vector --
 sorted dict items, deques as tuples, enums by value -- and hash it.
+Exact tuples and exact atoms (``str``, ``bytes``, ``int``, ``float``,
+``bool``, ``None``), most of what a vector holds, are dispatched by
+type identity before the ``isinstance`` ladder.
 Two states with equal fingerprints have identical futures, which is
 what lets the explorer merge them (see DESIGN §11 for the soundness
 argument about what the vector may omit).
@@ -26,12 +37,21 @@ argument about what the vector may omit).
 
 from __future__ import annotations
 
+import collections
+import copyreg
 import enum
 import hashlib
 import io
 import pickle
+import random
+import struct
 import types
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
+
+from repro.sim.trace import Tracer
+
+#: A Mersenne Twister state: 624 words and the index into them.
+_MT_WORDS = struct.Struct("<625I")
 
 
 def _rebind(func: Callable, owner: Any) -> types.MethodType:
@@ -39,13 +59,53 @@ def _rebind(func: Callable, owner: Any) -> types.MethodType:
     return types.MethodType(func, owner)
 
 
+def pack_random(rng: random.Random) -> Tuple[bytes, Optional[float]]:
+    """A stream's whole state: its packed twister words and ``gauss_next``."""
+    _version, words, gauss_next = rng.getstate()
+    return _MT_WORDS.pack(*words), gauss_next
+
+
+def _unpack_random(words: bytes, gauss_next: Optional[float]) -> random.Random:
+    """Unpickle a stream packed by :func:`pack_random`."""
+    # ``__new__`` alone skips the seeding ``__init__`` does, which would
+    # read os.urandom only for setstate to overwrite it.
+    rng = random.Random.__new__(random.Random)
+    rng.setstate((random.Random.VERSION, _MT_WORDS.unpack(words), gauss_next))
+    return rng
+
+
+def _reduce_method(method: types.MethodType) -> tuple:
+    return _rebind, (method.__func__, method.__self__)
+
+
+def _reduce_random(rng: random.Random) -> tuple:
+    return _unpack_random, pack_random(rng)
+
+
+def _reduce_tracer(tracer: Tracer) -> tuple:
+    # The state comes third, so the tracer is memoised before its
+    # ``sim`` (whose pending events lead back to it) is written.
+    state = dict(tracer.__dict__, records=[], _by_category={})
+    return copyreg.__newobj__, (Tracer,), state
+
+
+#: The capturer's own reductions, by exact type: a subclass may carry
+#: state they would drop.
+_REDUCERS: Dict[type, Callable[[Any], tuple]] = {
+    types.MethodType: _reduce_method,
+    random.Random: _reduce_random,
+    Tracer: _reduce_tracer,
+}
+
+
 class _Pickler(pickle.Pickler):
-    """A pickler that rebinds bound methods by function object."""
+    """A pickler that applies :data:`_REDUCERS`."""
 
     def reducer_override(self, obj: Any) -> Any:
-        if type(obj) is types.MethodType:
-            return _rebind, (obj.__func__, obj.__self__)
-        return NotImplemented
+        reduce = _REDUCERS.get(type(obj))
+        if reduce is None:
+            return NotImplemented
+        return reduce(obj)
 
 
 class StateCapturer:
@@ -95,6 +155,11 @@ class StateCapturer:
         return unpickler.load()
 
 
+#: Types ``canonical`` returns unchanged (exact types: an enum that
+#: subclasses ``int`` or ``str`` still collapses to its value).
+_ATOMS = frozenset((str, bytes, int, float, bool, type(None)))
+
+
 def canonical(value: Any) -> Any:
     """Reduce ``value`` to a deterministic, hashable structure.
 
@@ -103,6 +168,11 @@ def canonical(value: Any) -> Any:
     containers must canonicalise to the same result regardless of
     insertion history or the states would never merge.
     """
+    cls = type(value)
+    if cls in _ATOMS:
+        return value
+    if cls is tuple:
+        return tuple([canonical(item) for item in value])
     if isinstance(value, enum.Enum):
         return canonical(value.value)
     if isinstance(value, dict):
@@ -110,9 +180,9 @@ def canonical(value: Any) -> Any:
             (repr(key), canonical(item)) for key, item in value.items()))
     if isinstance(value, (set, frozenset)):
         return tuple(sorted(repr(canonical(item)) for item in value))
-    if isinstance(value, (list, tuple)) or value.__class__.__name__ == "deque":
+    if isinstance(value, (list, tuple, collections.deque)):
         return tuple(canonical(item) for item in value)
-    if isinstance(value, (str, bytes, int, float, bool)) or value is None:
+    if isinstance(value, (str, bytes, int, float)):
         return value
     raise TypeError(
         f"state vector contains un-canonicalisable {type(value).__name__}: "

@@ -39,6 +39,7 @@ from repro.check.invariants import (
     LapbConservation,
     NoStuckFsm,
 )
+from repro.check.snapshot import pack_random
 from repro.core.topology import Figure1Testbed, build_figure1_testbed
 from repro.faults.inject import ChoiceOracle
 from repro.inet.icmp import echo_request
@@ -554,8 +555,9 @@ class _Figure1World(World):
     def _streams_vector(self):
         entries = []
         for name, rng in sorted(self.testbed.streams._streams.items()):
-            digest = hashlib.sha256(repr(rng.getstate()).encode())
-            entries.append((name, digest.hexdigest()[:16]))
+            words, gauss_next = pack_random(rng)
+            entries.append((name, hashlib.sha256(words).hexdigest()[:16],
+                            gauss_next))
         return tuple(entries)
 
     def queue_depths(self) -> Dict[str, int]:

@@ -8,13 +8,15 @@ version of each claim so a regression fails fast and locally.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.check import Budget, Explorer, build_world
 from repro.check.mutations import MUTATIONS
 from repro.check.replay import ReplayError, replay, replay_violation
 from repro.check.worlds import WORLDS, Lapb2World, independent
-from repro.faults.inject import ChoiceOracle
+from repro.faults.inject import ChoiceOracle, ChoicePoint
 from repro.sim.engine import Simulator
 
 
@@ -147,6 +149,31 @@ def test_lapb2_exploration_is_pinned(lapb2_explorer):
     assert (capturer.captures, capturer.restores) == (1336, 657)
 
 
+#: Each other preset's search at the default budget: (states,
+#: transitions, revisits, sleep skips, terminal states, max depth) and
+#: (captures, restores).
+PRESET_PINS = {
+    "hidden3": ((95, 106, 6, 2, 6, 19), (101, 13)),
+    "shedworld": ((48, 50, 2, 0, 1, 46), (50, 2)),
+    "tcpxfer": ((1320, 1399, 65, 0, 15, 193), (1385, 79)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_PINS))
+def test_preset_exploration_is_pinned(name):
+    explorer = Explorer(lambda: build_world(name), por=True,
+                        budget=Budget(max_wall_seconds=60))
+    result = explorer.run()
+    assert result.complete
+    assert result.violations == []
+    search, snapshots = PRESET_PINS[name]
+    assert (result.states, result.transitions, result.revisits,
+            result.sleep_skips, result.terminal_states,
+            result.max_depth_seen) == search
+    capturer = explorer.capturer
+    assert (capturer.captures, capturer.restores) == snapshots
+
+
 def test_budget_truncation_is_reported_not_fatal():
     explorer = Explorer(Lapb2World, por=True,
                         budget=Budget(max_states=25))
@@ -215,3 +242,22 @@ def test_replay_rejects_a_stale_path():
     bogus = [Step(time=0, event_index=99, label="nope")]
     with pytest.raises(ReplayError):
         replay(Lapb2World, bogus)
+
+
+def test_replay_rejects_a_path_whose_choice_points_do_not_match():
+    mutation = MUTATIONS["dropped-ack"]
+    with mutation.active():
+        explorer = Explorer(lambda: build_world(mutation.world), por=True,
+                            budget=Budget(max_states=4000))
+        violation = explorer.run().shortest_violation()
+        # Same arms taken, but every decision renamed and widened: the
+        # head events still match, the world's choice points do not.
+        forged = [replace(step, choices=[
+                      ChoicePoint("no-such-decision", 7, point.chosen)
+                      for point in step.choices])
+                  for step in violation.path]
+        assert forged != violation.path
+        assert replay_violation(
+            lambda: build_world(mutation.world), violation).confirmed
+        with pytest.raises(ReplayError, match="choice points"):
+            replay(lambda: build_world(mutation.world), forged)

@@ -16,17 +16,24 @@ component and the copies share nothing mutable with the original.
 
 from __future__ import annotations
 
+import collections
+import enum
 import pickle
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.ping import Pinger
+from repro.check import build_world
 from repro.check.snapshot import StateCapturer, canonical, fingerprint
 from repro.core.topology import build_figure1_testbed
 from repro.harness import metrics_digest
 from repro.inet.sockets import TcpServerSocket, TcpSocket
+from repro.obs.spans import FlightRecorder
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
+from repro.sim.trace import Tracer
 
 END = 120 * SECOND
 CHECKPOINTS = (17 * SECOND, 43 * SECOND, 71 * SECOND)
@@ -229,3 +236,201 @@ def test_canonical_merges_insertion_orders():
 def test_canonical_rejects_opaque_objects():
     with pytest.raises(TypeError):
         canonical(("ok", object()))
+
+
+# ----------------------------------------------------------------------
+# what a snapshot leaves out or packs: trace logs and RNG streams
+# ----------------------------------------------------------------------
+
+class Logbook:
+    """A simulator, its tracer and a bound-method trace listener."""
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self.tracer = Tracer(self.sim)
+        self.recorder = FlightRecorder(self.tracer)
+        self.heard = []
+        self.tracer.subscribe(self.hear)
+        self.sim.at(SECOND, self.beacon, label="beacon")
+
+    def hear(self, record) -> None:
+        self.heard.append(record.category)
+
+    def beacon(self) -> None:
+        self.tracer.log("beacon", "N7AKR", "on the air")
+
+
+def test_restored_tracer_has_no_log_but_keeps_its_wiring():
+    book = Logbook()
+    book.tracer.log("setup", "N7AKR", "before capture")
+    book.sim.run()
+    live_records = list(book.tracer.records)
+    capturer = StateCapturer()
+    frozen = capturer.capture(book)
+    # Capture leaves the live log alone.
+    assert book.tracer.records == live_records
+    assert book.tracer.count("beacon") == 1
+
+    restored = capturer.restore(frozen)
+    tracer = restored.tracer
+    assert tracer is not book.tracer
+    assert (tracer.records, tracer._by_category) == ([], {})
+    assert tracer.sim is restored.sim
+    # The flight recorder travels, rebound to the restored tracer.
+    assert tracer.flight is restored.recorder
+    assert tracer.flight is not book.recorder
+    assert restored.recorder.tracer is tracer
+    (listener,) = tracer._listeners
+    assert listener.__self__ is restored
+
+    tracer.log("after", "KB7DZ", "on the restored copy")
+    assert [record.category for record in tracer.records] == ["after"]
+    assert tracer.count("after") == 1
+    assert restored.heard == ["setup", "beacon", "after"]
+    assert book.tracer.records == live_records
+    assert book.heard == ["setup", "beacon"]
+
+
+def test_restored_world_shares_one_empty_tracer():
+    world = build_world("tcpxfer")
+    world.sim.run(until=3 * SECOND)
+    assert world.tracer.records
+    capturer = StateCapturer()
+    restored = capturer.restore(capturer.capture(world))
+    assert restored.tracer.records == []
+    assert restored.tracer.sim is restored.sim
+    # Every component logs to the one restored tracer.
+    assert restored.testbed.channel.tracer is restored.tracer
+    assert restored.testbed.host.interface.tracer is restored.tracer
+
+
+def _draws(rng: random.Random) -> list:
+    return [rng.gauss(0.0, 1.0) if index % 2 == 0 else rng.random()
+            for index in range(1000)]
+
+
+@pytest.mark.parametrize("gauss_first", [False, True])
+def test_restored_stream_draws_like_the_original(gauss_first):
+    rng = random.Random(2024)
+    rng.random()
+    if gauss_first:
+        rng.gauss(0.0, 1.0)
+        assert rng.gauss_next is not None
+    capturer = StateCapturer()
+    restored = capturer.restore(capturer.capture(rng))
+    assert type(restored) is random.Random
+    assert restored is not rng
+    assert restored.gauss_next == rng.gauss_next
+    assert _draws(restored) == _draws(rng)
+
+
+def test_a_stream_shared_by_two_holders_stays_shared():
+    rng = random.Random(7)
+    holders = {"a": [rng], "b": [rng]}
+    capturer = StateCapturer()
+    restored = capturer.restore(capturer.capture(holders))
+    assert restored["a"][0] is restored["b"][0]
+    assert restored["a"][0] is not rng
+
+
+# ----------------------------------------------------------------------
+# canonical(): the fast path changes no output
+# ----------------------------------------------------------------------
+
+def reference_canonical(value):
+    """``canonical`` before its type-identity fast path, kept to test it.
+
+    The one deliberate difference is the deque test, which was
+    ``value.__class__.__name__ == "deque"``.
+    """
+    if isinstance(value, enum.Enum):
+        return reference_canonical(value.value)
+    if isinstance(value, dict):
+        return tuple(sorted(
+            (repr(key), reference_canonical(item))
+            for key, item in value.items()))
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(repr(reference_canonical(item)) for item in value))
+    if isinstance(value, (list, tuple, collections.deque)):
+        return tuple(reference_canonical(item) for item in value)
+    if isinstance(value, (str, bytes, int, float, bool)) or value is None:
+        return value
+    raise TypeError(f"un-canonicalisable {type(value).__name__}")
+
+
+class Colour(enum.Enum):
+    RED = "red"
+    GREEN = (1, "two")
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Mode(str, enum.Enum):
+    LINK = "link"
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+
+class Ring(collections.deque):
+    """A deque subclass: canonicalises like any deque."""
+
+
+class deque:
+    """An unrelated class named ``deque``: not a sequence to canonical."""
+
+    def __init__(self, items) -> None:
+        self.items = list(items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+
+_ATOMS = (st.none() | st.booleans() | st.integers() | st.floats()
+          | st.text(max_size=4) | st.binary(max_size=4)
+          | st.sampled_from(list(Colour) + list(Level) + list(Mode)))
+_HASHABLE = st.recursive(
+    _ATOMS,
+    lambda inner: (st.tuples(inner, inner)
+                   | st.frozensets(inner, max_size=3)
+                   | st.builds(Pair, inner, inner)),
+    max_leaves=6)
+
+
+def _containers(inner):
+    items = st.lists(inner, max_size=4)
+    return (items
+            | items.map(tuple)
+            | items.map(collections.deque)
+            | items.map(Ring)
+            | items.map(deque)
+            | st.builds(Pair, inner, inner)
+            | st.dictionaries(_HASHABLE, inner, max_size=3)
+            | st.sets(_HASHABLE, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_ATOMS, _containers, max_leaves=12))
+def test_canonical_matches_the_reference(value):
+    try:
+        expected = reference_canonical(value)
+    except TypeError:
+        with pytest.raises(TypeError):
+            canonical(value)
+        return
+    # repr, not ==: it tells True from 1 and 1.0 from 1, and nan from
+    # itself, and it is what fingerprint() hashes.
+    assert repr(canonical(value)) == repr(expected)
+
+
+def test_canonical_treats_a_deque_subclass_as_a_sequence():
+    assert canonical(Ring([Level.LOW, (b"x", None)])) == (1, (b"x", None))
+    assert canonical(collections.deque([Mode.LINK])) == ("link",)
+
+
+def test_canonical_rejects_a_class_only_named_deque():
+    with pytest.raises(TypeError):
+        canonical(("ok", deque([1, 2])))
