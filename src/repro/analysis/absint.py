@@ -412,11 +412,13 @@ class _UnitWalker(ForwardWalker[UVal]):
                     forbidden=frozenset({"sim_us", "bytes", "bits",
                                          "baud"})))
             return
-        if func.attr in units.SCHEDULER_SINKS and arg_vals:
-            self._apply_sink(node, arg_vals[0], SinkObligation(
-                kind="scheduler",
-                target=f".{func.attr}() delay/time argument",
-                forbidden=units.SCHEDULER_FORBIDDEN))
+        if func.attr in units.SCHEDULER_SINKS:
+            for position in units.SCHEDULER_ENTRY_POINTS[func.attr].times:
+                if position < len(arg_vals):
+                    self._apply_sink(node, arg_vals[position], SinkObligation(
+                        kind="scheduler",
+                        target=f".{func.attr}() delay/time argument",
+                        forbidden=units.SCHEDULER_FORBIDDEN))
         elif func.attr == "tick" and arg_vals:
             self._apply_sink(node, arg_vals[0], SinkObligation(
                 kind="tick", target=".tick() clock argument",

@@ -47,9 +47,10 @@ from typing import (Any, Dict, FrozenSet, Generic, Iterable, List, Mapping,
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, ProjectInfo
 from repro.analysis.imports import ImportMap, call_qualname
+from repro.analysis.units import SCHEDULER_ENTRY_POINTS
 
 #: Method names that hand a value to the discrete-event scheduler.
-SCHEDULER_METHODS = frozenset({"schedule", "at", "call_soon", "call_at"})
+SCHEDULER_METHODS = frozenset(SCHEDULER_ENTRY_POINTS)
 
 #: Fixpoint safety valve.  Summaries compare facts only, so the taint
 #: domain settles on this repository in 5 sweeps and units in 2.

@@ -8,7 +8,8 @@ registrations (or letting the SimSanitizer's shuffle perturb the
 tie-break) changes which callback sees the other's writes.
 
 The pass walks every class, collects callsites that hand a bound
-``self.<method>`` to ``schedule`` / ``at`` / ``call_at`` / ``call_soon``,
+``self.<method>`` to a scheduler entry point (``schedule`` / ``at`` /
+``at_series`` / ``call_soon``, from ``units.SCHEDULER_ENTRY_POINTS``),
 and groups registrations made *from the same function with the same
 delay expression* — statically "schedulable at the same timestamp with
 no deterministic tie-break key".  For each pair of distinct callbacks
@@ -32,6 +33,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.findings import Finding
 from repro.analysis.registry import ProjectPass, Rule, register_deep_pass
+from repro.analysis.units import SCHEDULER_ENTRY_POINTS
 
 RULE_CALLBACK_RACE = Rule(
     id="RACE001", name="same-timestamp-callback-race", severity="error",
@@ -39,13 +41,6 @@ RULE_CALLBACK_RACE = Rule(
             "same attribute; order is an accident of registration",
 )
 
-_REGISTER_METHODS = {
-    # method name -> index of the callback argument
-    "schedule": 1,
-    "at": 1,
-    "call_at": 1,
-    "call_soon": 0,
-}
 
 #: Transitive ``self.helper()`` depth when collecting attr effects.
 _EFFECT_DEPTH = 3
@@ -155,25 +150,26 @@ def _registration(node: ast.AST) -> Optional[Tuple[str, str]]:
 
     Only ``self.<method>`` callbacks count: a lambda or free function is
     not attributable to shared object state by name.  The delay key is
-    the delay expression's dump (``call_soon`` is delay 0 by contract),
-    so only textually identical delays group together.
+    the dump of the first time argument (``call_soon``, which takes
+    none, is delay 0 by contract), so only textually identical delays
+    group together.
     """
     if not (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _REGISTER_METHODS):
+            and node.func.attr in SCHEDULER_ENTRY_POINTS):
         return None
-    callback_index = _REGISTER_METHODS[node.func.attr]
-    if len(node.args) <= callback_index:
+    entry = SCHEDULER_ENTRY_POINTS[node.func.attr]
+    if len(node.args) <= entry.callback:
         return None
-    callback = node.args[callback_index]
+    callback = node.args[entry.callback]
     if not (isinstance(callback, ast.Attribute)
             and isinstance(callback.value, ast.Name)
             and callback.value.id == "self"):
         return None
-    if node.func.attr == "call_soon":
+    if not entry.times:
         delay_key = "delay:0"
     else:
-        delay_key = f"{node.func.attr}:{ast.dump(node.args[0])}"
+        delay_key = f"{node.func.attr}:{ast.dump(node.args[entry.times[0]])}"
     return callback.attr, delay_key
 
 

@@ -13,8 +13,8 @@ idioms break that contract:
   ``threading`` primitives, ``socket.socket()`` -- cannot be pickled,
   and a copy could not share the kernel object behind it anyway;
 * a **lambda handed to the scheduler** (``schedule`` / ``call_soon`` /
-  ``at``) is captured inside a pending event, where it closes over the
-  live world.
+  ``at`` / ``at_series``) is captured inside a pending event, where it
+  closes over the live world.
 
 Any of these makes ``StateCapturer.capture`` raise at run time, so a
 broken world fails loudly instead of aliasing the live one.  This pass
@@ -37,6 +37,7 @@ from repro.analysis.registry import (
     Rule,
     register_pass,
 )
+from repro.analysis.units import SCHEDULER_ENTRY_POINTS
 
 RULE_SNAPSHOT = Rule(
     id="SNAP001", name="un-snapshotable-sim-state", severity="error",
@@ -45,10 +46,6 @@ RULE_SNAPSHOT = Rule(
             "StateCapturer.capture; use a bound method / keep handles "
             "off sim objects",
 )
-
-#: Scheduler entry points whose callback argument ends up inside a
-#: pending event (mirrors the names the races pass tracks).
-_SCHEDULER_METHODS = frozenset({"schedule", "call_soon", "at", "call_at"})
 
 #: Resolved call-target prefixes that return OS-level handles.
 #: Matching on the *resolved* name means ``from threading import Lock``
@@ -131,7 +128,7 @@ class SnapshotSafetyPass(LintPass):
     def _check_scheduler_call(self, module: ModuleInfo,
                               node: ast.Call) -> Iterator[Finding]:
         if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SCHEDULER_METHODS):
+                and node.func.attr in SCHEDULER_ENTRY_POINTS):
             return
         callbacks = list(node.args)
         callbacks += [keyword.value for keyword in node.keywords

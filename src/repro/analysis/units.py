@@ -38,7 +38,7 @@ meet.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 #: The concrete dimensions, i.e. the atoms of the lattice.
 DIMENSIONS: Tuple[str, ...] = (
@@ -263,10 +263,31 @@ BYTES_LEN_NAMES: FrozenSet[str] = frozenset({
     "record", "message", "chunk", "burst",
 })
 
-#: Method names that hand a *delay or absolute time* to the scheduler
-#: as their first positional argument (mirrors
-#: :data:`repro.analysis.dataflow.SCHEDULER_METHODS`).
-SCHEDULER_SINKS: FrozenSet[str] = frozenset({"schedule", "at", "call_at"})
+class SchedulerEntry(NamedTuple):
+    """Where one scheduler entry point takes its callback and its times.
+
+    Positions count the positional arguments after ``self``.
+    """
+
+    callback: int
+    times: Tuple[int, ...]
+
+
+#: Every :class:`~repro.sim.engine.Simulator` method that registers a
+#: callback.  The taint walker's ``dataflow.SCHEDULER_METHODS``, the
+#: units sinks below, RACE001 and SNAP001 all read their views from
+#: this one table, and :func:`live_seed_check` holds each row to the
+#: real signature.
+SCHEDULER_ENTRY_POINTS: Dict[str, SchedulerEntry] = {
+    "schedule": SchedulerEntry(callback=1, times=(0,)),       # delay
+    "at": SchedulerEntry(callback=1, times=(0,)),             # time
+    "at_series": SchedulerEntry(callback=2, times=(0, 1)),    # first, interval
+    "call_soon": SchedulerEntry(callback=0, times=()),
+}
+
+#: Method names that hand a *delay or absolute time* to the scheduler.
+SCHEDULER_SINKS: FrozenSet[str] = frozenset(
+    name for name, entry in SCHEDULER_ENTRY_POINTS.items() if entry.times)
 
 #: Dimensions that must never reach a scheduler delay argument: the
 #: engine ticks in integer microseconds, so a float-seconds or
@@ -327,19 +348,30 @@ def live_seed_check() -> Dict[str, str]:
     from repro.sim import clock
     from repro.sim.engine import Simulator
 
-    # Scheduler sinks: first parameter after self is the time argument.
-    for method, first_param in (("schedule", "delay"), ("at", "time")):
-        if method not in SCHEDULER_SINKS:
-            failures[f"Simulator.{method}"] = "not in SCHEDULER_SINKS"
-            continue
+    # Scheduler entry points: each row names where the callback and the
+    # integer-microsecond times sit, and every Simulator method that
+    # takes a callback has a row.
+    for method, entry in SCHEDULER_ENTRY_POINTS.items():
         fn = getattr(Simulator, method, None)
         if fn is None:
             failures[f"Simulator.{method}"] = "method missing"
             continue
-        params = list(inspect.signature(fn).parameters)
-        if params[:2] != ["self", first_param]:
+        params = list(inspect.signature(fn).parameters.values())[1:]
+        if (len(params) <= entry.callback
+                or params[entry.callback].name != "fn"):
             failures[f"Simulator.{method}"] = (
-                f"first parameter is {params[1:2]}, expected {first_param!r}")
+                f"callback is not parameter {entry.callback}")
+        for position in entry.times:
+            if (len(params) <= position
+                    or params[position].annotation not in ("int", int)):
+                failures[f"Simulator.{method}"] = (
+                    f"parameter {position} is not an int time")
+    for method, fn in vars(Simulator).items():
+        if (callable(fn) and not method.startswith("_")
+                and "fn" in inspect.signature(fn).parameters
+                and method not in SCHEDULER_ENTRY_POINTS):
+            failures[f"Simulator.{method}"] = (
+                "takes a callback but is not in SCHEDULER_ENTRY_POINTS")
     if not isinstance(getattr(Simulator, "now", None), property):
         failures["Simulator.now"] = "now is not a property"
 

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.ax25.defs import PID_ARPA_IP
@@ -150,6 +151,7 @@ def ip_flow_key(packet: bytes) -> Optional[FlowKey]:
     return (source, ident)
 
 
+@lru_cache(maxsize=256)
 def probe_ax25(frame: bytes) -> Optional[Tuple[str, FlowKey]]:
     """Peek into an AX.25 frame: (destination callsign text, flow key).
 
@@ -158,6 +160,12 @@ def probe_ax25(frame: bytes) -> Optional[Tuple[str, FlowKey]]:
     non-repeated addresses ("WL0" or "WB6-2"), which is how TNC/radio
     probes decide whether a copy of the frame is headed *to them* and
     therefore span-relevant.
+
+    Memoised on the frame bytes: one frame is probed at up to four TNC
+    sites and two channel sites.  The result is a pure function of the
+    immutable key and is itself immutable, so a hit returns exactly what
+    a fresh parse would.  The bound is small on purpose: 256 entries
+    catch nearly every repeat probe of a frame in flight.
     """
     end = -1
     # Address blocks are 7 bytes; the extension bit (bit 0 of the SSID

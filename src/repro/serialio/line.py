@@ -6,19 +6,26 @@ bits).  Writes queue behind in-flight bytes, so a burst written at one
 instant arrives spread out in time exactly as a UART would deliver it
 -- this is what makes the driver's per-character interrupt handling a
 meaningful thing to model, and what makes the serial line a real
-bottleneck in experiment E3.
+bottleneck in experiment E3.  A write's bytes are one event series
+(:meth:`~repro.sim.engine.Simulator.at_series`): each byte is still
+its own dispatched event, but the queue holds one entry per write.
 
 The line also supports the scale subsystem's **frame fidelity**
 (``fidelity="frame"``): a write is delivered as one burst event at the
 time its *last* byte would have landed, instead of one event per byte.
 Because every KISS record ends with its trailing FEND, frames complete
-at exactly the per-character completion times, so end-of-run metrics
-are byte-identical to the slow path -- the fidelity gate in
-``tests/test_scale_fidelity.py`` holds this equality.  The burst path
-automatically downshifts to per-character delivery whenever a receive
-fault filter is installed on the destination endpoint (serial noise /
-drop windows from :mod:`repro.faults`), so fault semantics are
-unchanged.
+at exactly the per-character completion times.  What is claimed, and
+gated by ``tests/test_scale_fidelity.py``, is that on fault-free lines
+the two fidelities agree through
+:func:`~repro.harness.results.comparable_metrics`; ``events_executed``
+differs by design, so full digests do not.  The burst path downshifts
+to per-character delivery whenever a receive fault filter is installed
+on the destination endpoint (serial noise / drop windows from
+:mod:`repro.faults`), so the filter sees every byte.  Under a fault
+window the downshift is an approximation, not an equivalence: a burst
+that a window overtakes in flight lands all of its bytes at the
+completion instant, and random scenarios under serial faults have
+been found where frame and per_char differ.
 
 :func:`validate_line_fidelity` is the one check of a line fidelity
 name; ``Scenario`` and ``ScaleLayout`` call it too.  The scale
@@ -108,12 +115,9 @@ class SerialEndpoint:
             if data:
                 sim.at(completion, self._deliver_burst, bytes(data),
                        label=label)
-        else:
-            deliver = self._deliver
-            arrival = start
-            for byte in data:
-                arrival += byte_time
-                sim.at(arrival, deliver, byte, label=label)
+        elif data:
+            sim.at_series(start + byte_time, byte_time, self._deliver,
+                          bytes(data), label=label)
         self._tx_free_at = completion
         self.bytes_sent += len(data)
         if self.on_backlog_sample is not None:

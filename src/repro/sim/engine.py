@@ -7,6 +7,14 @@ DESIGN §5, "Event queue").  There are no threads: a "device"
 in this reproduction is just an object whose methods schedule further
 events.
 
+An *event series* (:meth:`Simulator.at_series`) is one event that
+fires once per item at evenly spaced times: a per-character serial
+write is one.  It dispatches exactly as one :meth:`Simulator.at` per
+item made at registration would -- the same times, tie-break keys,
+callback, args and label, each element its own dispatched event --
+but the queue holds one entry for it at a time, re-armed at the next
+element as each one fires.
+
 The engine deliberately mirrors the shape of a kernel event loop rather
 than a generator-based process model (as in simpy): the paper's code is
 interrupt-driven C, and callback-style events map onto interrupt
@@ -15,8 +23,8 @@ handlers and timeouts one-for-one.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Optional
+from heapq import heapify, heappop, heappush, heapreplace
+from typing import Any, Callable, Optional, Sequence
 
 from repro.sim.clock import format_time
 
@@ -31,9 +39,13 @@ class Event:
     Events are returned by :meth:`Simulator.schedule` / :meth:`Simulator.at`
     and may be cancelled before they fire.  Cancellation is O(1): the
     event is flagged and skipped when it reaches the head of the queue.
+    An event series (:meth:`Simulator.at_series`) shows its next element
+    in ``time``, ``seq`` and ``args``; cancelling it drops every element
+    not yet dispatched.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "kwargs", "cancelled", "label")
+    __slots__ = ("time", "seq", "fn", "args", "kwargs", "cancelled", "label",
+                 "series")
 
     def __init__(
         self,
@@ -51,6 +63,8 @@ class Event:
         self.kwargs = kwargs
         self.cancelled = False
         self.label = label
+        #: The elements still to come when this event is a series.
+        self.series: Optional[_Series] = None
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
@@ -69,6 +83,44 @@ class Event:
         state = "cancelled" if self.cancelled else "pending"
         name = self.label or getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event {name} @{format_time(self.time)} {state}>"
+
+
+class _Series:
+    """What an event series holds besides the element it shows now.
+
+    Element ``i`` fires ``interval`` after element ``i - 1`` with key
+    ``keys[i]`` and args ``(items[i],)``; ``index`` is the element the
+    event shows.
+    """
+
+    __slots__ = ("items", "keys", "interval", "index")
+
+    def __init__(self, items: Sequence, keys: Sequence, interval: int) -> None:
+        self.items = items
+        self.keys = keys
+        self.interval = interval
+        self.index = 0
+
+    def rearm(self, event: Event) -> Optional[tuple]:
+        """Advance ``event`` to its next element; returns its heap entry.
+
+        None when the element ``event`` showed was the last.
+        """
+        index = self.index + 1
+        if index == len(self.items):
+            return None
+        self.index = index
+        event.time = time = event.time + self.interval
+        event.seq = seq = self.keys[index]
+        event.args = (self.items[index],)
+        return (time, seq, event)
+
+    def later(self, event: Event) -> "list[Event]":
+        """The elements after the one ``event`` shows, as plain events."""
+        return [Event(event.time + (index - self.index) * self.interval,
+                      self.keys[index], event.fn, (self.items[index],),
+                      event.kwargs, event.label)
+                for index in range(self.index + 1, len(self.items))]
 
 
 class Simulator:
@@ -112,8 +164,11 @@ class Simulator:
 
     @property
     def events_pending(self) -> int:
-        """Number of not-yet-cancelled events still in the queue."""
-        return sum(1 for entry in self._queue if not entry[2].cancelled)
+        """Number of not-yet-cancelled events still in the queue.
+
+        Each undispatched element of a series counts as one event.
+        """
+        return len(self.pending_events())
 
     # ------------------------------------------------------------------
     # scheduling
@@ -154,6 +209,35 @@ class Simulator:
         heappush(self._queue, (time, seq, event))
         return event
 
+    def at_series(
+        self,
+        first: int,
+        interval: int,
+        fn: Callable[[Any], Any],
+        items: Sequence,
+        label: str = "",
+    ) -> Event:
+        """Schedule ``fn(item)`` for each item: at ``first``, then every ``interval``.
+
+        Equivalent to ``sim.at(first + i * interval, fn, items[i],
+        label=label)`` for each ``i`` in order, made now: all the
+        tie-break keys are reserved here.  The returned event shows the
+        next element to fire; cancelling it drops the rest.
+        """
+        if first < self._now:
+            raise SimulationError(
+                f"cannot schedule at {format_time(first)}; now is {format_time(self._now)}"
+            )
+        if interval <= 0:
+            raise SimulationError(f"series interval must be positive (got {interval})")
+        if not items:
+            raise SimulationError("cannot schedule an empty series")
+        keys = self._reserve_seqs(first, len(items))
+        event = Event(first, keys[0], fn, (items[0],), {}, label)
+        event.series = _Series(items, keys, interval)
+        heappush(self._queue, (first, keys[0], event))
+        return event
+
     def _next_seq(self, time: int):
         """Tie-break key for a new event at ``time``.
 
@@ -167,6 +251,17 @@ class Simulator:
         """
         self._seq += 1
         return self._seq
+
+    def _reserve_seqs(self, time: int, count: int) -> Sequence:
+        """The keys of ``count`` events registered now, the first at ``time``.
+
+        The second tie-break hook: it must return what ``count``
+        successive :meth:`_next_seq` calls would, because a series'
+        elements are ordered exactly like that many :meth:`at` calls.
+        """
+        first = self._seq + 1
+        self._seq += count
+        return range(first, first + count)
 
     def call_soon(self, fn: Callable[..., Any], *args: Any, label: str = "", **kwargs: Any) -> Event:
         """Schedule ``fn`` at the current instant (after already-queued work).
@@ -188,8 +283,9 @@ class Simulator:
         the engine's default is FIFO (lowest ``seq`` first), but any of
         them firing first is a legal interleaving.  The model checker
         (:mod:`repro.check`) enumerates them; normal runs never call this.
-        Cancelled events are pruned from the head of the queue as a side
-        effect, exactly as :meth:`step` would.
+        A series appears as its next element.  Cancelled events are
+        pruned from the head of the queue as a side effect, exactly as
+        :meth:`step` would.
         """
         queue = self._queue
         while queue and queue[0][2].cancelled:
@@ -205,11 +301,19 @@ class Simulator:
     def pending_events(self) -> "list[Event]":
         """Every not-yet-cancelled queued event, in no particular order.
 
+        A series lists itself (its next element) and then each later
+        element as a plain event with that element's time, key and args.
         Read-only diagnostics: reprocheck folds the pending set (as
         now-relative times plus labels) into its state fingerprint.
         """
-        return [event for _time, _seq, event in self._queue
-                if not event.cancelled]
+        events = []
+        for _time, _seq, event in self._queue:
+            if event.cancelled:
+                continue
+            events.append(event)
+            if event.series is not None:
+                events.extend(event.series.later(event))
+        return events
 
     def is_queued(self, event: Event) -> bool:
         """True while ``event`` sits in this simulator's queue.
@@ -231,18 +335,23 @@ class Simulator:
         """
         if event.cancelled:
             raise SimulationError(f"cannot step cancelled event {event!r}")
+        queue = self._queue
+        time, args = event.time, event.args
         try:
-            self._queue.remove((event.time, event.seq, event))
+            queue.remove((time, event.seq, event))
         except ValueError:
             raise SimulationError(f"event {event!r} is not queued here") from None
-        heapify(self._queue)
-        if event.time < self._now:
+        entry = None if event.series is None else event.series.rearm(event)
+        if entry is not None:
+            queue.append(entry)
+        heapify(queue)
+        if time < self._now:
             raise SimulationError(f"event {event!r} lies in the past")
-        self._now = event.time
+        self._now = time
         self._events_executed += 1
         if self.profiler is not None:
             self.profiler.count(event)
-        event.fn(*event.args, **event.kwargs)
+        event.fn(*args, **event.kwargs)
 
     # ------------------------------------------------------------------
     # running
@@ -253,18 +362,7 @@ class Simulator:
 
         Returns False when the queue is empty (nothing was run).
         """
-        queue = self._queue
-        while queue:
-            time, _seq, event = heappop(queue)
-            if event.cancelled:
-                continue
-            self._now = time
-            self._events_executed += 1
-            if self.profiler is not None:
-                self.profiler.count(event)
-            event.fn(*event.args, **event.kwargs)
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -289,13 +387,21 @@ class Simulator:
                     continue
                 if until is not None and time > until:
                     break
-                pop(queue)
+                args = event.args
+                # A series leaves the heap only after its last element;
+                # until then it re-arms in place, at a key reserved when
+                # it was registered, before the callback runs.
+                entry = None if event.series is None else event.series.rearm(event)
+                if entry is None:
+                    pop(queue)
+                else:
+                    heapreplace(queue, entry)
                 self._now = time
                 self._events_executed += 1
                 executed += 1
                 if self.profiler is not None:
                     self.profiler.count(event)
-                event.fn(*event.args, **event.kwargs)
+                event.fn(*args, **event.kwargs)
         finally:
             self._running = False
         if until is not None and self._now < until:

@@ -28,7 +28,7 @@ sanitizer only schedules events on the simulator it watches.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.sim.clock import SECOND, format_time
 from repro.sim.engine import Simulator
@@ -64,18 +64,26 @@ class OrderShuffleSimulator(Simulator):
 
     The key stays unique and totally ordered -- ``(group, seq)`` with a
     globally monotonic ``seq`` -- as :meth:`Simulator._next_seq` requires.
+    An event series registered in one instant takes one group for all
+    of its elements, as that many single events would.
     """
 
     def __init__(self, order_salt: int) -> None:
         super().__init__()
         self.order_salt = order_salt
 
-    def _next_seq(self, time: int):
-        seq = super()._next_seq(time)
+    def _group(self) -> int:
+        """The salted tie-break group of the current registration instant."""
         digest = hashlib.sha256(
             f"{self.order_salt}:{self._now}".encode("ascii")).digest()
-        group = int.from_bytes(digest[:8], "big")
-        return (group, seq)
+        return int.from_bytes(digest[:8], "big")
+
+    def _next_seq(self, time: int):
+        return (self._group(), super()._next_seq(time))
+
+    def _reserve_seqs(self, time: int, count: int):
+        group = self._group()
+        return [(group, seq) for seq in super()._reserve_seqs(time, count)]
 
 
 class SimSanitizer:

@@ -697,6 +697,33 @@ def test_race001_allows_distinct_delays_and_disjoint_state(tmp_path):
     assert "RACE001" not in rules
 
 
+def test_every_scheduler_view_sees_event_series(tmp_path):
+    """``at_series`` registers callbacks like ``at``: the races, units,
+    snapshot and taint views all come from one table."""
+    assert "RACE001" in _deep_rules(tmp_path / "race", {"node.py": (
+        "class Node:\n"
+        "    def start(self):\n"
+        "        self.sim.at_series(10, 5, self._drain, b'ab')\n"
+        "        self.sim.at_series(10, 5, self._reset, b'cd')\n"
+        "    def _drain(self, byte):\n"
+        "        self.backlog -= byte\n"
+        "    def _reset(self, byte):\n"
+        "        self.backlog = byte\n")})
+    assert "UNIT002" in _deep_rules(tmp_path / "units", {"model.py": (
+        "class Line:\n"
+        "    def send(self, data, gap_seconds):\n"
+        "        self.sim.at_series(self.sim.now, gap_seconds, self.rx, data)\n")})
+    assert "SNAP001" in rules_hit(
+        "class Line:\n"
+        "    def send(self, sim, data):\n"
+        "        sim.at_series(10, 5, lambda byte: None, data)\n")
+    assert "DETFLOW001" in _deep_rules(tmp_path / "taint", {"model.py": (
+        "import random\n"
+        "class Line:\n"
+        "    def send(self, data):\n"
+        "        self.sim.at_series(10, random.randint(1, 9), self.rx, data)\n")})
+
+
 def test_race001_follows_conflicts_through_helpers(tmp_path):
     rules = _deep_rules(tmp_path, {"node.py": (
         "class Node:\n"

@@ -8,15 +8,20 @@ version of each claim so a regression fails fast and locally.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from repro.check import Budget, Explorer, build_world
+from repro.check.invariants import BoundedQueues, ControlNeverShed
 from repro.check.mutations import MUTATIONS
 from repro.check.replay import ReplayError, replay, replay_violation
-from repro.check.worlds import WORLDS, Lapb2World, independent
+from repro.check.snapshot import StateCapturer, fingerprint
+from repro.check.worlds import (WORLDS, Lapb2World, TcpXferWorld,
+                                _Figure1World, independent)
 from repro.faults.inject import ChoiceOracle, ChoicePoint
+from repro.inet.sockets import TcpServerSocket
 from repro.sim.engine import Simulator
 
 
@@ -172,6 +177,63 @@ def test_preset_exploration_is_pinned(name):
             result.max_depth_seen) == search
     capturer = explorer.capturer
     assert (capturer.captures, capturer.restores) == snapshots
+
+
+class PerCharTcpXferWorld(TcpXferWorld):
+    """tcpxfer's kickoff on the figure-1 testbed at per-character fidelity.
+
+    Every serial byte is its own pending event here, so the pending
+    vector, the transition keys and ``sim.pending`` all see bytes.
+    """
+
+    name = "tcpxfer-per-char"
+
+    def __init__(self) -> None:
+        _Figure1World.__init__(self, fidelity="per_char")
+        self.enable_loss(1)
+        self.server_sockets = []
+        self.client = None
+        self.server = TcpServerSocket(self.testbed.peer.stack, 7,
+                                      self._accept)
+        self.invariants = [BoundedQueues(self.queue_bound),
+                           ControlNeverShed()]
+        self.sim.at(0, self._kickoff, label="kickoff")
+
+
+def test_per_char_fingerprint_chain_is_pinned():
+    """A fixed stepping path through per-char serial bytes, round-tripped
+    through a snapshot every 50 steps, yields the pinned fingerprints:
+    those of one ``sim.at`` event per serial byte."""
+    world = PerCharTcpXferWorld()
+    capturer = StateCapturer()
+    chain = hashlib.sha256()
+    steps = 0
+    while True:
+        head = world.sim.head_events()
+        if not head:
+            break
+        world.oracle.begin()
+        world.sim.step_event(head[steps % len(head)])
+        steps += 1
+        chain.update(fingerprint(world.state_vector()).encode())
+        if steps % 50 == 0:
+            world = capturer.restore(capturer.capture(world))
+    assert (steps, world.sim.now) == (2815, 18_916_918)
+    assert chain.hexdigest() == (
+        "bc6e5d63ae0c5f8e36de071c671f41823be518a013521282416f76a973c085b7")
+
+
+def test_per_char_bounded_search_is_pinned():
+    # The deepest path is 363 steps: the default depth bound of 300
+    # would truncate the search before its fixpoint.
+    result = Explorer(PerCharTcpXferWorld, por=True,
+                      budget=Budget(max_states=1500, max_depth=400)).run()
+    assert result.complete
+    assert (result.states, result.transitions) == (687, 689)
+    assert [violation.invariant for violation in result.violations] == [
+        "bounded-queues"] * 3
+    assert all("queue sim.pending depth" in violation.message
+               for violation in result.violations)
 
 
 def test_budget_truncation_is_reported_not_fatal():

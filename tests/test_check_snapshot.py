@@ -31,6 +31,7 @@ from repro.core.topology import build_figure1_testbed
 from repro.harness import metrics_digest
 from repro.inet.sockets import TcpServerSocket, TcpSocket
 from repro.obs.spans import FlightRecorder
+from repro.serialio.line import SerialLine
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
@@ -201,6 +202,38 @@ def test_bound_method_keeps_its_function_object(monkeypatch):
     assert event.fn.__self__ is restored
     restored.sim.run()
     assert (restored.sent, beacon.sent) == (10, 0)
+
+
+class SerialTalker:
+    """Two per-char writes whose receiver logs every byte it gets."""
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self.line = SerialLine(self.sim, baud=9600)
+        self.received = []
+        self.line.b.on_receive(self.receive)
+        self.line.a.write(b"mid-write")
+        self.line.a.write(b"!")
+
+    def receive(self, byte: int) -> None:
+        self.received.append((self.sim.now, byte))
+
+
+def test_snapshot_in_the_middle_of_a_write_resumes_it():
+    whole = SerialTalker()
+    whole.sim.run_until_idle()
+    assert len(whole.received) == 10
+
+    talker = SerialTalker()
+    talker.sim.run(until=4 * talker.line.byte_time + 1)
+    assert len(talker.received) == 4
+    capturer = StateCapturer()
+    restored = capturer.restore(capturer.capture(talker))
+    assert restored.sim.events_pending == talker.sim.events_pending == 6
+    restored.sim.run_until_idle()
+    talker.sim.run_until_idle()
+    assert restored.received == talker.received == whole.received
+    assert restored.sim.events_executed == whole.sim.events_executed
 
 
 def test_shared_object_is_neither_copied_nor_replaced():

@@ -7,6 +7,7 @@ import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.ping import Pinger
 from repro.ax25.address import AX25Address, AX25Path
@@ -136,6 +137,78 @@ def test_probe_ax25_reads_destination_and_flow_key():
     )
     assert probe_ax25(text_frame.encode()) is None
     assert probe_ax25(b"\x01\x02") is None
+
+
+def _probe_ax25_uncached(frame: bytes):
+    """``probe_ax25`` as it was before it was memoised."""
+    end = -1
+    for block in range(10):
+        index = block * 7 + 6
+        if index >= len(frame):
+            return None
+        if frame[index] & 0x01:
+            end = index
+            break
+    if end < 0 or end + 1 >= len(frame):
+        return None
+    control = frame[end + 1]
+    if (control & 0x01) != 0 and (control & 0xEF) != 0x03:
+        return None
+    if end + 2 >= len(frame) or frame[end + 2] != PID_ARPA_IP:
+        return None
+    key = ip_flow_key(frame[end + 3:])
+    if key is None:
+        return None
+    callsign = "".join(chr(b >> 1) for b in frame[:6]).strip()
+    ssid = (frame[6] >> 1) & 0x0F
+    dest = callsign if ssid == 0 else f"{callsign}-{ssid}"
+    return (dest, key)
+
+
+_CALLSIGN_BYTES = st.lists(st.sampled_from(b"ABKNWZ0179 "),
+                           min_size=6, max_size=6)
+_I_CONTROL = st.integers(0, 0x7F).map(lambda n: n << 1)
+_UI_CONTROL = st.sampled_from([0x03, 0x13])
+_S_CONTROL = st.tuples(st.sampled_from([0x01, 0x05, 0x09, 0x0D]),
+                       st.integers(0, 7)).map(lambda s: s[0] | s[1] << 5)
+_U_CONTROL = st.sampled_from([0x2F, 0x3F, 0x43, 0x63, 0x87])
+
+
+@st.composite
+def _ax25ish_frames(draw):
+    """Destination, source and 0-8 digipeaters (sometimes with no
+    terminating extension bit), an I, UI, S or U control byte, a PID,
+    and an IPv4 or arbitrary body; sometimes truncated anywhere."""
+    blocks = 2 + draw(st.integers(0, 8))
+    terminated = draw(st.sampled_from([True] * 9 + [False]))
+    frame = bytearray()
+    for index in range(blocks):
+        frame += bytes(byte << 1 for byte in draw(_CALLSIGN_BYTES))
+        ssid = (draw(st.integers(0, 0x7F)) << 1) & 0xFE
+        if terminated and index == blocks - 1:
+            ssid |= 0x01
+        frame.append(ssid)
+    frame.append(draw(st.one_of(_I_CONTROL, _UI_CONTROL, _S_CONTROL,
+                                _U_CONTROL, st.integers(0, 0xFF))))
+    frame.append(draw(st.sampled_from(
+        [PID_ARPA_IP, PID_ARPA_IP, PID_NO_L3, 0x08])))
+    if draw(st.sampled_from([True, True, True, False])):
+        frame += _ip_bytes("44.24.0.28", ident=draw(st.integers(0, 0xFFFF)))
+    else:
+        frame += draw(st.binary(max_size=30))
+    if draw(st.sampled_from([False, False, False, True])):
+        del frame[draw(st.integers(0, len(frame))):]
+    return bytes(frame)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ax25ish_frames())
+def test_memoised_probe_ax25_matches_the_uncached_parse(frame):
+    expected = _probe_ax25_uncached(frame)
+    assert probe_ax25(frame) == expected
+    hits = probe_ax25.cache_info().hits
+    assert probe_ax25(bytes(bytearray(frame))) == expected
+    assert probe_ax25.cache_info().hits == hits + 1
 
 
 # ----------------------------------------------------------------------

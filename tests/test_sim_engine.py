@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
+import collections
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.serialio.line import SerialEndpoint, SerialLine
 from repro.sim.clock import SECOND
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.sanitizer import OrderShuffleSimulator
@@ -233,3 +237,178 @@ def test_cancellation_during_dispatch_keeps_equal_time_order():
         events.append(sim.at(500, order.append, index))
     sim.run_until_idle()
     assert order == ["head", 0, 1, 3, 4]
+
+
+# ----------------------------------------------------------------------
+# per-character serial writes: one event series per write
+# ----------------------------------------------------------------------
+
+def per_byte_write(endpoint: SerialEndpoint, data: bytes) -> int:
+    """The reference schedule: one ``sim.at`` per byte, every key drawn
+    when the write is made."""
+    line = endpoint.line
+    sim = line.sim
+    arrival = max(sim.now, endpoint._tx_free_at)
+    for byte in data:
+        arrival += line.byte_time
+        sim.at(arrival, endpoint._deliver, byte,
+               label=f"serial {endpoint.name}")
+    endpoint._tx_free_at = arrival
+    endpoint.bytes_sent += len(data)
+    return arrival
+
+
+class SerialScript:
+    """Per-char writes both ways on one line, plus tie-making probes.
+
+    ``writes`` are ``(slot, side, data)`` and ``probes`` are ``(slot,
+    follow)``, where a slot is a multiple of the byte time, so probes
+    tie with byte arrivals.  A probe with a non-zero ``follow``
+    schedules another probe that many byte times later: that key is
+    drawn after an earlier write, and it ties with that write's later
+    bytes.  A byte with its high bit set that lands at ``b`` is
+    answered from inside the receive handler.
+    """
+
+    def __init__(self, sim, write, writes, probes) -> None:
+        self.sim = sim
+        self.write = write
+        self.line = SerialLine(sim, baud=9600)
+        self.log = []
+        self.line.a.on_receive(self._rx_a)
+        self.line.b.on_receive(self._rx_b)
+        byte_time = self.line.byte_time
+        for slot, side, data in writes:
+            sim.at(slot * byte_time, self._write, side, data, label="writer")
+        for slot, follow in probes:
+            sim.at(slot * byte_time, self._probe, follow, label="probe")
+
+    def _write(self, side: str, data: bytes) -> None:
+        self.log.append((self.sim.now, "write", side))
+        self.write(getattr(self.line, side), data)
+
+    def _probe(self, follow: int) -> None:
+        self.log.append((self.sim.now, "probe", follow))
+        if follow:
+            self.sim.schedule(follow * self.line.byte_time, self._probe, 0,
+                              label="probe")
+
+    def _rx_a(self, byte: int) -> None:
+        self.log.append((self.sim.now, "a", byte))
+
+    def _rx_b(self, byte: int) -> None:
+        self.log.append((self.sim.now, "b", byte))
+        if byte & 0x80:
+            self.write(self.line.b, bytes([byte & 0x7F]) * (byte & 3))
+
+
+WRITES = st.lists(st.tuples(st.integers(0, 40), st.sampled_from("ab"),
+                            st.binary(max_size=12)), max_size=6)
+PROBES = st.lists(st.tuples(st.integers(0, 60), st.integers(0, 5)),
+                  max_size=8)
+SALTS = st.integers(0, 2**32 - 1)
+
+
+def script_pair(make_sim, writes, probes):
+    """The same script under the serial line's write and the reference."""
+    return (SerialScript(make_sim(), SerialEndpoint.write, writes, probes),
+            SerialScript(make_sim(), per_byte_write, writes, probes))
+
+
+def sim_makers(salt: int):
+    return (Simulator, lambda: OrderShuffleSimulator(order_salt=salt))
+
+
+def event_keys(events) -> collections.Counter:
+    return collections.Counter(
+        (event.time, event.seq, event.label, event.args,
+         getattr(event.fn, "__qualname__", None)) for event in events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(writes=WRITES, probes=PROBES, salt=SALTS)
+def test_serial_writes_dispatch_like_per_byte_events(writes, probes, salt):
+    for make_sim in sim_makers(salt):
+        series, reference = script_pair(make_sim, writes, probes)
+        assert series.sim.run_until_idle() == reference.sim.run_until_idle()
+        assert series.log == reference.log
+        assert series.sim.now == reference.sim.now
+
+
+@settings(max_examples=100, deadline=None)
+@given(writes=WRITES, probes=PROBES, salt=SALTS,
+       stops=st.lists(st.integers(0, 90_000), max_size=4))
+def test_pending_events_list_every_undelivered_byte(writes, probes, salt,
+                                                    stops):
+    for make_sim in sim_makers(salt):
+        series, reference = script_pair(make_sim, writes, probes)
+        for stop in sorted(stops) + [None]:
+            series.sim.run(until=stop)
+            reference.sim.run(until=stop)
+            assert series.log == reference.log
+            assert (event_keys(series.sim.pending_events())
+                    == event_keys(reference.sim.pending_events()))
+            assert (series.sim.events_pending
+                    == reference.sim.events_pending)
+
+
+@settings(max_examples=100, deadline=None)
+@given(writes=WRITES, probes=PROBES, salt=SALTS,
+       picks=st.lists(st.integers(0, 7), min_size=1, max_size=20))
+def test_stepping_head_events_follows_the_reference(writes, probes, salt,
+                                                    picks):
+    for make_sim in sim_makers(salt):
+        series, reference = script_pair(make_sim, writes, probes)
+        steps = 0
+        while True:
+            head = series.sim.head_events()
+            reference_head = reference.sim.head_events()
+            assert event_keys(head) == event_keys(reference_head)
+            assert [event.seq for event in head] == [
+                event.seq for event in reference_head]
+            if not head:
+                break
+            index = picks[steps % len(picks)] % len(head)
+            series.sim.step_event(head[index])
+            reference.sim.step_event(reference_head[index])
+            steps += 1
+        assert series.log == reference.log
+
+        # Always stepping the first head event, or calling step(), is
+        # run()'s order.
+        run, stepped, single = (
+            SerialScript(make_sim(), SerialEndpoint.write, writes, probes)
+            for _ in range(3))
+        run.sim.run_until_idle()
+        while stepped.sim.head_events():
+            stepped.sim.step_event(stepped.sim.head_events()[0])
+        while single.sim.step():
+            pass
+        assert stepped.log == run.log == single.log
+
+
+def test_cancelling_a_series_drops_its_remaining_elements():
+    sim = Simulator()
+    got = []
+    series = sim.at_series(10, 5, got.append, b"abcd", label="bytes")
+    assert [(event.time, event.args) for event in sim.head_events()] == [
+        (10, (ord("a"),))]
+    assert sorted((event.time, event.args[0])
+                  for event in sim.pending_events()) == [
+        (10, ord("a")), (15, ord("b")), (20, ord("c")), (25, ord("d"))]
+    sim.at(17, series.cancel)
+    sim.run_until_idle()
+    assert got == [ord("a"), ord("b")]
+    assert sim.events_pending == 0
+    assert not sim.is_queued(series)
+    assert sim.events_executed == 3
+
+
+def test_series_rejects_past_empty_and_unspaced_schedules(sim):
+    sim.schedule(100, lambda: None)
+    sim.run_until_idle()
+    for first, interval, items in ((50, 5, b"x"), (100, 5, b""),
+                                   (100, 0, b"xy")):
+        with pytest.raises(SimulationError):
+            sim.at_series(first, interval, print, items)
+    assert sim.events_pending == 0
