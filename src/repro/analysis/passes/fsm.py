@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set
 
 from repro.analysis.callgraph import CallGraph, ProjectInfo
 from repro.analysis.findings import Finding

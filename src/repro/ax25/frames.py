@@ -17,7 +17,7 @@ so frames at this layer carry none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.ax25.address import (

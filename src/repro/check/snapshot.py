@@ -16,6 +16,21 @@ world runs reads its records, and a counterexample's timeline comes
 from a replay on a fresh world.  A ``random.Random`` travels as its
 624 twister words and index packed into bytes, plus ``gauss_next``,
 and is restored by ``setstate`` on an instance that was never seeded.
+These three reductions sit in the pickler's exact-type
+``dispatch_table``: pickle looks every other type up there without a
+Python call.
+
+Pickle writes a class, a module-level function, a builtin of a module
+and an enum member by name (a member as its class and value), and the
+load looks the very same object up again.  A capturer learns those
+objects from a plain dump of the world at its first capture and keeps
+them in a table.  Every capture starts from a copy of a memo that
+already holds the table, so each of them costs one memo reference and
+no Python call.  A restore first loads, in the same unpickler, a
+prefix pickle that memoises the table through persistent ids, so those
+references resolve to the objects a lookup by name would give.
+Objects first met after the first capture still go by name: learning
+them later would mean reading the memo back after every dump.
 
 Whatever pickle cannot carry -- a lambda or nested function, a
 generator, an OS handle -- makes :meth:`StateCapturer.capture` raise
@@ -42,11 +57,13 @@ import copyreg
 import enum
 import hashlib
 import io
+import itertools
+import operator
 import pickle
 import random
 import struct
 import types
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.trace import Tracer
 
@@ -99,13 +116,70 @@ _REDUCERS: Dict[type, Callable[[Any], tuple]] = {
 
 
 class _Pickler(pickle.Pickler):
-    """A pickler that applies :data:`_REDUCERS`."""
+    """A pickler that applies :data:`_REDUCERS`.
 
-    def reducer_override(self, obj: Any) -> Any:
-        reduce = _REDUCERS.get(type(obj))
-        if reduce is None:
-            return NotImplemented
-        return reduce(obj)
+    A pickler with its own ``dispatch_table`` no longer reads copyreg's,
+    so the table starts from a copy of it.
+    """
+
+    dispatch_table = {**copyreg.dispatch_table, **_REDUCERS}
+
+
+def _by_reference(obj: Any) -> bool:
+    """Whether pickle writes ``obj`` by name and loads the same object back."""
+    cls = type(obj)
+    if cls is types.BuiltinFunctionType:
+        # ``bytearray().append`` is this type too, but pickle reduces it
+        # to a ``getattr`` on its copied ``__self__``.
+        return isinstance(obj.__self__, types.ModuleType)
+    return (cls is types.FunctionType or isinstance(obj, type)
+            or isinstance(obj, enum.Enum))
+
+
+def _memo(table: List[Any]) -> Any:
+    """The memo of a pickler that has written ``table``, in order."""
+    template = _Pickler(io.BytesIO(), pickle.HIGHEST_PROTOCOL)
+    template.memo = {id(obj): (index, obj) for index, obj in enumerate(table)}
+    return template.memo
+
+
+def _prefix(count: int) -> bytes:
+    """A pickle whose load memoises table entries ``0 .. count - 1``.
+
+    Each entry is a persistent id, so the load takes no copy of
+    anything.  Setting ``Unpickler.memo`` cannot do this on CPython
+    3.11: a dict's entries are dropped, and a copied memo restarts the
+    count that ``MEMOIZE`` assigns its index from.
+    """
+    ops = [pickle.PROTO, bytes([pickle.HIGHEST_PROTOCOL])]
+    for index in range(count):
+        ops += [pickle.BININT, struct.pack("<i", index), pickle.BINPERSID,
+                pickle.MEMOIZE, pickle.POP]
+    ops += [pickle.NONE, pickle.STOP]
+    return b"".join(ops)
+
+
+class _Stamp:
+    """What a snapshot holds before its world: the capturer's key.
+
+    It pickles as a call of ``check`` with ``key``.  Every capturer's
+    ``check`` is its first table entry, so the call goes to the
+    restoring capturer, which refuses another capturer's key before the
+    world loads.
+    """
+
+    __slots__ = ("check", "key")
+
+    def __init__(self, check: Callable[[int], None], key: int) -> None:
+        self.check = check
+        self.key = key
+
+    def __reduce__(self) -> tuple:
+        return self.check, (self.key,)
+
+
+#: Capturer keys, unique in the process.
+_KEYS = itertools.count()
 
 
 class StateCapturer:
@@ -114,45 +188,78 @@ class StateCapturer:
     ``capture`` returns the world pickled to ``bytes``; ``restore``
     returns a fresh live world unpickled from them.  Each restore is
     independent -- the explorer restores the same snapshot once per
-    branch and mutates each copy freely.  Objects passed to
-    :meth:`share` travel as persistent ids, so they come back as the
-    same object in both directions; use it for genuinely ambient
-    things (an interner, a read-only table), never for mutable sim
-    state.
+    branch and mutates each copy freely.
+
+    The first capture builds the capturer's table: its own key check,
+    the objects given to :meth:`share`, then every class, module-level
+    function, module builtin and enum member that a plain dump of the
+    world memoised.  A snapshot is the pickler's own output buffer,
+    with no copy; ``restore`` loads the table's prefix and then the
+    snapshot in one unpickler.
     """
 
     def __init__(self) -> None:
-        self._shared: list[Any] = []
-        self._shared_ids: dict[int, int] = {}
+        self._stamp = _Stamp(self._check, next(_KEYS))
+        self._table: List[Any] = [self._stamp.check]
+        self._memo: Any = None
+        self._prefix = _prefix(1)
         self.captures = 0
         self.restores = 0
 
-    def share(self, obj: Any) -> None:
-        """Exempt ``obj`` from copying: snapshots alias it directly."""
-        self._shared_ids[id(obj)] = len(self._shared)
-        self._shared.append(obj)
+    def _check(self, key: int) -> None:
+        if key != self._stamp.key:
+            raise ValueError("snapshot taken by another StateCapturer")
 
-    def _persistent_id(self, obj: Any) -> Optional[int]:
-        return self._shared_ids.get(id(obj))
+    def share(self, obj: Any) -> None:
+        """Exempt ``obj`` from copying: snapshots alias it directly.
+
+        A shared object is a table entry and is never pickled, so it
+        may hold what pickle cannot carry (a lock, a code object); use
+        it for genuinely ambient things (an interner, a profiling
+        hook), never for mutable sim state.  The table is fixed by the
+        first capture, so sharing after it raises.
+        """
+        if self._memo is not None:
+            raise RuntimeError("share() after the first capture")
+        # One memo entry per object: a second would shift every index.
+        if not any(entry is obj for entry in self._table):
+            self._table.append(obj)
 
     def capture(self, world: Any) -> bytes:
         """Freeze the world: bytes sharing nothing mutable with it."""
         self.captures += 1
-        buffer = io.BytesIO()
-        pickler = _Pickler(buffer, pickle.HIGHEST_PROTOCOL)
-        # The pickler calls persistent_id on every object it writes,
-        # so it is installed only when there is something to find.
-        if self._shared:
-            pickler.persistent_id = self._persistent_id
+        if self._memo is None:
+            self._learn(world)
+        chunks: List[bytes] = []
+        pickler = _Pickler(types.SimpleNamespace(write=chunks.append),
+                           pickle.HIGHEST_PROTOCOL)
+        pickler.memo = self._memo
+        pickler.dump((self._stamp, world))
+        # The pickler writes once per 64 KiB frame, and joining one
+        # chunk returns it: a snapshot is normally the pickler's own
+        # output buffer, not a copy.
+        return b"".join(chunks)
+
+    def _learn(self, world: Any) -> None:
+        """Complete the table from what a plain dump of ``world`` memoised."""
+        known = len(self._table)
+        pickler = _Pickler(io.BytesIO(), pickle.HIGHEST_PROTOCOL)
+        pickler.memo = _memo(self._table)
         pickler.dump(world)
-        return buffer.getvalue()
+        written = sorted(pickler.memo.copy().values(),
+                         key=operator.itemgetter(0))
+        self._table += [obj for _index, obj in written[known:]
+                        if _by_reference(obj)]
+        self._memo = _memo(self._table)
+        self._prefix = _prefix(len(self._table))
 
     def restore(self, frozen: bytes) -> Any:
         """A fresh live world from a frozen snapshot."""
         self.restores += 1
-        unpickler = pickle.Unpickler(io.BytesIO(frozen))
-        unpickler.persistent_load = self._shared.__getitem__
-        return unpickler.load()
+        unpickler = pickle.Unpickler(io.BytesIO(self._prefix + frozen))
+        unpickler.persistent_load = self._table.__getitem__
+        unpickler.load()
+        return unpickler.load()[1]
 
 
 #: Types ``canonical`` returns unchanged (exact types: an enum that

@@ -12,7 +12,7 @@ surrounding sweep is parallelised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 from repro.sim.clock import SECOND

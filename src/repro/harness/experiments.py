@@ -15,7 +15,7 @@ ordering and conservation checks.  ``chaos``, ``obs`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.apps.ping import Pinger
 from repro.ax25.address import AX25Address
@@ -236,6 +236,18 @@ def run_soak(
 # chaos -- fault-injection soak with watchdog recovery (the E10 harness)
 # ----------------------------------------------------------------------
 
+def chaos_targets(scenario: Scenario, limit: int) -> List[str]:
+    """The first ``limit`` IP stations, the chaos plan's radio targets.
+
+    The gateway testbed names its IP stations ``WL0``, ``WL1``, ... and
+    builds only as many as the allocation gives the ping, udp and tcp
+    generators, so a bbs- or chatter-only mix has none.
+    """
+    ip_count = sum(1 for c in scenario.station_allocation()
+                   if c.kind in ("ping", "udp", "tcp"))
+    return [f"WL{i}" for i in range(min(ip_count, limit))]
+
+
 def run_chaos(
     seed: int = 0,
     stations: int = 50,
@@ -261,11 +273,8 @@ def run_chaos(
         seed=seed, watchdog=watchdog,
         shed_threshold_bytes=shed_threshold_bytes,
     )
-    ip_count = sum(1 for c in scenario.station_allocation()
-                   if c.kind in ("ping", "udp", "tcp"))
-    station_names = [f"WL{i}" for i in range(min(ip_count, 2))]
     plan = chaos_plan(int(duration_seconds), gateway="gateway",
-                      stations=station_names)
+                      stations=chaos_targets(scenario, 2))
     scenario = replace(scenario, fault_plan=plan)
     run = build_scenario(scenario)
     metrics = run.run()
@@ -297,13 +306,15 @@ OBS_MIX: Tuple[GeneratorMix, ...] = (
 
 
 def with_chaos(scenario: Scenario) -> Scenario:
-    """``scenario`` under the standard chaos schedule, aimed at ``WL0``.
+    """``scenario`` under the standard chaos schedule.
 
-    The fault plan spans the scenario's duration; the driver watchdog
-    is on and the gateway sheds bulk traffic past a 2 KB serial backlog.
+    The fade and interface flap hit the first IP station, if the mix
+    has one.  The fault plan spans the scenario's duration; the driver
+    watchdog is on and the gateway sheds bulk traffic past a 2 KB
+    serial backlog.
     """
     plan = chaos_plan(int(scenario.duration_seconds), gateway="gateway",
-                      stations=["WL0"])
+                      stations=chaos_targets(scenario, 1))
     return replace(scenario, fault_plan=plan, watchdog=True,
                    shed_threshold_bytes=2048)
 

@@ -13,7 +13,6 @@ Three layers, mirroring the implementation:
 """
 
 import itertools
-import json
 import subprocess
 import sys
 from pathlib import Path

@@ -9,6 +9,8 @@ version of each claim so a regression fails fast and locally.
 from __future__ import annotations
 
 import hashlib
+import io
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -17,9 +19,9 @@ from repro.check import Budget, Explorer, build_world
 from repro.check.invariants import BoundedQueues, ControlNeverShed
 from repro.check.mutations import MUTATIONS
 from repro.check.replay import ReplayError, replay, replay_violation
-from repro.check.snapshot import StateCapturer, fingerprint
+from repro.check.snapshot import _REDUCERS, StateCapturer, fingerprint
 from repro.check.worlds import (WORLDS, Lapb2World, TcpXferWorld,
-                                _Figure1World, independent)
+                                _args_summary, _Figure1World, independent)
 from repro.faults.inject import ChoiceOracle, ChoicePoint
 from repro.inet.sockets import TcpServerSocket
 from repro.sim.engine import Simulator
@@ -221,6 +223,79 @@ def test_per_char_fingerprint_chain_is_pinned():
     assert (steps, world.sim.now) == (2815, 18_916_918)
     assert chain.hexdigest() == (
         "bc6e5d63ae0c5f8e36de071c671f41823be518a013521282416f76a973c085b7")
+
+
+class ReferencePickler(pickle.Pickler):
+    """Plain pickle with the capturer's reductions and no learned table."""
+
+    def reducer_override(self, obj):
+        reduce = _REDUCERS.get(type(obj))
+        return NotImplemented if reduce is None else reduce(obj)
+
+
+def _reference_dumps(world) -> bytes:
+    buffer = io.BytesIO()
+    ReferencePickler(buffer, pickle.HIGHEST_PROTOCOL).dump(world)
+    return buffer.getvalue()
+
+
+def _step(world, choice: int, script) -> bool:
+    """Run head event ``choice`` (mod the head's size); False if none."""
+    head = world.sim.head_events()
+    if not head:
+        return False
+    world.oracle.begin(script)
+    world.sim.step_event(head[choice % len(head)])
+    return True
+
+
+def _pending(world):
+    """The pending events, in queue order, as comparable values."""
+    return [(event.time, event.seq, event.label,
+             getattr(event.fn, "__func__", event.fn),
+             type(getattr(event.fn, "__self__", None)),
+             _args_summary(event.args))
+            for event in world.sim.pending_events()]
+
+
+def _assert_same(primed, reference) -> None:
+    assert (fingerprint(primed.state_vector())
+            == fingerprint(reference.state_vector()))
+    assert _pending(primed) == _pending(reference)
+
+
+@pytest.mark.parametrize("factory", [
+    Lapb2World, WORLDS["hidden3"], WORLDS["shedworld"], TcpXferWorld,
+    PerCharTcpXferWorld])
+def test_primed_round_trips_match_plain_pickle(factory):
+    """A world round-tripped through the capturer's learned table steps
+    exactly like one round-tripped through plain pickle."""
+    primed, reference = factory(), factory()
+    capturer = StateCapturer()
+    steps = 0
+    while steps < 600:
+        # Every fourth step takes a decision's second arm (a loss).
+        script = [1] if steps % 4 == 3 else []
+        if not _step(primed, steps, script):
+            assert not reference.sim.head_events()
+            break
+        assert _step(reference, steps, script)
+        steps += 1
+        if steps % 3 == 0:
+            frozen = capturer.capture(primed)
+            plain = _reference_dumps(reference)
+            # As in the explorer, a restored copy runs another branch
+            # while the path goes on in the live world; every other
+            # time the path goes on in a restored copy instead.
+            branches = capturer.restore(frozen), pickle.loads(plain)
+            for world in branches:
+                _step(world, steps + 1, [1])
+            _assert_same(*branches)
+            if steps % 6 == 0:
+                primed = capturer.restore(frozen)
+                reference = pickle.loads(plain)
+        _assert_same(primed, reference)
+    assert capturer.captures == steps // 3 > 2
 
 
 def test_per_char_bounded_search_is_pinned():

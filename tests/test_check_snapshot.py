@@ -20,6 +20,7 @@ import collections
 import enum
 import pickle
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,6 +258,113 @@ def test_lambda_on_sim_state_fails_capture():
     beacon.on_send = lambda: beacon.send()
     with pytest.raises((pickle.PicklingError, AttributeError)):
         StateCapturer().capture(beacon)
+
+
+# ----------------------------------------------------------------------
+# the table the first capture learns
+# ----------------------------------------------------------------------
+
+def _primed(capturer: StateCapturer, world):
+    """``world`` through a capture made after the table was learned."""
+    capturer.capture(world)
+    return capturer.restore(capturer.capture(world))
+
+
+class ByteSink:
+    """A serial line whose receive handler is a builtin bound method."""
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self.line = SerialLine(self.sim, baud=9600)
+        self.received = bytearray()
+        self.line.b.on_receive(self.received.append)
+
+
+def test_builtin_bound_handler_fills_the_restored_bytearray():
+    live = ByteSink()
+    restored = _primed(StateCapturer(), live)
+    restored.line.a.write(b"hello")
+    restored.sim.run_until_idle()
+    assert bytes(restored.received) == b"hello"
+    assert bytes(live.received) == b""
+
+
+def test_bound_method_rebinds_to_the_restored_owner():
+    beacon = Beacon(Simulator())
+    restored = _primed(StateCapturer(), beacon)
+    (event,) = restored.sim.pending_events()
+    assert event.fn.__func__ is Beacon.send
+    assert event.fn.__self__ is restored
+    restored.sim.run()
+    assert (restored.sent, beacon.sent) == (1, 0)
+
+
+def test_lambda_added_after_the_first_capture_fails_capture():
+    beacon = Beacon(Simulator())
+    capturer = StateCapturer()
+    capturer.capture(beacon)
+    beacon.on_send = lambda: beacon.send()
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        capturer.capture(beacon)
+
+
+def test_a_first_capture_that_raised_leaves_no_table():
+    beacon = Beacon(Simulator())
+    beacon.on_send = lambda: beacon.send()
+    capturer = StateCapturer()
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        capturer.capture(beacon)
+    # Still before the first capture: sharing is allowed, and the next
+    # capture learns a table that holds the shared object.
+    table = {"ambient": []}
+    capturer.share(table)
+    del beacon.on_send
+    beacon.table = table
+    restored = _primed(capturer, beacon)
+    assert restored.table is table
+    assert restored.sim is not beacon.sim
+
+
+class ProfilingHook:
+    """Ambient state pickle cannot carry, like perfbench's dispatch hook."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+
+
+def test_shared_unpicklable_object_is_never_pickled():
+    hook = ProfilingHook()
+    capturer = StateCapturer()
+    capturer.share(hook)
+    beacon = Beacon(Simulator())
+    beacon.hook = hook
+    first = capturer.capture(beacon)
+    later = capturer.capture(beacon)
+    for frozen in (first, later, first):
+        restored = capturer.restore(frozen)
+        assert restored.hook is hook
+        assert restored.sim is not beacon.sim
+
+
+def test_share_after_the_first_capture_raises():
+    capturer = StateCapturer()
+    capturer.capture(Beacon(Simulator()))
+    with pytest.raises(RuntimeError):
+        capturer.share(ProfilingHook())
+
+
+def test_restoring_on_another_capturer_raises():
+    beacon = Beacon(Simulator())
+    capturer, other = StateCapturer(), StateCapturer()
+    first = capturer.capture(beacon)
+    later = capturer.capture(beacon)
+    other.capture(beacon)
+    for frozen in (first, later):
+        with pytest.raises(ValueError):
+            other.restore(frozen)
+        with pytest.raises(ValueError):
+            StateCapturer().restore(frozen)
+    assert capturer.restore(later).sim.now == beacon.sim.now
 
 
 def test_canonical_merges_insertion_orders():

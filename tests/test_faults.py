@@ -347,3 +347,32 @@ def test_chaos_run_recovers_and_pings_after_the_storm():
     assert metrics["watchdog_recoveries"] >= 1
     assert metrics["post_fault_pings_ok"] >= 1
     assert metrics["gateway_tnc_resets"] >= 1
+
+
+@pytest.mark.parametrize("kind", ["bbs", "chatter"])
+def test_chaos_on_a_mix_without_ip_stations_builds_and_runs(kind):
+    from repro.harness.experiments import with_chaos
+    from repro.workload.scenario import (GeneratorMix, Scenario,
+                                         build_scenario)
+    scenario = with_chaos(Scenario(
+        name=f"{kind}-only", topology="gateway", stations=4,
+        duration_seconds=40.0, mix=(GeneratorMix(kind),), seed=3))
+    metrics = build_scenario(scenario).run()
+    # No WL station exists, so the plan keeps only its gateway faults.
+    assert {spec.target for spec in scenario.fault_plan.specs} == {"gateway"}
+    assert metrics["faults_injected"] == 4
+
+
+def test_chaos_targets_follow_the_allocation():
+    from repro.harness.experiments import (MIX_PRESETS, OBS_MIX,
+                                           chaos_targets)
+    from repro.workload.scenario import GeneratorMix, Scenario
+    mixed = Scenario(name="mixed", topology="gateway", stations=50,
+                     mix=MIX_PRESETS["mixed"])
+    assert chaos_targets(mixed, 2) == ["WL0", "WL1"]
+    observed = Scenario(name="obs", topology="gateway", stations=8,
+                        mix=OBS_MIX)
+    assert chaos_targets(observed, 1) == ["WL0"]
+    one_ip = Scenario(name="one-ip", topology="gateway", stations=2,
+                      mix=(GeneratorMix("ping"), GeneratorMix("bbs")))
+    assert chaos_targets(one_ip, 2) == ["WL0"]

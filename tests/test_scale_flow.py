@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.radio.channel import RadioChannel
-from repro.radio.modem import ModemProfile
 from repro.scale.flow import FlowStationCloud
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator

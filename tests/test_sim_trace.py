@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import NullTracer
 
 
 def test_records_carry_sim_time(sim, tracer):
