@@ -119,7 +119,7 @@ class _Pickler(pickle.Pickler):
     """A pickler that applies :data:`_REDUCERS`.
 
     A pickler with its own ``dispatch_table`` no longer reads copyreg's,
-    so the table starts from a copy of it.
+    so the table starts from a copy of it, taken at import.
     """
 
     dispatch_table = {**copyreg.dispatch_table, **_REDUCERS}
