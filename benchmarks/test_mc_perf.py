@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from typing import Dict
 
-from repro.check import Budget, Explorer
+from repro.check import Budget, Explorer, por_ratio
 from repro.check.worlds import Lapb2World
 from repro.harness.results import bench_json_path, write_bench_json
 
@@ -63,24 +63,18 @@ def test_exploration_rate_above_floor(benchmark):
 
 
 def test_por_ratio_above_floor():
-    tree = Explorer(Lapb2World, por=True, dedup=False,
-                    budget=Budget(max_wall_seconds=120)).run()
-    assert tree.complete, "POR tree walk must reach fixpoint"
-    naive = Explorer(Lapb2World, por=False, dedup=False,
-                     budget=Budget(max_states=NAIVE_STATE_CAP,
-                                   max_wall_seconds=120)).run()
-    ratio = naive.states / tree.states if tree.states else 0.0
-    assert ratio >= POR_RATIO_FLOOR, (
-        f"POR ratio {ratio:.2f}x below the {POR_RATIO_FLOOR}x floor "
-        f"({naive.states} naive vs {tree.states} reduced states)")
+    por, complete = por_ratio(Budget(max_wall_seconds=120), NAIVE_STATE_CAP)
+    assert complete, "POR tree walk must reach fixpoint"
+    assert por["ratio"] >= POR_RATIO_FLOOR, (
+        f"POR ratio {por['ratio']:.2f}x below the {POR_RATIO_FLOOR}x floor "
+        f"({por['naive_states']} naive vs {por['por_states']} reduced "
+        f"states)")
     _RESULTS["lapb2_por_ratio"] = {
-        "por_states": float(tree.states),
-        "por_transitions": float(tree.transitions),
-        "naive_states": float(naive.states),
-        "naive_transitions": float(naive.transitions),
-        "ratio": round(ratio, 2),
+        **{key: float(por[key]) for key in (
+            "por_states", "por_transitions", "naive_states",
+            "naive_transitions", "ratio")},
         # 1.0 when the baseline hit its cap: the true ratio is higher.
-        "ratio_is_lower_bound": 0.0 if naive.complete else 1.0,
+        "ratio_is_lower_bound": float(por["lower_bound"]),
         "floor_ratio": POR_RATIO_FLOOR,
     }
 

@@ -117,10 +117,6 @@ def _sweep(argv: List[str]) -> int:
               f"{owner}`; give --out to sweep {args.bench}", file=sys.stderr)
         return 2
 
-    if args.procs < 1:
-        print("--procs must be >= 1", file=sys.stderr)
-        return 2
-
     experiment = EXPERIMENTS[args.bench]
     seed_count = (args.seeds if args.seeds is not None
                   else experiment.default_seed_count)
@@ -163,8 +159,8 @@ def _chaos(argv: List[str]) -> int:
     (3) at least one watchdog recovery within the documented bound, and
     (4) successful post-recovery end-to-end pings in every run.
     """
-    from repro.harness.gate import Gate, parse_gate_args
-    from repro.harness.results import sweep_to_dict
+    from repro.harness.experiments import chaos_scenario
+    from repro.harness.gate import Gate, checked, parse_gate_args
     from repro.harness.runner import SweepSpec
 
     parser = argparse.ArgumentParser(
@@ -181,30 +177,23 @@ def _chaos(argv: List[str]) -> int:
                         help="max allowed watchdog recovery time in "
                              "simulated seconds (default: 60)")
     args = parse_gate_args(parser, argv, "chaos")
+    cell = {"stations": args.stations, "duration_seconds": args.duration}
+    checked(chaos_scenario, args.seed_base, **cell)
 
     gate = Gate("chaos")
-    grid = ({"stations": args.stations,
-             "duration_seconds": args.duration},)
-    results, digests = gate.sweep(
-        SweepSpec(bench="chaos", seeds=args.seed_list, grid=grid),
+    results, document = gate.sweep(
+        SweepSpec(bench="chaos", seeds=args.seed_list, grid=(cell,)),
         progress=lambda r: print(
             f"  seed={r.seed} ({r.wall_seconds:.1f}s) "
             f"recoveries={r.metrics.get('watchdog_recoveries', 0):.0f} "
             f"post-pings={r.metrics.get('post_fault_pings_ok', 0):.0f}"))
     for record in results[1].records:
         where = f"seed={record.seed}"
-        metrics = record.metrics
-        if gate.check(metrics.get("watchdog_recoveries", 0) >= 1,
-                      f"{where}: watchdog never recovered the TNC"):
-            recovery = metrics.get("watchdog_last_recovery_s", 0)
+        if gate.require(where, record.metrics)["watchdog_recoveries"]:
+            recovery = record.metrics.get("watchdog_last_recovery_s", 0)
             gate.check(recovery <= args.recovery_bound,
                        f"{where}: recovery took {recovery:.1f}s "
                        f"(bound {args.recovery_bound:.0f}s)")
-        gate.check(metrics.get("post_fault_pings_ok", 0) >= 1,
-                   f"{where}: no post-recovery ping succeeded")
-
-    document = sweep_to_dict(results[2])
-    document["digests"] = digests
     return gate.finish(args.out, document,
                        f"{len(results[1].records)} run(s), digests "
                        f"identical across layouts")
@@ -223,12 +212,10 @@ def _tournament(argv: List[str]) -> int:
     ``BENCH_tournament.json`` with goodput/latency/retransmit
     Student-t CIs per cell.
     """
-    import json
-
-    from repro.faults.plan import TOURNAMENT_PLANS
-    from repro.harness.gate import Gate, parse_gate_args, usage_error
-    from repro.harness.results import sweep_to_dict
-    from repro.harness.runner import SweepSpec
+    from repro.faults.plan import TOURNAMENT_PLANS, tournament_plan
+    from repro.harness.gate import Gate, checked, parse_gate_args, parse_list
+    from repro.harness.runner import SweepSpec, params_key
+    from repro.radio.modem import ModemProfile
 
     parser = argparse.ArgumentParser(
         prog="python -m repro tournament",
@@ -248,20 +235,11 @@ def _tournament(argv: List[str]) -> int:
                         help="worker processes for the parallel layout "
                              "(default: 2)")
     args = parse_gate_args(parser, argv, "tournament")
-    plans = tuple(p.strip() for p in args.plans.split(",") if p.strip())
-    unknown = [p for p in plans if p not in TOURNAMENT_PLANS]
-    if not plans or unknown:
-        usage_error(f"unknown plan(s) {unknown}; known: "
-                    f"{', '.join(TOURNAMENT_PLANS)}")
-    try:
-        speeds = tuple(int(s) for s in args.speeds.split(",") if s.strip())
-    except ValueError:
-        speeds = ()
-    if not speeds or min(speeds) < 1:
-        usage_error(f"--speeds needs comma-separated positive bit rates, "
-                    f"got {args.speeds!r}")
-    if args.procs < 1:
-        usage_error(f"--procs must be >= 1, got {args.procs}")
+    plans = parse_list("--plans", args.plans, known=TOURNAMENT_PLANS)
+    speeds = parse_list("--speeds", args.speeds, item=lambda text:
+                        ModemProfile(bit_rate=int(text)).bit_rate)
+    for plan in plans:
+        checked(tournament_plan, plan, int(args.duration))
 
     def cell(rto: str, cc: str, link_timer: str, plan: str,
              bit_rate: int) -> Dict[str, object]:
@@ -278,7 +256,7 @@ def _tournament(argv: List[str]) -> int:
         for link_timer in ("fixed", "adaptive")
     )
     gate = Gate("tournament")
-    results, digests = gate.sweep(
+    results, document = gate.sweep(
         SweepSpec(bench="tournament", seeds=args.seed_list, grid=grid),
         procs=(1, args.procs))
 
@@ -297,20 +275,16 @@ def _tournament(argv: List[str]) -> int:
               f"rexmit={rexmit.render():18s} "
               f"latency={latency.render() if latency else '-'}")
     for record in result.records:
-        gate.check(record.metrics.get("obs_conservation_ok", 0) >= 1,
-                   f"seed={record.seed} {record.params}: "
-                   f"span conservation violated")
+        gate.require(f"seed={record.seed} {record.params}", record.metrics)
 
     # The §4.1 headline: on the storm plan at 1200 bps, adaptive RTO
     # with Reno must strictly beat the fixed-RTO uncongested baseline.
     headline = {}
     if "storm" in plans and 1200 in speeds:
-        champion_key = json.dumps(
-            cell("adaptive", "reno", "fixed", "storm", 1200),
-            sort_keys=True, default=str)
-        baseline_key = json.dumps(
-            cell("fixed", "none", "fixed", "storm", 1200),
-            sort_keys=True, default=str)
+        champion_key = params_key(
+            cell("adaptive", "reno", "fixed", "storm", 1200))
+        baseline_key = params_key(
+            cell("fixed", "none", "fixed", "storm", 1200))
         champion = result.aggregates[champion_key]["goodput_bytes_per_s"]
         baseline = result.aggregates[baseline_key]["goodput_bytes_per_s"]
         headline = {
@@ -327,10 +301,9 @@ def _tournament(argv: List[str]) -> int:
                    f"FixedRto+NoCongestion {baseline.mean:.1f} B/s "
                    f"under the storm plan")
 
-    document = sweep_to_dict(results[args.procs])
     # 360 runs x ~180 metrics (mostly obs histogram buckets) makes a
     # multi-megabyte artifact; keep the recovery-relevant slice.  The
-    # digests below still cover the full metric set of every run.
+    # digests still cover the full metric set of every run.
     keep_prefixes = ("goodput_", "tcp_", "lapb_", "fault",
                      "obs_conservation_", "channel_")
     keep_exact = {"obs_born_total", "obs_delivered", "obs_dropped",
@@ -340,7 +313,6 @@ def _tournament(argv: List[str]) -> int:
             entry["metrics"] = {
                 name: value for name, value in entry["metrics"].items()
                 if name in keep_exact or name.startswith(keep_prefixes)}
-    document["digests"] = digests
     document["headline"] = headline
     return gate.finish(args.out, document,
                        f"{len(grid)} cell(s) x {args.seeds} seed(s), zero "
@@ -425,19 +397,15 @@ def _report(argv: List[str]) -> int:
 
 def _single_report(args: argparse.Namespace) -> int:
     """``report`` without ``--bench``: one instrumented scenario."""
-    from repro.harness.experiments import OBS_MIX, with_chaos
+    from repro.harness.experiments import obs_scenario
+    from repro.harness.gate import checked
     from repro.obs.pcap import PcapWriter
     from repro.obs.report import ReportError, render_report, require_reportable
     from repro.tools.axdump import ChannelMonitor
-    from repro.workload.scenario import Scenario, build_scenario
+    from repro.workload.scenario import build_scenario
 
-    scenario = Scenario(
-        name=f"report-{args.variant}", topology="gateway",
-        stations=args.stations, duration_seconds=args.duration,
-        mix=OBS_MIX, seed=args.seed, observe=not args.no_observe,
-    )
-    if args.variant == "chaos":
-        scenario = with_chaos(scenario)
+    scenario = checked(obs_scenario, args.seed, args.variant, args.stations,
+                       args.duration, prefix="report", observe=not args.no_observe)
     run = build_scenario(scenario)
     profiler = None
     if args.flame:
@@ -474,19 +442,15 @@ def _single_report(args: argparse.Namespace) -> int:
 
 def _obs_gate(args: argparse.Namespace) -> int:
     """``report --bench``: the observability gate."""
-    from dataclasses import replace as dc_replace
-
     from repro.faults import FaultPlan, FaultSpec
     from repro.harness.gate import Gate
-    from repro.harness.results import sweep_to_dict
     from repro.harness.runner import SweepSpec
     from repro.obs.overhead import measure as measure_overhead
     from repro.scale.regions import ScaleLayout
-    from repro.scale.shard import run_sharded
     from repro.sim.clock import SECOND
 
     gate = Gate("obs")
-    results, digests = gate.sweep(
+    results, document = gate.sweep(
         SweepSpec(bench="obs", seeds=args.seed_list),
         progress=lambda r: print(
             f"  seed={r.seed} {r.params} ({r.wall_seconds:.1f}s) "
@@ -494,11 +458,7 @@ def _obs_gate(args: argparse.Namespace) -> int:
             f"delivered={r.metrics.get('obs_delivered', 0):.0f} "
             f"conservation={r.metrics.get('obs_conservation_ok', 0):.0f}"))
     for record in results[1].records:
-        where = f"seed={record.seed} {record.params}"
-        gate.check(record.metrics.get("obs_conservation_ok", 0) >= 1,
-                   f"{where}: span conservation violated")
-        gate.check(record.metrics.get("obs_born_total", 0) >= 1,
-                   f"{where}: no packets born (dead scenario)")
+        gate.require(f"seed={record.seed} {record.params}", record.metrics)
 
     # Sharded-trace gate: a two-region observed chaos layout per seed,
     # run with 1/2/4 worker processes.  Cross-shard span conservation
@@ -515,25 +475,16 @@ def _obs_gate(args: argparse.Namespace) -> int:
                       at=8 * SECOND, duration=10 * SECOND,
                       probability=0.05),
         )))
-    print(f"sharded-trace gate: {args.seeds} seed(s) x 2 regions, "
-          f"procs=(1, 2, 4)")
-    shards, shard_digests = gate.invariance(
-        "procs", (1, 2, 4), lambda procs: {
-            f"seed={seed}": run_sharded(dc_replace(shard_template, seed=seed),
-                                        procs=procs)
-            for seed in args.seed_list}, cells=dict)
+    shards, shard_digests = gate.sharded(shard_template, args.seed_list)
     shard_runs: Dict[str, Dict[str, float]] = {}
     for where, metrics in shards[1].items():
         shard_runs[where] = {key: value
                              for key, value in sorted(metrics.items())
                              if key.startswith("total/obs_")}
-        born = metrics.get("total/obs_born_total", 0)
-        print(f"  {where} born={born:.0f} "
+        print(f"  {where} born={metrics.get('total/obs_born_total', 0):.0f} "
               f"handed-off={metrics.get('total/obs_handed_off', 0):.0f} "
               f"adopted={metrics.get('total/obs_adopted', 0):.0f}")
-        gate.check(metrics.get("total/obs_sharded_conservation_ok", 0) >= 1,
-                   f"shard {where}: cross-shard span conservation violated")
-        gate.check(born >= 1, f"shard {where}: no packets born")
+        gate.require(f"shard {where}", metrics, "obs-sharded")
 
     # Paired-round overhead columns (recorded for trend tracking; the
     # perf microbench asserts the <10% budget with more rounds).
@@ -545,8 +496,6 @@ def _obs_gate(args: argparse.Namespace) -> int:
           f"noise {overhead['obs_disabled_overhead_pct']:+.1f}%"
           f"±{overhead['obs_disabled_overhead_ci95_pct']:.1f}")
 
-    document = sweep_to_dict(results[2])
-    document["digests"] = digests
     document["sharded"] = {"runs": shard_runs, "digests": shard_digests}
     document["overhead"] = overhead
     return gate.finish(args.out, document,
@@ -573,7 +522,7 @@ def _scale(argv: List[str]) -> int:
     import time
     from dataclasses import replace as dc_replace
 
-    from repro.harness.gate import Gate, parse_gate_args
+    from repro.harness.gate import Gate, checked, parse_gate_args
     from repro.scale.regions import ScaleLayout
     from repro.scale.shard import run_sharded
     from repro.workload.scenario import Scenario, run_scenario
@@ -604,31 +553,18 @@ def _scale(argv: List[str]) -> int:
                         help="background stations in the headline scale "
                              "run; 0 skips it (default: 5000)")
     args = parse_gate_args(parser, argv, "scale")
-
-    gate = Gate("scale")
-    layouts = ScaleLayout(
-        regions=args.regions, stations_per_region=args.stations,
+    layouts = checked(
+        ScaleLayout, regions=args.regions, stations_per_region=args.stations,
         flow_stations=args.flow, duration_seconds=args.duration,
         fidelity=args.fidelity,
     )
 
-    def sharded(procs: int) -> Dict[str, Dict[str, float]]:
-        runs = {}
-        for seed in args.seed_list:
-            started = time.perf_counter()
-            metrics = run_sharded(dc_replace(layouts, seed=seed), procs=procs)
-            runs[f"seed={seed}"] = metrics
-            print(f"  seed={seed} procs={procs} "
-                  f"({time.perf_counter() - started:.1f}s) pings="
-                  f"{metrics.get('total/pings_received', 0):.0f}/"
-                  f"{metrics.get('total/pings_sent', 0):.0f}")
-        return runs
-
-    shards, digests = gate.invariance("procs", (1, 2, 4), sharded,
-                                      cells=dict)
+    gate = Gate("scale")
+    shards, digests = gate.sharded(layouts, args.seed_list)
     for where, metrics in shards[1].items():
-        gate.check(metrics.get("total/pings_received", 0) >= 1,
-                   f"{where}: no cross-region ping completed")
+        print(f"  {where} pings={metrics.get('total/pings_received', 0):.0f}"
+              f"/{metrics.get('total/pings_sent', 0):.0f}")
+        gate.require(where, metrics)
 
     # Fidelity equivalence on a fault-free single-simulator scenario:
     # the frame path must be byte-identical to the per-char path in
@@ -672,8 +608,7 @@ def _scale(argv: List[str]) -> int:
         }
         print(f"  headline: {events:.0f} events in {wall:.1f}s wall "
               f"({events / wall:,.0f} events/s)")
-        gate.check(metrics.get("total/pings_received", 0) >= 1,
-                   "headline run: no cross-region ping completed")
+        gate.require("headline run", metrics)
 
     document: Dict[str, object] = {
         "runs": shards[1],
@@ -702,11 +637,11 @@ def _mc(argv: List[str]) -> int:
     mutation gate (three seeded bugs, each of which the checker must
     find and replay deterministically).  Writes ``BENCH_mc.json``.
     """
-    from repro.check import Budget, Explorer, build_world
+    from repro.check import Budget, Explorer, build_world, por_ratio
     from repro.check.mutations import MUTATIONS
     from repro.check.replay import replay_violation
     from repro.check.worlds import WORLDS
-    from repro.harness.gate import Gate, parse_gate_args, usage_error
+    from repro.harness.gate import Gate, parse_gate_args, parse_list
 
     parser = argparse.ArgumentParser(
         prog="python -m repro mc",
@@ -739,25 +674,20 @@ def _mc(argv: List[str]) -> int:
                              "replay timeline for any violation")
     args = parse_gate_args(parser, argv, "mc", seeds=0)
 
-    names = [name.strip() for name in args.worlds.split(",") if name.strip()]
-    unknown = [name for name in names if name not in WORLDS]
-    if unknown:
-        usage_error(f"unknown world(s): {', '.join(unknown)} "
-                    f"(known: {', '.join(sorted(WORLDS))})")
+    names = parse_list("--worlds", args.worlds, known=WORLDS)
 
-    def budget(max_states: int) -> Budget:
-        return Budget(max_states=max_states,
-                      max_depth=args.max_depth,
-                      max_wall_seconds=args.max_seconds)
+    budget = Budget(max_states=args.max_states, max_depth=args.max_depth,
+                    max_wall_seconds=args.max_seconds)
+
+    def explore(world: str):
+        return Explorer(lambda: build_world(world), por=True,
+                        budget=budget).run()
 
     gate = Gate("mc")
     presets = []
     for name in names:
-        explorer = Explorer(lambda n=name: build_world(n), por=True,
-                            budget=budget(args.max_states))
-        result = explorer.run()
-        summary = result.summary()
-        presets.append(summary)
+        result = explore(name)
+        presets.append(result.summary())
         status = "fixpoint" if result.complete else "budget"
         print(f"mc: {name}: {result.states} states, "
               f"{result.transitions} transitions "
@@ -773,44 +703,24 @@ def _mc(argv: List[str]) -> int:
             print(confirmation.report())
             print(confirmation.timeline())
 
-    por_ratio = None
+    por = None
     if not args.skip_por_ratio:
-        tree = Explorer(lambda: build_world("lapb2"), por=True, dedup=False,
-                        budget=budget(args.max_states))
-        tree_result = tree.run()
-        naive = Explorer(lambda: build_world("lapb2"), por=False,
-                         dedup=False, budget=budget(args.naive_cap))
-        naive_result = naive.run()
-        ratio = (naive_result.states / tree_result.states
-                 if tree_result.states else 0.0)
-        por_ratio = {
-            "world": "lapb2",
-            "por_states": tree_result.states,
-            "por_transitions": tree_result.transitions,
-            "naive_states": naive_result.states,
-            "naive_transitions": naive_result.transitions,
-            "ratio": round(ratio, 2),
-            # A truncated baseline still proves the ratio's floor.
-            "lower_bound": not naive_result.complete,
-        }
-        bound = ">=" if not naive_result.complete else "="
-        print(f"mc: POR ratio on lapb2 tree: {bound} {ratio:.1f}x "
-              f"({naive_result.states} naive vs {tree_result.states} "
+        por, complete = por_ratio(budget, args.naive_cap)
+        bound = ">=" if por["lower_bound"] else "="
+        print(f"mc: POR ratio on lapb2 tree: {bound} {por['ratio']:.1f}x "
+              f"({por['naive_states']} naive vs {por['por_states']} "
               f"reduced states)")
-        gate.check(tree_result.complete,
+        gate.check(complete,
                    "POR tree walk of lapb2 hit its budget; "
                    "ratio is not meaningful")
-        gate.check(ratio >= 2.0, f"POR ratio {ratio:.2f}x < 2x on lapb2")
+        gate.check(por["ratio"] >= 2.0,
+                   f"POR ratio {por['ratio']:.2f}x < 2x on lapb2")
 
     mutation_rows = []
     if not args.skip_mutation_gate:
         for mutation in MUTATIONS.values():
             with mutation.active():
-                explorer = Explorer(
-                    lambda m=mutation: build_world(m.world), por=True,
-                    budget=budget(args.max_states))
-                result = explorer.run()
-                found = result.shortest_violation()
+                found = explore(mutation.world).shortest_violation()
                 replayed = False
                 if found is not None:
                     confirmation = replay_violation(
@@ -843,14 +753,14 @@ def _mc(argv: List[str]) -> int:
 
     document = {
         "spec": {
-            "worlds": names,
+            "worlds": list(names),
             "max_states": args.max_states,
             "max_depth": args.max_depth,
             "max_wall_seconds": args.max_seconds,
             "naive_cap": args.naive_cap,
         },
         "presets": presets,
-        "por_ratio": por_ratio,
+        "por_ratio": por,
         "mutation_gate": mutation_rows,
         "failures": gate.failures,
     }

@@ -67,6 +67,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.bench and not args.deep:
         print("--bench requires --deep", file=sys.stderr)
         return 2
+    if args.bench:
+        from repro.harness.experiments import obs_scenario
+        from repro.harness.gate import checked
+        checked(obs_scenario, 0, "e3", args.stations, args.duration)
 
     if args.list_rules:
         print(list_rules())
@@ -163,8 +167,7 @@ def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
                                duration_seconds=duration)
         dynamic["ordering"] += metrics["sanitize_ordering_agree"] != 1.0
         dynamic["conservation"] += metrics["sanitize_conservation_ok"] != 1.0
-        gate.check(metrics["obs_born_total"] >= 1,
-                   f"sanitize seed={seed}: no packets born (dead scenario)")
+        gate.require(f"sanitize seed={seed}", metrics)
         runs.append({
             "params": {"case": "sanitize", "stations": stations,
                        "duration_seconds": duration},
@@ -179,12 +182,11 @@ def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
                          flow_stations=0, duration_seconds=10.0,
                          fidelity="per_char", seed=0)
     started = time.perf_counter()
-    procs, isolation = gate.invariance(
-        "procs", (1, 2), lambda count: run_sharded(layout, procs=count))
+    procs, isolation = gate.sharded(layout, (0,), procs=(1, 2))
     fidelity_runs, fidelity = gate.invariance(
         "fidelity", ("per_char", "frame"),
-        lambda level: procs[1] if level == "per_char" else run_sharded(
-            replace(layout, fidelity=level), procs=1))
+        lambda level: procs[1]["seed=0"] if level == "per_char" else
+        run_sharded(replace(layout, fidelity=level), procs=1))
     dynamic["isolation"] = int(not isolation["identical"])
     dynamic["fidelity"] = int(not fidelity["identical"])
     runs.append({
@@ -195,7 +197,7 @@ def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
             "shard_digest_equal": float(isolation["identical"]),
             "fidelity_digest_equal": float(fidelity["identical"]),
             "events_saved_by_frame": float(
-                procs[1].get("total/events_executed", 0.0)
+                procs[1]["seed=0"].get("total/events_executed", 0.0)
                 - fidelity_runs["frame"].get("total/events_executed", 0.0)),
             "shard_bench_wall_seconds": round(
                 time.perf_counter() - started, 3),

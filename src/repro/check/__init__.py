@@ -18,7 +18,8 @@ Entry points:
 * ``python -m repro mc`` -- the CLI gate (presets + mutation gate).
 """
 
-from repro.check.explorer import Budget, ExplorationResult, Explorer, Violation
+from repro.check.explorer import (Budget, ExplorationResult, Explorer,
+                                  Violation, por_ratio)
 from repro.check.invariants import Invariant
 from repro.check.replay import replay
 from repro.check.snapshot import StateCapturer, fingerprint
@@ -34,5 +35,6 @@ __all__ = [
     "WORLDS",
     "build_world",
     "fingerprint",
+    "por_ratio",
     "replay",
 ]

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.check.snapshot import StateCapturer, fingerprint
-from repro.check.worlds import World, _args_summary, independent
+from repro.check.worlds import Lapb2World, World, _args_summary, independent
 from repro.faults.inject import ChoicePoint
 from repro.sim.engine import Event
 
@@ -361,3 +361,18 @@ class Explorer:
             if event.seq == seq:
                 return event
         return None
+
+
+def por_ratio(budget: Budget, naive_cap: int) -> Tuple[Dict[str, Any], bool]:
+    """BENCH_mc.json's ``por_ratio`` section, and whether the reduced
+    walk completed: lapb2's execution tree (no dedup) with POR, against
+    one without it capped at ``naive_cap`` states (a lower bound if
+    the cap is reached)."""
+    tree = Explorer(Lapb2World, por=True, dedup=False, budget=budget).run()
+    naive = Explorer(Lapb2World, por=False, dedup=False,
+                     budget=replace(budget, max_states=naive_cap)).run()
+    ratio = naive.states / tree.states if tree.states else 0.0
+    return {"world": "lapb2", "por_states": tree.states,
+            "por_transitions": tree.transitions, "naive_states": naive.states,
+            "naive_transitions": naive.transitions, "ratio": round(ratio, 2),
+            "lower_bound": not naive.complete}, tree.complete

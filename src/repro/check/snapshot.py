@@ -16,9 +16,10 @@ world runs reads its records, and a counterexample's timeline comes
 from a replay on a fresh world.  A ``random.Random`` travels as its
 624 twister words and index packed into bytes, plus ``gauss_next``,
 and is restored by ``setstate`` on an instance that was never seeded.
-These three reductions sit in the pickler's exact-type
-``dispatch_table``: pickle looks every other type up there without a
-Python call.
+A ``collections.deque`` reduces as ``deque.__reduce__`` would, minus
+that method's lookup of the type's slot names.  These four reductions
+sit in the pickler's exact-type ``dispatch_table``: pickle looks every
+other type up there without a Python call.
 
 Pickle writes a class, a module-level function, a builtin of a module
 and an enum member by name (a member as its class and value), and the
@@ -99,6 +100,12 @@ def _reduce_random(rng: random.Random) -> tuple:
     return _unpack_random, pack_random(rng)
 
 
+def _reduce_deque(queue: collections.deque) -> tuple:
+    """``deque.__reduce__`` minus its uncached ``copyreg._slotnames`` call."""
+    args = () if queue.maxlen is None else ((), queue.maxlen)
+    return collections.deque, args, None, iter(queue)
+
+
 def _reduce_tracer(tracer: Tracer) -> tuple:
     # The state comes third, so the tracer is memoised before its
     # ``sim`` (whose pending events lead back to it) is written.
@@ -112,6 +119,7 @@ _REDUCERS: Dict[type, Callable[[Any], tuple]] = {
     types.MethodType: _reduce_method,
     random.Random: _reduce_random,
     Tracer: _reduce_tracer,
+    collections.deque: _reduce_deque,
 }
 
 

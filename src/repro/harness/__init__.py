@@ -21,7 +21,6 @@ from repro.harness.experiments import EXPERIMENTS, Experiment
 from repro.harness.results import (
     bench_json_path,
     metrics_digest,
-    sweep_digests,
     write_bench_json,
 )
 from repro.harness.runner import RunRecord, SweepResult, SweepSpec, run_sweep
@@ -35,6 +34,5 @@ __all__ = [
     "bench_json_path",
     "metrics_digest",
     "run_sweep",
-    "sweep_digests",
     "write_bench_json",
 ]

@@ -15,7 +15,7 @@ ordering and conservation checks.  ``chaos``, ``obs`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.apps.ping import Pinger
 from repro.ax25.address import AX25Address
@@ -248,7 +248,7 @@ def chaos_targets(scenario: Scenario, limit: int) -> List[str]:
     return [f"WL{i}" for i in range(min(ip_count, limit))]
 
 
-def run_chaos(
+def chaos_scenario(
     seed: int = 0,
     stations: int = 50,
     duration_seconds: float = 240.0,
@@ -256,16 +256,12 @@ def run_chaos(
     rate_scale: float = 0.25,
     watchdog: bool = True,
     shed_threshold_bytes: int = 2048,
-) -> Dict[str, float]:
+) -> Scenario:
     """A population soak with the standard chaos fault schedule applied.
 
     The :func:`repro.faults.chaos_plan` preset wedges the gateway TNC,
     corrupts and drops serial bytes, fades and partitions stations, and
-    flaps an interface -- all cleared by ~80% of the run.  The driver
-    watchdog must recover the wedged TNC; after the scenario ends a
-    post-recovery ping check verifies the gateway forwards end to end
-    again.  Every metric is a pure function of (params, seed); the
-    ``chaos`` CLI asserts that by digest across process layouts.
+    flaps an interface -- all cleared by ~80% of the run.
     """
     scenario = Scenario(
         name=f"chaos-{mix}", topology="gateway", stations=stations,
@@ -275,8 +271,16 @@ def run_chaos(
     )
     plan = chaos_plan(int(duration_seconds), gateway="gateway",
                       stations=chaos_targets(scenario, 2))
-    scenario = replace(scenario, fault_plan=plan)
-    run = build_scenario(scenario)
+    return replace(scenario, fault_plan=plan)
+
+
+def run_chaos(seed: int = 0, **params: Any) -> Dict[str, float]:
+    """Run :func:`chaos_scenario`, then ping through the recovered gateway.
+
+    Every metric is a pure function of (params, seed); the ``chaos`` CLI
+    asserts that by digest across process layouts.
+    """
+    run = build_scenario(chaos_scenario(seed, **params))
     metrics = run.run()
 
     # Post-recovery health: every fault has cleared by now, and the
@@ -319,30 +323,39 @@ def with_chaos(scenario: Scenario) -> Scenario:
                    shed_threshold_bytes=2048)
 
 
+def obs_scenario(seed: int, variant: str, stations: int,
+                 duration_seconds: float, prefix: str = "obs",
+                 **fields: Any) -> Scenario:
+    """The plain (``e3``) or :func:`with_chaos` :data:`OBS_MIX` scenario.
+
+    It is named ``<prefix>-<variant>``; ``fields`` are further
+    :class:`Scenario` fields (``observe``, ``sanitize``).
+    """
+    if variant not in ("e3", "chaos"):
+        raise ValueError(f"unknown {prefix} variant {variant!r}")
+    scenario = Scenario(
+        name=f"{prefix}-{variant}", topology="gateway", stations=stations,
+        duration_seconds=duration_seconds, mix=OBS_MIX, seed=seed,
+        **fields,
+    )
+    return with_chaos(scenario) if variant == "chaos" else scenario
+
+
 def run_obs(
     seed: int = 0,
     variant: str = "e3",
     stations: int = 8,
     duration_seconds: float = 150.0,
 ) -> Dict[str, float]:
-    """A gateway scenario with the flight recorder attached.
+    """:func:`obs_scenario` with the flight recorder attached.
 
-    ``variant="e3"`` is the plain loaded-channel condition;
-    ``variant="chaos"`` layers the standard fault schedule on top so
-    drop/shed reasons (wedge, fade, backlog shed) actually occur.  The
-    headline metric is ``obs_conservation_ok``: every born packet must
-    terminate in exactly one of delivered/dropped/shed/in-flight.
+    The chaos variant makes drop/shed reasons (wedge, fade, backlog
+    shed) actually occur.  The headline metric is
+    ``obs_conservation_ok``: every born packet must terminate in exactly
+    one of delivered/dropped/shed/in-flight.
     """
-    if variant not in ("e3", "chaos"):
-        raise ValueError(f"unknown obs variant {variant!r}")
-    scenario = Scenario(
-        name=f"obs-{variant}", topology="gateway", stations=stations,
-        duration_seconds=duration_seconds, mix=OBS_MIX, seed=seed,
-        observe=True,
-    )
-    if variant == "chaos":
-        scenario = with_chaos(scenario)
-    run = build_scenario(scenario)
+    run = build_scenario(obs_scenario(seed, variant, stations,
+                                      duration_seconds, observe=True))
     metrics = run.run()
     recorder = run.recorder
     assert recorder is not None
@@ -355,19 +368,6 @@ def run_obs(
 # ----------------------------------------------------------------------
 # sanitize -- dynamic ordering + conservation checks (PR 5)
 # ----------------------------------------------------------------------
-
-def sanitize_scenario(seed: int, variant: str, stations: int,
-                      duration_seconds: float) -> Scenario:
-    """The scenario :func:`run_sanitize` runs in FIFO order, then salted."""
-    if variant not in ("e3", "chaos"):
-        raise ValueError(f"unknown sanitize variant {variant!r}")
-    scenario = Scenario(
-        name=f"sanitize-{variant}", topology="gateway", stations=stations,
-        duration_seconds=duration_seconds, mix=OBS_MIX, seed=seed,
-        sanitize=True,
-    )
-    return with_chaos(scenario) if variant == "chaos" else scenario
-
 
 def run_sanitize(
     seed: int = 0,
@@ -391,7 +391,8 @@ def run_sanitize(
     no packet is not a conservation failure, and shows as
     ``obs_born_total == 0``.
     """
-    scenario = sanitize_scenario(seed, variant, stations, duration_seconds)
+    scenario = obs_scenario(seed, variant, stations, duration_seconds,
+                            prefix="sanitize", sanitize=True)
     base = build_scenario(scenario).run()
     salted = build_scenario(replace(scenario, order_salt=order_salt)).run()
     agree = comparable_metrics(base) == comparable_metrics(salted)

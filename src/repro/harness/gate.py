@@ -5,13 +5,17 @@ A gate defends one of the reproduction's claims.  Each gate differs in
 what it runs and which per-run predicates it checks, but shares the
 rest, which lives here:
 
-* the shared options: ``--seeds``/``--seed-base``/``--out``;
+* the shared options: ``--seeds``/``--seed-base``/``--out``, the
+  ``--procs`` check, :func:`parse_list`, and :func:`checked` for what
+  the options build;
 * the **invariance check**: every variant on one axis -- process count
   or serial fidelity -- runs the same cells, each cell's metrics are
   digested through the axis projection, and every cell whose digests
   differ is one failure.  The result is the ``digests`` section the
-  BENCH files carry;
-* per-run predicates, each a named failure;
+  BENCH files carry.  :meth:`Gate.sweep` and :meth:`Gate.sharded` put
+  a harness sweep or a ``ScaleLayout`` on the ``procs`` axis;
+* per-run predicates, each a named failure, and the :data:`REQUIRES`
+  tables :meth:`Gate.require` checks;
 * the tail: write ``BENCH_<name>.json``, print the failures or the pass
   line, and return the exit code.
 
@@ -30,7 +34,8 @@ import argparse
 import sys
 from dataclasses import dataclass, field, replace
 from typing import (
-    Any, Callable, Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple,
+    Any, Callable, Collection, Dict, List, Mapping, NoReturn, Optional,
+    Sequence, Tuple,
 )
 
 from repro.harness.results import (
@@ -38,6 +43,7 @@ from repro.harness.results import (
     comparable_metrics,
     metrics_digest,
     sweep_cells,
+    sweep_to_dict,
     write_bench_json,
 )
 from repro.harness.runner import (
@@ -46,11 +52,30 @@ from repro.harness.runner import (
     run_sweep,
     seeds_from_count,
 )
+from repro.scale.regions import ScaleLayout
+from repro.scale.shard import run_sharded
 
 #: axis -> (BENCH label of a variant, projection its cells are compared on).
 AXES: Dict[str, Tuple[Callable[[object], str], Callable]] = {
     "procs": (lambda procs: f"procs{procs}", dict),
     "fidelity": (str, comparable_metrics),
+}
+
+
+#: Each gate's per-run predicates, by gate name, checked by
+#: :meth:`Gate.require`: every metric must reach 1, or the run records
+#: the failure text.  ``obs-sharded`` is the obs gate's sharded runs.
+REQUIRES: Dict[str, Dict[str, str]] = {
+    "chaos": {"watchdog_recoveries": "watchdog never recovered the TNC",
+              "post_fault_pings_ok": "no post-recovery ping succeeded"},
+    "tournament": {"obs_conservation_ok": "span conservation violated"},
+    "obs": {"obs_conservation_ok": "span conservation violated",
+            "obs_born_total": "no packets born (dead scenario)"},
+    "obs-sharded": {"total/obs_sharded_conservation_ok":
+                    "cross-shard span conservation violated",
+                    "total/obs_born_total": "no packets born"},
+    "scale": {"total/pings_received": "no cross-region ping completed"},
+    "lint": {"obs_born_total": "no packets born (dead scenario)"},
 }
 
 
@@ -66,7 +91,8 @@ def parse_gate_args(parser: argparse.ArgumentParser, argv: Sequence[str],
 
     ``seeds`` is the ``--seeds`` default: ``None`` defers to the
     experiment's own default, 0 means the command takes only ``--out``.
-    A given seed count is also parsed into ``args.seed_list``.
+    A given seed count is also parsed into ``args.seed_list``.  A
+    command's own ``--procs`` must be at least 1.
     """
     if seeds != 0:
         parser.add_argument("--seeds", type=int, default=seeds, metavar="N",
@@ -81,7 +107,38 @@ def parse_gate_args(parser: argparse.ArgumentParser, argv: Sequence[str],
         if args.seeds < 1:
             parser.error("--seeds must be >= 1")
         args.seed_list = seeds_from_count(args.seeds, base=args.seed_base)
+    if getattr(args, "procs", 1) < 1:
+        usage_error(f"--procs must be >= 1, got {args.procs}")
     return args
+
+
+def parse_list(option: str, text: str, item: Callable[[str], Any] = str,
+               known: Collection = ()) -> tuple:
+    """``item(part)`` for each part of a comma-separated option value.
+
+    An empty list, a part ``item`` rejects with ``ValueError`` and a
+    value outside a given ``known`` are usage errors naming ``option``.
+    """
+    try:
+        values = tuple(item(part.strip()) for part in text.split(",")
+                       if part.strip())
+    except ValueError as exc:
+        usage_error(f"{option}: {exc}")
+    unknown = [str(value) for value in values if known and value not in known]
+    if unknown:
+        usage_error(f"{option}: unknown {', '.join(unknown)} "
+                    f"(known: {', '.join(map(str, known))})")
+    if not values:
+        usage_error(f"{option} needs a comma-separated list, got {text!r}")
+    return values
+
+
+def checked(build: Callable, *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, with its ``ValueError`` a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        usage_error(str(exc))
 
 
 @dataclass
@@ -96,6 +153,14 @@ class Gate:
         if not ok:
             self.failures.append(failure)
         return bool(ok)
+
+    def require(self, where: str, metrics: Mapping[str, float],
+                table: Optional[str] = None) -> Dict[str, bool]:
+        """The ``REQUIRES`` table of this gate (or ``table``) on one run's
+        ``metrics``, each failure after ``where: ``; returns each verdict."""
+        return {metric: self.check(metrics.get(metric, 0) >= 1,
+                                   f"{where}: {failure}")
+                for metric, failure in REQUIRES[table or self.name].items()}
 
     def invariance(self, axis: str, variants: Sequence, run: Callable,
                    cells: Optional[Callable] = None
@@ -137,12 +202,28 @@ class Gate:
     def sweep(self, spec: SweepSpec, procs: Sequence[int] = (1, 2),
               progress: Optional[Callable] = None
               ) -> Tuple[Dict[int, SweepResult], Dict[str, Any]]:
-        """The ``procs`` axis over a harness sweep of ``spec``."""
+        """The ``procs`` axis over a harness sweep of ``spec``; the BENCH
+        document is the last variant's sweep layout plus ``digests``."""
         def run(count: int) -> SweepResult:
             print(f"{self.name}: {spec.bench} sweep, {len(spec.seeds)} "
                   f"seed(s), procs={count}")
             return run_sweep(replace(spec, procs=count), progress=progress)
-        return self.invariance("procs", procs, run, cells=sweep_cells)
+        results, digests = self.invariance("procs", procs, run,
+                                           cells=sweep_cells)
+        return results, {**sweep_to_dict(results[procs[-1]]),
+                         "digests": digests}
+
+    def sharded(self, layout: ScaleLayout, seeds: Sequence[int],
+                procs: Sequence[int] = (1, 2, 4)
+                ) -> Tuple[Dict[int, Dict[str, Any]], Dict[str, Any]]:
+        """The ``procs`` axis over ``layout`` run once per seed."""
+        def run(count: int) -> Dict[str, Any]:
+            print(f"{self.name}: {len(seeds)} seed(s) x {layout.regions} "
+                  f"regions, procs={count}")
+            return {f"seed={seed}": run_sharded(replace(layout, seed=seed),
+                                                procs=count)
+                    for seed in seeds}
+        return self.invariance("procs", procs, run, cells=dict)
 
     def finish(self, out: Optional[str], document: Mapping[str, object],
                summary: str) -> int:

@@ -33,7 +33,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
-from repro.harness.runner import SweepResult
+from repro.harness.runner import SweepResult, params_key
 
 #: Bump when the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -75,14 +75,8 @@ def comparable_metrics(metrics: Mapping[str, float]) -> Dict[str, float]:
 
 def sweep_cells(result: SweepResult) -> Dict[str, Dict[str, float]]:
     """Per-cell metrics, keyed ``<params_key>|seed=<seed>``."""
-    return {f"{record.params_key()}|seed={record.seed}": record.metrics
+    return {f"{params_key(record.params)}|seed={record.seed}": record.metrics
             for record in result.records}
-
-
-def sweep_digests(result: SweepResult) -> Dict[str, str]:
-    """Per-cell metric digests, keyed like :func:`sweep_cells`."""
-    return {cell: metrics_digest(metrics)
-            for cell, metrics in sweep_cells(result).items()}
 
 
 def bench_json_path(bench: str, directory: Union[str, Path] = ".") -> Path:

@@ -15,12 +15,13 @@ reproducible.)
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.metrics.stats import Aggregate, aggregate
 
@@ -52,9 +53,10 @@ class RunRecord:
     pid: int
     wall_seconds: float
 
-    def params_key(self) -> str:
-        """Canonical string identity of the parameter point."""
-        return json.dumps(self.params, sort_keys=True, default=str)
+
+def params_key(params: Mapping[str, object]) -> str:
+    """Canonical string identity of a parameter point."""
+    return json.dumps(dict(params), sort_keys=True, default=str)
 
 
 @dataclass
@@ -77,23 +79,19 @@ class SweepResult:
         """(params_key, params) for each grid point, in first-seen order."""
         seen: Dict[str, Dict[str, object]] = {}
         for record in self.records:
-            seen.setdefault(record.params_key(), record.params)
+            seen.setdefault(params_key(record.params), record.params)
         return list(seen.items())
 
     def compute_aggregates(self) -> None:
         """Aggregate every metric across seeds, per grid point."""
-        grouped: Dict[str, List[RunRecord]] = {}
+        points: Dict[str, Dict[str, List[float]]] = {}
         for record in self.records:
-            grouped.setdefault(record.params_key(), []).append(record)
-        self.aggregates = {}
-        for key, records in grouped.items():
-            metrics: Dict[str, List[float]] = {}
-            for record in records:
-                for name, value in record.metrics.items():
-                    metrics.setdefault(name, []).append(float(value))
-            self.aggregates[key] = {
-                name: aggregate(values) for name, values in metrics.items()
-            }
+            metrics = points.setdefault(params_key(record.params), {})
+            for name, value in record.metrics.items():
+                metrics.setdefault(name, []).append(float(value))
+        self.aggregates = {
+            key: {name: aggregate(values) for name, values in metrics.items()}
+            for key, metrics in points.items()}
 
 
 def _run_task(task: Tuple[str, Dict[str, object], int]) -> RunRecord:
@@ -135,26 +133,22 @@ def run_sweep(spec: SweepSpec,
     ]
     started = time.perf_counter()
     records: List[RunRecord] = []
-    if spec.procs == 1 or len(tasks) == 1:
-        for task in tasks:
-            record = _run_task(task)
+    with contextlib.ExitStack() as stack:
+        stream: Iterable[RunRecord] = map(_run_task, tasks)
+        if spec.procs > 1 and len(tasks) > 1:
+            pool = stack.enter_context(multiprocessing.Pool(
+                processes=min(spec.procs, len(tasks))))
+            # chunksize=1 so tasks fan out evenly even when one parameter
+            # point is much slower than another.
+            stream = pool.imap(_run_task, tasks, chunksize=1)
+        for record in stream:
             records.append(record)
             if progress is not None:
                 progress(record)
-    else:
-        # chunksize=1 so tasks fan out evenly even when one parameter
-        # point is much slower than another.
-        with multiprocessing.Pool(processes=min(spec.procs,
-                                                len(tasks))) as pool:
-            for record in pool.imap(_run_task, tasks, chunksize=1):
-                records.append(record)
-                if progress is not None:
-                    progress(record)
     # Stable order: grid-major then seed, independent of completion order.
-    order = {(json.dumps(dict(p), sort_keys=True, default=str), s): i
-             for i, (p, s) in enumerate(
-                 (params, seed) for params in grid for seed in spec.seeds)}
-    records.sort(key=lambda r: order[(r.params_key(), r.seed)])
+    order = {(params_key(params), seed): index
+             for index, (_, params, seed) in enumerate(tasks)}
+    records.sort(key=lambda r: order[(params_key(r.params), r.seed)])
     result = SweepResult(spec=spec, records=records,
                          wall_seconds=time.perf_counter() - started)
     result.compute_aggregates()

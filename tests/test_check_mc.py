@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.check import Budget, Explorer, build_world
+from repro.check import Budget, Explorer, build_world, por_ratio
 from repro.check.invariants import BoundedQueues, ControlNeverShed
 from repro.check.mutations import MUTATIONS
 from repro.check.replay import ReplayError, replay, replay_violation
@@ -25,6 +27,8 @@ from repro.check.worlds import (WORLDS, Lapb2World, TcpXferWorld,
 from repro.faults.inject import ChoiceOracle, ChoicePoint
 from repro.inet.sockets import TcpServerSocket
 from repro.sim.engine import Simulator
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +336,20 @@ def test_por_reduces_the_execution_tree_at_least_2x():
     assert not naive.complete, (
         f"naive walk finished within 2x ({naive.states} states vs "
         f"{tree.states} reduced): POR ratio has regressed below 2x")
+
+
+@pytest.mark.parametrize("budget", [
+    Budget(max_states=50_000, max_depth=400, max_wall_seconds=60.0),
+    Budget(max_wall_seconds=120),
+], ids=("mc-gate", "mc-perf-bench"))
+def test_por_ratio_is_the_section_bench_mc_holds(budget):
+    """Both callers' budgets give the checked-in ``por_ratio`` section:
+    ``python -m repro mc`` and benchmarks/test_mc_perf.py, each with the
+    unreduced walk capped at 8,000 states."""
+    section, complete = por_ratio(budget, naive_cap=8000)
+    assert complete
+    bench = json.loads((REPO_ROOT / "BENCH_mc.json").read_text())
+    assert section == bench["por_ratio"]
 
 
 # ----------------------------------------------------------------------

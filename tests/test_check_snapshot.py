@@ -17,7 +17,10 @@ component and the copies share nothing mutable with the original.
 from __future__ import annotations
 
 import collections
+import copyreg
 import enum
+import io
+import itertools
 import pickle
 import random
 import threading
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.ping import Pinger
-from repro.check import build_world
+from repro.check import Budget, Explorer, build_world, snapshot
 from repro.check.snapshot import StateCapturer, canonical, fingerprint
 from repro.core.topology import build_figure1_testbed
 from repro.harness import metrics_digest
@@ -365,6 +368,65 @@ def test_restoring_on_another_capturer_raises():
         with pytest.raises(ValueError):
             StateCapturer().restore(frozen)
     assert capturer.restore(later).sim.now == beacon.sim.now
+
+
+def _explored_snapshots(name):
+    """Every snapshot a short search of preset world ``name`` captures."""
+    explorer = Explorer(lambda: build_world(name),
+                        budget=Budget(max_states=60))
+    capture = explorer.capturer.capture
+    snapshots = []
+
+    def recording(world):
+        snapshots.append(capture(world))
+        return snapshots[-1]
+
+    explorer.capturer.capture = recording
+    explorer.run()
+    return snapshots
+
+
+@pytest.mark.parametrize("name", ["lapb2", "tcpxfer"])
+def test_deque_entry_writes_the_bytes_deque_reduce_does(name, monkeypatch):
+    """The ``deque`` entry of the pickler's table changes no snapshot.
+
+    It only spares the ``copyreg._slotnames`` call that
+    ``deque.__reduce__`` makes for every deque, because a builtin type
+    cannot cache its slot names; a counting wrapper sees those calls
+    when the entry is taken out.
+    """
+    calls = []
+    slotnames = copyreg._slotnames
+    monkeypatch.setattr(copyreg, "_slotnames",
+                        lambda cls: calls.append(cls) or slotnames(cls))
+    table = snapshot._Pickler.dispatch_table
+    # Both searches' capturers get key 0, which every snapshot carries.
+    monkeypatch.setattr(snapshot, "_KEYS", itertools.count())
+    with_entry = _explored_snapshots(name)
+    # A Python class caches its slot names at its first pickle.
+    assert collections.deque not in calls
+    assert len(calls) == len(set(calls))
+
+    monkeypatch.setattr(snapshot, "_KEYS", itertools.count())
+    monkeypatch.setattr(snapshot._Pickler, "dispatch_table", {
+        cls: reduce for cls, reduce in table.items()
+        if cls is not collections.deque})
+    without_entry = _explored_snapshots(name)
+    assert with_entry == without_entry and len(with_entry) > 1
+    if name == "tcpxfer":
+        assert collections.deque in calls
+
+
+@pytest.mark.parametrize("queue", [
+    collections.deque(), collections.deque([1, "two", (3,)]),
+    collections.deque([1, 2], maxlen=4), collections.deque(maxlen=0),
+], ids=("empty", "unbounded", "bounded", "maxlen-0"))
+def test_deque_pickles_as_its_own_reduce_does(queue):
+    buffer = io.BytesIO()
+    snapshot._Pickler(buffer, pickle.HIGHEST_PROTOCOL).dump(queue)
+    assert buffer.getvalue() == pickle.dumps(queue, pickle.HIGHEST_PROTOCOL)
+    restored = pickle.loads(buffer.getvalue())
+    assert restored == queue and restored.maxlen == queue.maxlen
 
 
 def test_canonical_merges_insertion_orders():

@@ -8,12 +8,10 @@ EXPERIMENTS.md silently relies on.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.apps.ftp import FileStore, FtpClient, FtpServer
 from repro.apps.ping import Pinger
 from repro.core.topology import build_gateway_testbed
-from repro.harness.experiments import run_chaos, sanitize_scenario
+from repro.harness.experiments import obs_scenario, run_chaos
 from repro.harness.results import metrics_digest
 from repro.scale.regions import ScaleLayout
 from repro.scale.shard import run_sharded
@@ -71,9 +69,9 @@ def test_per_char_chaos_digest_is_pinned():
 
 def test_salted_order_digest_is_pinned():
     """The sanitizer's salted run, the one path whose ``seq`` is a tuple."""
-    scenario = replace(sanitize_scenario(seed=0, variant="chaos", stations=8,
-                                         duration_seconds=120.0),
-                       order_salt=0xD1CE)
+    scenario = obs_scenario(seed=0, variant="chaos", stations=8,
+                            duration_seconds=120.0, prefix="sanitize",
+                            sanitize=True, order_salt=0xD1CE)
     metrics = build_scenario(scenario).run()
     assert metrics["events_executed"] == 70_278
     assert metrics_digest(metrics) == (

@@ -11,14 +11,25 @@ writes the BENCH layout the checked-in files carry, that ``sweep`` and
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+import repro.check
+import repro.harness.gate as gate_module
+import repro.workload.scenario
 from repro.__main__ import COMMANDS, main
-from repro.harness.gate import Gate, parse_gate_args
+from repro.harness.gate import (
+    REQUIRES,
+    Gate,
+    checked,
+    parse_gate_args,
+    parse_list,
+)
 from repro.harness.results import metrics_digest
+from repro.scale.regions import ScaleLayout
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -105,6 +116,130 @@ def test_shared_options_parse_and_validate():
     assert vars(only_out) == {"out": None}
 
 
+def test_list_option_parses_and_rejects_in_one_line(capsys):
+    assert parse_list("--worlds", " lapb2, ,hidden3 ",
+                      known=("lapb2", "hidden3")) == ("lapb2", "hidden3")
+    assert parse_list("--speeds", "1200,9600", item=int) == (1200, 9600)
+    for text, item, known, named in (
+            ("", str, (), "needs a comma-separated list"),
+            (" , ", str, (), "needs a comma-separated list"),
+            ("lapb2,nope", str, ("lapb2",), "unknown nope (known: lapb2)"),
+            ("12x", int, (), "invalid literal")):
+        with pytest.raises(SystemExit) as exit_info:
+            parse_list("--opt", text, item=item, known=known)
+        assert exit_info.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("--opt") and named in line
+
+
+def test_procs_below_one_is_a_usage_error(capsys):
+    def parse(argv):
+        parser = argparse.ArgumentParser()
+        parser.add_argument("--procs", type=int, default=2)
+        return parse_gate_args(parser, argv, "stub")
+
+    assert parse(["--procs", "1"]).procs == 1
+    with pytest.raises(SystemExit) as exit_info:
+        parse(["--procs", "0"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "--procs must be >= 1, got 0\n"
+
+
+def test_checked_turns_a_value_error_into_a_usage_error(capsys):
+    assert checked(int, "7") == 7
+    with pytest.raises(SystemExit) as exit_info:
+        checked(ScaleLayout, regions=0)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "regions must be in 1..200\n"
+
+
+# The hand-written per-run checks the predicate tables replaced, as
+# each gate wrote them (the chaos recovery bound stays a separate check).
+
+def _old_chaos(gate, seed, metrics):
+    where = f"seed={seed}"
+    gate.check(metrics.get("watchdog_recoveries", 0) >= 1,
+               f"{where}: watchdog never recovered the TNC")
+    gate.check(metrics.get("post_fault_pings_ok", 0) >= 1,
+               f"{where}: no post-recovery ping succeeded")
+
+
+def _old_tournament(gate, seed, metrics, params):
+    gate.check(metrics.get("obs_conservation_ok", 0) >= 1,
+               f"seed={seed} {params}: "
+               f"span conservation violated")
+
+
+def _old_obs(gate, seed, metrics, params):
+    where = f"seed={seed} {params}"
+    gate.check(metrics.get("obs_conservation_ok", 0) >= 1,
+               f"{where}: span conservation violated")
+    gate.check(metrics.get("obs_born_total", 0) >= 1,
+               f"{where}: no packets born (dead scenario)")
+
+
+def _old_obs_shard(gate, seed, metrics):
+    where = f"seed={seed}"
+    born = metrics.get("total/obs_born_total", 0)
+    gate.check(metrics.get("total/obs_sharded_conservation_ok", 0) >= 1,
+               f"shard {where}: cross-shard span conservation violated")
+    gate.check(born >= 1, f"shard {where}: no packets born")
+
+
+def _old_scale(gate, seed, metrics):
+    gate.check(metrics.get("total/pings_received", 0) >= 1,
+               f"seed={seed}: no cross-region ping completed")
+
+
+def _old_scale_headline(gate, metrics):
+    gate.check(metrics.get("total/pings_received", 0) >= 1,
+               "headline run: no cross-region ping completed")
+
+
+def _old_lint(gate, seed, metrics):
+    gate.check(metrics["obs_born_total"] >= 1,
+               f"sanitize seed={seed}: no packets born (dead scenario)")
+
+
+PARAMS = {"variant": "chaos"}
+#: case -> (gate name, REQUIRES table, where, the hand-written checks).
+PREDICATE_CASES = {
+    "chaos": ("chaos", "chaos", "seed=2",
+              lambda gate, m: _old_chaos(gate, 2, m)),
+    "tournament": ("tournament", "tournament", f"seed=2 {PARAMS}",
+                   lambda gate, m: _old_tournament(gate, 2, m, PARAMS)),
+    "obs": ("obs", "obs", f"seed=2 {PARAMS}",
+            lambda gate, m: _old_obs(gate, 2, m, PARAMS)),
+    "obs-shard": ("obs", "obs-sharded", "shard seed=2",
+                  lambda gate, m: _old_obs_shard(gate, 2, m)),
+    "scale": ("scale", "scale", "seed=2",
+              lambda gate, m: _old_scale(gate, 2, m)),
+    "scale-headline": ("scale", "scale", "headline run",
+                       _old_scale_headline),
+    "lint": ("lint", "lint", "sanitize seed=2",
+             lambda gate, m: _old_lint(gate, 2, m)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREDICATE_CASES))
+def test_predicate_table_records_what_the_hand_written_checks_did(case):
+    name, table, where, old = PREDICATE_CASES[case]
+    metric_names = list(REQUIRES[table])
+    # Every metric at 0, below 1, at 1 and above it; all but the lint
+    # bench, which indexed its metric, also with every metric missing.
+    values = [0.0, 0.5, 1.0, 3.0] + ([None] if case != "lint" else [])
+    for row in itertools.product(values, repeat=len(metric_names)):
+        metrics = {metric: value for metric, value in zip(metric_names, row)
+                   if value is not None}
+        new_gate, old_gate = Gate(name), Gate(name)
+        verdicts = new_gate.require(
+            where, metrics, None if table == name else table)
+        old(old_gate, metrics)
+        assert new_gate.failures == old_gate.failures, row
+        assert verdicts == {metric: value is not None and value >= 1
+                            for metric, value in zip(metric_names, row)}
+
+
 # ----------------------------------------------------------------------
 # the CLI gates, in process
 # ----------------------------------------------------------------------
@@ -126,6 +261,41 @@ def test_tournament_single_layout_is_a_usage_error(tmp_path):
                   "--duration", "30", "--out", str(out)])
         assert exit_info.value.code == 2, (speeds, procs)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--worlds", "", "--out", "BENCH_mc.json"],
+    ["mc", "--worlds", ",", "--out", "BENCH_mc.json"],
+    ["chaos", "--stations", "0", "--out", "BENCH_chaos.json"],
+    ["chaos", "--duration", "0", "--out", "BENCH_chaos.json"],
+    ["tournament", "--duration", "0", "--out", "BENCH_tournament.json"],
+    ["scale", "--stations", "0", "--out", "BENCH_scale.json"],
+    ["scale", "--regions", "0", "--out", "BENCH_scale.json"],
+    ["scale", "--flow", "-5", "--out", "BENCH_scale.json"],
+    ["report", "--stations", "0"],
+    ["lint", str(REPO_ROOT / "src"), "--deep", "--bench", "--stations", "0"],
+], ids=("mc-worlds-empty", "mc-worlds-comma", "chaos-stations-0",
+        "chaos-duration-0", "tournament-duration-0", "scale-stations-0",
+        "scale-regions-0", "scale-flow-negative", "report-stations-0",
+        "lint-bench-stations-0"))
+def test_bad_value_exits_2_in_one_line_before_any_run(argv, tmp_path,
+                                                      monkeypatch, capsys):
+    """Each of these used to pass on nothing (``mc``) or end in a
+    ``ValueError`` traceback from inside its first run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started before the options were checked")
+
+    for module, name in ((gate_module, "run_sweep"),
+                         (gate_module, "run_sharded"),
+                         (repro.check, "Explorer"),
+                         (repro.workload.scenario, "build_scenario")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["repro", *argv])
+    assert exit_info.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -15,9 +15,12 @@ the whole file stays fast.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+
+from repro.faults import FaultPlan
 
 from repro.harness import (
     EXPERIMENTS,
@@ -26,8 +29,10 @@ from repro.harness import (
     run_sweep,
     write_bench_json,
 )
-from repro.harness.runner import seeds_from_count
+from repro.harness.experiments import OBS_MIX, obs_scenario, with_chaos
+from repro.harness.runner import params_key, seeds_from_count
 from repro.metrics.stats import aggregate, t_critical_95
+from repro.workload.scenario import Scenario
 
 #: One cheap grid point for sweep-mechanics tests.
 A3_POINT = ({"persistence": 0.25},)
@@ -140,3 +145,70 @@ def test_bench_json_preshaped_dict(tmp_path):
     )
     document = json.loads(path.read_text())
     assert document["bench"] == "perf" and document["schema"] == 1
+
+
+def test_params_key_ignores_insertion_order_and_stringifies():
+    assert params_key({"b": 2, "a": (1, 2)}) == params_key({"a": [1, 2], "b": 2})
+    assert params_key({"plan": FaultPlan(())}) == params_key(
+        {"plan": str(FaultPlan(()))})
+
+
+# The three constructions obs_scenario replaced, as they were written:
+# run_obs, sanitize_scenario and ``report`` without ``--bench``.
+
+def _old_run_obs(seed, variant, stations, duration_seconds):
+    scenario = Scenario(
+        name=f"obs-{variant}", topology="gateway", stations=stations,
+        duration_seconds=duration_seconds, mix=OBS_MIX, seed=seed,
+        observe=True,
+    )
+    if variant == "chaos":
+        scenario = with_chaos(scenario)
+    return scenario
+
+
+def _old_sanitize_scenario(seed, variant, stations, duration_seconds):
+    scenario = Scenario(
+        name=f"sanitize-{variant}", topology="gateway", stations=stations,
+        duration_seconds=duration_seconds, mix=OBS_MIX, seed=seed,
+        sanitize=True,
+    )
+    return with_chaos(scenario) if variant == "chaos" else scenario
+
+
+def _old_single_report(seed, variant, stations, duration, no_observe):
+    scenario = Scenario(
+        name=f"report-{variant}", topology="gateway",
+        stations=stations, duration_seconds=duration,
+        mix=OBS_MIX, seed=seed, observe=not no_observe,
+    )
+    if variant == "chaos":
+        scenario = with_chaos(scenario)
+    return scenario
+
+
+def _fields(scenario):
+    return {field.name: getattr(scenario, field.name)
+            for field in dataclasses.fields(scenario)}
+
+
+@pytest.mark.parametrize("variant", ["e3", "chaos"])
+def test_obs_scenario_is_what_each_old_construction_built(variant):
+    for seed, stations, duration in ((0, 8, 150.0), (3, 10, 60.0)):
+        args = (seed, variant, stations, duration)
+        assert _fields(obs_scenario(*args, observe=True)) == _fields(
+            _old_run_obs(*args))
+        assert _fields(obs_scenario(*args, prefix="sanitize",
+                                    sanitize=True)) == _fields(
+            _old_sanitize_scenario(*args))
+        for no_observe in (False, True):
+            assert _fields(obs_scenario(*args, prefix="report",
+                                        observe=not no_observe)) == _fields(
+                _old_single_report(*args, no_observe))
+    assert (obs_scenario(0, variant, 8, 150.0).fault_plan is None) == (
+        variant == "e3")
+
+
+def test_obs_scenario_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match="unknown sanitize variant"):
+        obs_scenario(0, "storm", 8, 150.0, prefix="sanitize")

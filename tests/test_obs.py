@@ -274,18 +274,18 @@ def test_why_dropped_names_the_shed_choke_point():
 
 
 def test_obs_experiment_digest_identical_across_process_layouts():
-    from repro.harness import SweepSpec, run_sweep, sweep_digests
+    from repro.harness import SweepSpec
+    from repro.harness.gate import Gate
 
     grid = ({"variant": "e3", "duration_seconds": 60.0, "stations": 4},)
-    digests = {}
-    for procs in (1, 2):
-        spec = SweepSpec(bench="obs", seeds=[1], grid=grid, procs=procs)
-        result = run_sweep(spec)
-        digests[procs] = sweep_digests(result)
+    gate = Gate("obs")
+    results, document = gate.sweep(SweepSpec(bench="obs", seeds=(1,),
+                                              grid=grid))
+    for result in results.values():
         for record in result.records:
             assert record.metrics["obs_conservation_ok"] == 1.0
             assert record.metrics["obs_born_total"] > 0
-    assert digests[1] == digests[2]
+    assert gate.failures == [] and document["digests"]["identical"]
 
 
 @pytest.mark.parametrize("variant", ["e3", "chaos"])
