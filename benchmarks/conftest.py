@@ -9,7 +9,11 @@ times the simulation run itself.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Sequence
+import time
+from pathlib import Path
+from typing import Callable, Iterable, Mapping, Sequence
+
+from repro.harness.results import bench_json_path, write_bench_json
 
 
 def report(title: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
@@ -27,3 +31,22 @@ def report(title: str, header: Sequence[str], rows: Iterable[Sequence[object]]) 
     print("-" * len(line), file=out)
     for row in rows:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)), file=out)
+
+
+def mean_seconds(benchmark, run: Callable[[], object]) -> float:
+    """The benchmark's mean seconds per round; with no stats (under
+    ``--benchmark-disable``), one timed ``run()``."""
+    stats = getattr(benchmark, "stats", None)
+    if stats is not None:
+        return float(stats.stats.mean)
+    started = time.perf_counter()
+    run()
+    return time.perf_counter() - started
+
+
+def write_cases(bench: str, source: str, results: Mapping[str, Mapping[str, float]]) -> Path:
+    """Write ``BENCH_<bench>.json`` at the cwd: one seed-0 run per case, in case order."""
+    return write_bench_json(bench_json_path(bench), {
+        "bench": bench, "spec": {"source": source},
+        "runs": [{"params": {"case": case}, "seed": 0, "metrics": metrics}
+                 for case, metrics in sorted(results.items())]})

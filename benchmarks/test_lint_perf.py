@@ -10,10 +10,11 @@ writer, ``python -m repro lint src --deep --bench``.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 from repro.analysis import LintEngine, load_baseline
+
+from benchmarks.conftest import mean_seconds
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -39,13 +40,7 @@ def test_full_repo_lint_under_budget(benchmark):
     assert report.new_findings == []
     assert report.files_scanned > 80
 
-    stats = getattr(benchmark, "stats", None)
-    if stats is not None:
-        mean = float(stats.stats.mean)
-    else:  # --benchmark-disable: fall back to one timed run
-        started = time.perf_counter()
-        run()
-        mean = time.perf_counter() - started
+    mean = mean_seconds(benchmark, run)
     assert mean < FULL_LINT_BUDGET_SECONDS, (
         f"full-repo lint took {mean:.2f}s, budget "
         f"{FULL_LINT_BUDGET_SECONDS}s")
@@ -65,13 +60,7 @@ def test_deep_lint_under_budget(benchmark):
                                         "units", "shard-isolation",
                                         "fidelity-parity"}
 
-    stats = getattr(benchmark, "stats", None)
-    if stats is not None:
-        mean = float(stats.stats.mean)
-    else:  # --benchmark-disable: fall back to one timed run
-        started = time.perf_counter()
-        run()
-        mean = time.perf_counter() - started
+    mean = mean_seconds(benchmark, run)
     assert mean < DEEP_LINT_BUDGET_SECONDS, (
         f"deep lint took {mean:.2f}s, budget "
         f"{DEEP_LINT_BUDGET_SECONDS}s")

@@ -11,12 +11,12 @@ higher).
 
 from __future__ import annotations
 
-import time
 from typing import Dict
 
 from repro.check import Budget, Explorer, por_ratio
 from repro.check.worlds import Lapb2World
-from repro.harness.results import bench_json_path, write_bench_json
+
+from benchmarks.conftest import mean_seconds, write_cases
 
 #: Floor for exploration throughput, states/second.  Typical runs do
 #: well over a thousand; the floor catches an accidentally quadratic
@@ -42,13 +42,7 @@ def test_exploration_rate_above_floor(benchmark):
     result = benchmark(run)
     assert result.complete and result.violations == []
 
-    stats = getattr(benchmark, "stats", None)
-    if stats is not None:
-        mean = float(stats.stats.mean)
-    else:  # --benchmark-disable: fall back to one timed run
-        started = time.perf_counter()
-        result = run()
-        mean = time.perf_counter() - started
+    mean = mean_seconds(benchmark, run)
     rate = result.states / mean if mean else 0.0
     assert rate > STATES_PER_SECOND_FLOOR, (
         f"lapb2 exploration ran at {rate:.0f} states/s, floor "
@@ -63,10 +57,11 @@ def test_exploration_rate_above_floor(benchmark):
 
 
 def test_por_ratio_above_floor():
-    por, complete = por_ratio(Budget(max_wall_seconds=120), NAIVE_STATE_CAP)
+    por, ratio, complete = por_ratio(Budget(max_wall_seconds=120),
+                                     NAIVE_STATE_CAP)
     assert complete, "POR tree walk must reach fixpoint"
-    assert por["ratio"] >= POR_RATIO_FLOOR, (
-        f"POR ratio {por['ratio']:.2f}x below the {POR_RATIO_FLOOR}x floor "
+    assert ratio >= POR_RATIO_FLOOR, (
+        f"POR ratio {ratio:.2f}x below the {POR_RATIO_FLOOR}x floor "
         f"({por['naive_states']} naive vs {por['por_states']} reduced "
         f"states)")
     _RESULTS["lapb2_por_ratio"] = {
@@ -82,14 +77,5 @@ def test_por_ratio_above_floor():
 def test_emit_bench_json():
     """Write BENCH_mcperf.json from whatever ran above."""
     assert _RESULTS, "mc bench must run before the JSON emitter"
-    runs = [
-        {"params": {"case": case}, "seed": 0, "metrics": metrics}
-        for case, metrics in sorted(_RESULTS.items())
-    ]
-    write_bench_json(
-        bench_json_path("mcperf"),
-        {"bench": "mcperf",
-         "spec": {"source": "benchmarks/test_mc_perf.py"},
-         "runs": runs},
-    )
-    assert bench_json_path("mcperf").exists()
+    assert write_cases("mcperf", "benchmarks/test_mc_perf.py",
+                       _RESULTS).exists()

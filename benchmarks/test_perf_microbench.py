@@ -22,12 +22,13 @@ import pytest
 from repro.ax25.address import AX25Address, AX25Path
 from repro.ax25.defs import PID_ARPA_IP
 from repro.ax25.frames import AX25Frame
-from repro.harness.results import bench_json_path, write_bench_json
 from repro.inet.ip import IPv4Address, IPv4Datagram, PROTO_TCP
 from repro.inet.tcp import FLAG_ACK, TcpSegment
 from repro.kiss.framing import KissDeframer, frame as kiss_frame
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
+
+from benchmarks.conftest import write_cases
 
 #: case name -> metrics dict, filled in as the benches run.
 _PERF_RESULTS: Dict[str, Dict[str, float]] = {}
@@ -53,17 +54,8 @@ def _mean_seconds(benchmark) -> float:
 def _emit_bench_json():
     """Write BENCH_perf.json after the module's benches have run."""
     yield
-    if not _PERF_RESULTS:
-        return
-    runs = [
-        {"params": {"case": case}, "seed": 0, "metrics": metrics}
-        for case, metrics in sorted(_PERF_RESULTS.items())
-    ]
-    write_bench_json(
-        bench_json_path("perf"),
-        {"bench": "perf", "spec": {"source": "benchmarks/test_perf_microbench.py"},
-         "runs": runs},
-    )
+    if _PERF_RESULTS:
+        write_cases("perf", "benchmarks/test_perf_microbench.py", _PERF_RESULTS)
 
 
 def test_perf_event_loop_throughput(benchmark):

@@ -12,6 +12,7 @@ repository's examples/ directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Callable, Dict, List
 
@@ -129,14 +130,10 @@ def _sweep(argv: List[str]) -> int:
     print(f"sweep {args.bench}: {len(experiment.grid)} grid points x "
           f"{seed_count} seeds = {total} runs on {args.procs} process(es)")
 
-    done = {"count": 0}
-
-    def progress(record) -> None:
-        done["count"] += 1
-        print(f"  [{done['count']:3d}/{total}] seed={record.seed} "
-              f"{record.params} ({record.wall_seconds:.2f}s)")
-
-    result = run_sweep(spec, progress=progress)
+    done = itertools.count(1)
+    result = run_sweep(spec, progress=lambda record: print(
+        f"  [{next(done):3d}/{total}] seed={record.seed} "
+        f"{record.params} ({record.wall_seconds:.2f}s)"))
 
     print(f"\n{args.bench}: mean ± 95% CI over {seed_count} seeds")
     for key, params in result.grid_points():
@@ -148,6 +145,11 @@ def _sweep(argv: List[str]) -> int:
     print(f"\nwall {result.wall_seconds:.1f}s, "
           f"{result.workers_used} worker process(es); wrote {path}")
     return 0
+
+
+#: The chaos gate's per-run {metric that must reach 1: failure text}.
+CHAOS_REQUIRES = {"watchdog_recoveries": "watchdog never recovered the TNC",
+                  "post_fault_pings_ok": "no post-recovery ping succeeded"}
 
 
 def _chaos(argv: List[str]) -> int:
@@ -189,7 +191,8 @@ def _chaos(argv: List[str]) -> int:
             f"post-pings={r.metrics.get('post_fault_pings_ok', 0):.0f}"))
     for record in results[1].records:
         where = f"seed={record.seed}"
-        if gate.require(where, record.metrics)["watchdog_recoveries"]:
+        if gate.require(where, record.metrics,
+                        CHAOS_REQUIRES)["watchdog_recoveries"]:
             recovery = record.metrics.get("watchdog_last_recovery_s", 0)
             gate.check(recovery <= args.recovery_bound,
                        f"{where}: recovery took {recovery:.1f}s "
@@ -197,6 +200,9 @@ def _chaos(argv: List[str]) -> int:
     return gate.finish(args.out, document,
                        f"{len(results[1].records)} run(s), digests "
                        f"identical across layouts")
+
+
+TOURNAMENT_REQUIRES = {"obs_conservation_ok": "span conservation violated"}
 
 
 def _tournament(argv: List[str]) -> int:
@@ -212,7 +218,8 @@ def _tournament(argv: List[str]) -> int:
     ``BENCH_tournament.json`` with goodput/latency/retransmit
     Student-t CIs per cell.
     """
-    from repro.faults.plan import TOURNAMENT_PLANS, tournament_plan
+    from repro.faults.plan import TOURNAMENT_PLANS
+    from repro.harness.experiments import tournament_scenario
     from repro.harness.gate import Gate, checked, parse_gate_args, parse_list
     from repro.harness.runner import SweepSpec, params_key
     from repro.radio.modem import ModemProfile
@@ -238,8 +245,6 @@ def _tournament(argv: List[str]) -> int:
     plans = parse_list("--plans", args.plans, known=TOURNAMENT_PLANS)
     speeds = parse_list("--speeds", args.speeds, item=lambda text:
                         ModemProfile(bit_rate=int(text)).bit_rate)
-    for plan in plans:
-        checked(tournament_plan, plan, int(args.duration))
 
     def cell(rto: str, cc: str, link_timer: str, plan: str,
              bit_rate: int) -> Dict[str, object]:
@@ -255,6 +260,8 @@ def _tournament(argv: List[str]) -> int:
         for cc in ("none", "reno", "paced")
         for link_timer in ("fixed", "adaptive")
     )
+    for params in grid:
+        checked(tournament_scenario, args.seed_base, **params)
     gate = Gate("tournament")
     results, document = gate.sweep(
         SweepSpec(bench="tournament", seeds=args.seed_list, grid=grid),
@@ -275,7 +282,8 @@ def _tournament(argv: List[str]) -> int:
               f"rexmit={rexmit.render():18s} "
               f"latency={latency.render() if latency else '-'}")
     for record in result.records:
-        gate.require(f"seed={record.seed} {record.params}", record.metrics)
+        gate.require(f"seed={record.seed} {record.params}", record.metrics,
+                     TOURNAMENT_REQUIRES)
 
     # The §4.1 headline: on the storm plan at 1200 bps, adaptive RTO
     # with Reno must strictly beat the fixed-RTO uncongested baseline.
@@ -440,6 +448,14 @@ def _single_report(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The obs gate's per-run predicates, on its sweep and its sharded runs.
+OBS_REQUIRES = {"obs_conservation_ok": "span conservation violated",
+                "obs_born_total": "no packets born (dead scenario)"}
+OBS_SHARDED_REQUIRES = {"total/obs_sharded_conservation_ok":
+                        "cross-shard span conservation violated",
+                        "total/obs_born_total": "no packets born"}
+
+
 def _obs_gate(args: argparse.Namespace) -> int:
     """``report --bench``: the observability gate."""
     from repro.faults import FaultPlan, FaultSpec
@@ -458,7 +474,8 @@ def _obs_gate(args: argparse.Namespace) -> int:
             f"delivered={r.metrics.get('obs_delivered', 0):.0f} "
             f"conservation={r.metrics.get('obs_conservation_ok', 0):.0f}"))
     for record in results[1].records:
-        gate.require(f"seed={record.seed} {record.params}", record.metrics)
+        gate.require(f"seed={record.seed} {record.params}", record.metrics,
+                     OBS_REQUIRES)
 
     # Sharded-trace gate: a two-region observed chaos layout per seed,
     # run with 1/2/4 worker processes.  Cross-shard span conservation
@@ -484,7 +501,7 @@ def _obs_gate(args: argparse.Namespace) -> int:
         print(f"  {where} born={metrics.get('total/obs_born_total', 0):.0f} "
               f"handed-off={metrics.get('total/obs_handed_off', 0):.0f} "
               f"adopted={metrics.get('total/obs_adopted', 0):.0f}")
-        gate.require(f"shard {where}", metrics, "obs-sharded")
+        gate.require(f"shard {where}", metrics, OBS_SHARDED_REQUIRES)
 
     # Paired-round overhead columns (recorded for trend tracking; the
     # perf microbench asserts the <10% budget with more rounds).
@@ -502,6 +519,10 @@ def _obs_gate(args: argparse.Namespace) -> int:
                        f"{len(results[1].records)} run(s) conserve spans, "
                        f"{len(shard_runs)} sharded run(s) conserve across "
                        f"regions, digests identical across layouts")
+
+
+#: The scale gate's predicate on each sharded run and the headline run.
+SCALE_REQUIRES = {"total/pings_received": "no cross-region ping completed"}
 
 
 def _scale(argv: List[str]) -> int:
@@ -564,7 +585,7 @@ def _scale(argv: List[str]) -> int:
     for where, metrics in shards[1].items():
         print(f"  {where} pings={metrics.get('total/pings_received', 0):.0f}"
               f"/{metrics.get('total/pings_sent', 0):.0f}")
-        gate.require(where, metrics)
+        gate.require(where, metrics, SCALE_REQUIRES)
 
     # Fidelity equivalence on a fault-free single-simulator scenario:
     # the frame path must be byte-identical to the per-char path in
@@ -608,7 +629,7 @@ def _scale(argv: List[str]) -> int:
         }
         print(f"  headline: {events:.0f} events in {wall:.1f}s wall "
               f"({events / wall:,.0f} events/s)")
-        gate.require("headline run", metrics)
+        gate.require("headline run", metrics, SCALE_REQUIRES)
 
     document: Dict[str, object] = {
         "runs": shards[1],
@@ -637,7 +658,7 @@ def _mc(argv: List[str]) -> int:
     mutation gate (three seeded bugs, each of which the checker must
     find and replay deterministically).  Writes ``BENCH_mc.json``.
     """
-    from repro.check import Budget, Explorer, build_world, por_ratio
+    from repro.check import Budget, Explorer, por_ratio
     from repro.check.mutations import MUTATIONS
     from repro.check.replay import replay_violation
     from repro.check.worlds import WORLDS
@@ -680,8 +701,7 @@ def _mc(argv: List[str]) -> int:
                     max_wall_seconds=args.max_seconds)
 
     def explore(world: str):
-        return Explorer(lambda: build_world(world), por=True,
-                        budget=budget).run()
+        return Explorer(WORLDS[world], por=True, budget=budget).run()
 
     gate = Gate("mc")
     presets = []
@@ -698,23 +718,21 @@ def _mc(argv: List[str]) -> int:
         shortest = result.shortest_violation()
         if shortest is not None and args.counterexamples:
             print(shortest.render())
-            confirmation = replay_violation(
-                lambda n=name: build_world(n), shortest)
+            confirmation = replay_violation(WORLDS[name], shortest)
             print(confirmation.report())
             print(confirmation.timeline())
 
     por = None
     if not args.skip_por_ratio:
-        por, complete = por_ratio(budget, args.naive_cap)
+        por, ratio, complete = por_ratio(budget, args.naive_cap)
         bound = ">=" if por["lower_bound"] else "="
-        print(f"mc: POR ratio on lapb2 tree: {bound} {por['ratio']:.1f}x "
+        print(f"mc: POR ratio on lapb2 tree: {bound} {ratio:.1f}x "
               f"({por['naive_states']} naive vs {por['por_states']} "
               f"reduced states)")
         gate.check(complete,
                    "POR tree walk of lapb2 hit its budget; "
                    "ratio is not meaningful")
-        gate.check(por["ratio"] >= 2.0,
-                   f"POR ratio {por['ratio']:.2f}x < 2x on lapb2")
+        gate.check(ratio >= 2.0, f"POR ratio {ratio:.2f}x < 2x on lapb2")
 
     mutation_rows = []
     if not args.skip_mutation_gate:
@@ -723,8 +741,8 @@ def _mc(argv: List[str]) -> int:
                 found = explore(mutation.world).shortest_violation()
                 replayed = False
                 if found is not None:
-                    confirmation = replay_violation(
-                        lambda m=mutation: build_world(m.world), found)
+                    confirmation = replay_violation(WORLDS[mutation.world],
+                                                    found)
                     replayed = confirmation.confirmed
                     if args.counterexamples:
                         print(found.render())

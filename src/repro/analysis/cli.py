@@ -131,6 +131,10 @@ _RULE_FAMILIES = {
 }
 
 
+#: The bench's predicate on each sanitize run.
+LINT_REQUIRES = {"obs_born_total": "no packets born (dead scenario)"}
+
+
 def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
     """The --deep --bench tail: dynamic runs + agreement matrix.
 
@@ -167,7 +171,7 @@ def _run_bench(report, seeds: int, stations: int, duration: float) -> int:
                                duration_seconds=duration)
         dynamic["ordering"] += metrics["sanitize_ordering_agree"] != 1.0
         dynamic["conservation"] += metrics["sanitize_conservation_ok"] != 1.0
-        gate.require(f"sanitize seed={seed}", metrics)
+        gate.require(f"sanitize seed={seed}", metrics, LINT_REQUIRES)
         runs.append({
             "params": {"case": "sanitize", "stations": stations,
                        "duration_seconds": duration},

@@ -363,11 +363,13 @@ class Explorer:
         return None
 
 
-def por_ratio(budget: Budget, naive_cap: int) -> Tuple[Dict[str, Any], bool]:
-    """BENCH_mc.json's ``por_ratio`` section, and whether the reduced
-    walk completed: lapb2's execution tree (no dedup) with POR, against
-    one without it capped at ``naive_cap`` states (a lower bound if
-    the cap is reached)."""
+def por_ratio(budget: Budget,
+              naive_cap: int) -> Tuple[Dict[str, Any], float, bool]:
+    """BENCH_mc.json's ``por_ratio`` section, the unrounded ratio it
+    records to two places, and whether the reduced walk completed:
+    lapb2's execution tree (no dedup) with POR, against one without it
+    capped at ``naive_cap`` states (a lower bound if the cap is
+    reached)."""
     tree = Explorer(Lapb2World, por=True, dedup=False, budget=budget).run()
     naive = Explorer(Lapb2World, por=False, dedup=False,
                      budget=replace(budget, max_states=naive_cap)).run()
@@ -375,4 +377,4 @@ def por_ratio(budget: Budget, naive_cap: int) -> Tuple[Dict[str, Any], bool]:
     return {"world": "lapb2", "por_states": tree.states,
             "por_transitions": tree.transitions, "naive_states": naive.states,
             "naive_transitions": naive.transitions, "ratio": round(ratio, 2),
-            "lower_bound": not naive.complete}, tree.complete
+            "lower_bound": not naive.complete}, ratio, tree.complete

@@ -248,6 +248,18 @@ def chaos_targets(scenario: Scenario, limit: int) -> List[str]:
     return [f"WL{i}" for i in range(min(ip_count, limit))]
 
 
+def with_chaos(scenario: Scenario, targets: int = 1) -> Scenario:
+    """``scenario`` under the standard :func:`repro.faults.chaos_plan`
+    schedule, its station faults aimed at the first ``targets`` IP
+    stations the mix has.  The driver watchdog is on and the gateway
+    sheds bulk traffic past a 2 KB serial backlog.
+    """
+    plan = chaos_plan(int(scenario.duration_seconds), gateway="gateway",
+                      stations=chaos_targets(scenario, targets))
+    return replace(scenario, fault_plan=plan, watchdog=True,
+                   shed_threshold_bytes=2048)
+
+
 def chaos_scenario(
     seed: int = 0,
     stations: int = 50,
@@ -257,21 +269,15 @@ def chaos_scenario(
     watchdog: bool = True,
     shed_threshold_bytes: int = 2048,
 ) -> Scenario:
-    """A population soak with the standard chaos fault schedule applied.
-
-    The :func:`repro.faults.chaos_plan` preset wedges the gateway TNC,
-    corrupts and drops serial bytes, fades and partitions stations, and
-    flaps an interface -- all cleared by ~80% of the run.
-    """
-    scenario = Scenario(
+    """A population soak under :func:`with_chaos`, aimed at two IP
+    stations."""
+    soak = Scenario(
         name=f"chaos-{mix}", topology="gateway", stations=stations,
         duration_seconds=duration_seconds, mix=scaled_mix(mix, rate_scale),
-        seed=seed, watchdog=watchdog,
-        shed_threshold_bytes=shed_threshold_bytes,
+        seed=seed,
     )
-    plan = chaos_plan(int(duration_seconds), gateway="gateway",
-                      stations=chaos_targets(scenario, 2))
-    return replace(scenario, fault_plan=plan)
+    return replace(with_chaos(soak, targets=2), watchdog=watchdog,
+                   shed_threshold_bytes=shed_threshold_bytes)
 
 
 def run_chaos(seed: int = 0, **params: Any) -> Dict[str, float]:
@@ -307,20 +313,6 @@ OBS_MIX: Tuple[GeneratorMix, ...] = (
                  arrivals="onoff", payload_bytes=96),
     GeneratorMix("udp", fraction=1, rate_per_minute=3, payload_bytes=64),
 )
-
-
-def with_chaos(scenario: Scenario) -> Scenario:
-    """``scenario`` under the standard chaos schedule.
-
-    The fade and interface flap hit the first IP station, if the mix
-    has one.  The fault plan spans the scenario's duration; the driver
-    watchdog is on and the gateway sheds bulk traffic past a 2 KB
-    serial backlog.
-    """
-    plan = chaos_plan(int(scenario.duration_seconds), gateway="gateway",
-                      stations=chaos_targets(scenario, 1))
-    return replace(scenario, fault_plan=plan, watchdog=True,
-                   shed_threshold_bytes=2048)
 
 
 def obs_scenario(seed: int, variant: str, stations: int,
@@ -422,7 +414,7 @@ TOURNAMENT_MIX: Tuple[GeneratorMix, ...] = (
 )
 
 
-def run_tournament(
+def tournament_scenario(
     seed: int = 0,
     rto: str = "adaptive",
     cc: str = "reno",
@@ -431,28 +423,33 @@ def run_tournament(
     bit_rate: int = 1200,
     stations: int = 3,
     duration_seconds: float = 180.0,
-) -> Dict[str, float]:
+) -> Scenario:
     """One tournament cell: a policy triple under one hostile-link plan.
 
     The gateway testbed runs TCP transfers (stations -> Ethernet discard
     sink) and a BBS terminal session while the named
     :func:`repro.faults.tournament_plan` batters the links; every TCP
     endpoint runs the (``rto``, ``cc``) policies and every LAPB link the
-    ``link_timer`` policy.  The flight recorder is attached, so the cell
-    reports span conservation alongside the headline goodput /
-    transfer-latency / retransmit observables.
+    ``link_timer`` policy.
     """
-    scenario = Scenario(
+    return Scenario(
         name=f"tournament-{plan}", topology="gateway", stations=stations,
         duration_seconds=duration_seconds, mix=TOURNAMENT_MIX, seed=seed,
         bit_rate=bit_rate, tcp_rto=rto, tcp_cc=cc, lapb_timer=link_timer,
         observe=True,
         fault_plan=tournament_plan(plan, int(duration_seconds)),
     )
+
+
+def run_tournament(seed: int = 0, **params: Any) -> Dict[str, float]:
+    """Run :func:`tournament_scenario`: with the flight recorder on, the
+    cell reports span conservation alongside the headline goodput /
+    transfer-latency / retransmit observables."""
+    scenario = tournament_scenario(seed, **params)
     run = build_scenario(scenario)
     metrics = run.run()
     metrics["goodput_bytes_per_s"] = (
-        metrics.get("tcp_sink_bytes", 0.0) / duration_seconds)
+        metrics.get("tcp_sink_bytes", 0.0) / scenario.duration_seconds)
     # Link-layer recovery health, summed over every LAPB connection the
     # scenario ran (the BBS's side and each terminal TNC's side).
     endpoints = []

@@ -14,8 +14,9 @@ rest, which lives here:
   differ is one failure.  The result is the ``digests`` section the
   BENCH files carry.  :meth:`Gate.sweep` and :meth:`Gate.sharded` put
   a harness sweep or a ``ScaleLayout`` on the ``procs`` axis;
-* per-run predicates, each a named failure, and the :data:`REQUIRES`
-  tables :meth:`Gate.require` checks;
+* per-run predicates, each a named failure; :meth:`Gate.require`
+  checks a gate's ``{metric: failure text}`` table, each metric of
+  which must reach 1;
 * the tail: write ``BENCH_<name>.json``, print the failures or the pass
   line, and return the exit code.
 
@@ -59,23 +60,6 @@ from repro.scale.shard import run_sharded
 AXES: Dict[str, Tuple[Callable[[object], str], Callable]] = {
     "procs": (lambda procs: f"procs{procs}", dict),
     "fidelity": (str, comparable_metrics),
-}
-
-
-#: Each gate's per-run predicates, by gate name, checked by
-#: :meth:`Gate.require`: every metric must reach 1, or the run records
-#: the failure text.  ``obs-sharded`` is the obs gate's sharded runs.
-REQUIRES: Dict[str, Dict[str, str]] = {
-    "chaos": {"watchdog_recoveries": "watchdog never recovered the TNC",
-              "post_fault_pings_ok": "no post-recovery ping succeeded"},
-    "tournament": {"obs_conservation_ok": "span conservation violated"},
-    "obs": {"obs_conservation_ok": "span conservation violated",
-            "obs_born_total": "no packets born (dead scenario)"},
-    "obs-sharded": {"total/obs_sharded_conservation_ok":
-                    "cross-shard span conservation violated",
-                    "total/obs_born_total": "no packets born"},
-    "scale": {"total/pings_received": "no cross-region ping completed"},
-    "lint": {"obs_born_total": "no packets born (dead scenario)"},
 }
 
 
@@ -155,12 +139,13 @@ class Gate:
         return bool(ok)
 
     def require(self, where: str, metrics: Mapping[str, float],
-                table: Optional[str] = None) -> Dict[str, bool]:
-        """The ``REQUIRES`` table of this gate (or ``table``) on one run's
-        ``metrics``, each failure after ``where: ``; returns each verdict."""
+                table: Mapping[str, str]) -> Dict[str, bool]:
+        """Per-run predicates: each ``table`` metric must reach 1 in one
+        run's ``metrics``, or the run records ``where: <failure text>``.
+        Returns each metric's verdict."""
         return {metric: self.check(metrics.get(metric, 0) >= 1,
                                    f"{where}: {failure}")
-                for metric, failure in REQUIRES[table or self.name].items()}
+                for metric, failure in table.items()}
 
     def invariance(self, axis: str, variants: Sequence, run: Callable,
                    cells: Optional[Callable] = None

@@ -346,10 +346,11 @@ def test_por_ratio_is_the_section_bench_mc_holds(budget):
     """Both callers' budgets give the checked-in ``por_ratio`` section:
     ``python -m repro mc`` and benchmarks/test_mc_perf.py, each with the
     unreduced walk capped at 8,000 states."""
-    section, complete = por_ratio(budget, naive_cap=8000)
+    section, ratio, complete = por_ratio(budget, naive_cap=8000)
     assert complete
     bench = json.loads((REPO_ROOT / "BENCH_mc.json").read_text())
     assert section == bench["por_ratio"]
+    assert ratio == section["naive_states"] / section["por_states"]
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,9 +22,17 @@ import pytest
 import repro.check
 import repro.harness.gate as gate_module
 import repro.workload.scenario
-from repro.__main__ import COMMANDS, main
+from repro.__main__ import (
+    CHAOS_REQUIRES,
+    COMMANDS,
+    OBS_REQUIRES,
+    OBS_SHARDED_REQUIRES,
+    SCALE_REQUIRES,
+    TOURNAMENT_REQUIRES,
+    main,
+)
+from repro.analysis.cli import LINT_REQUIRES
 from repro.harness.gate import (
-    REQUIRES,
     Gate,
     checked,
     parse_gate_args,
@@ -202,21 +212,21 @@ def _old_lint(gate, seed, metrics):
 
 
 PARAMS = {"variant": "chaos"}
-#: case -> (gate name, REQUIRES table, where, the hand-written checks).
+#: case -> (gate name, predicate table, where, the hand-written checks).
 PREDICATE_CASES = {
-    "chaos": ("chaos", "chaos", "seed=2",
+    "chaos": ("chaos", CHAOS_REQUIRES, "seed=2",
               lambda gate, m: _old_chaos(gate, 2, m)),
-    "tournament": ("tournament", "tournament", f"seed=2 {PARAMS}",
+    "tournament": ("tournament", TOURNAMENT_REQUIRES, f"seed=2 {PARAMS}",
                    lambda gate, m: _old_tournament(gate, 2, m, PARAMS)),
-    "obs": ("obs", "obs", f"seed=2 {PARAMS}",
+    "obs": ("obs", OBS_REQUIRES, f"seed=2 {PARAMS}",
             lambda gate, m: _old_obs(gate, 2, m, PARAMS)),
-    "obs-shard": ("obs", "obs-sharded", "shard seed=2",
+    "obs-shard": ("obs", OBS_SHARDED_REQUIRES, "shard seed=2",
                   lambda gate, m: _old_obs_shard(gate, 2, m)),
-    "scale": ("scale", "scale", "seed=2",
+    "scale": ("scale", SCALE_REQUIRES, "seed=2",
               lambda gate, m: _old_scale(gate, 2, m)),
-    "scale-headline": ("scale", "scale", "headline run",
+    "scale-headline": ("scale", SCALE_REQUIRES, "headline run",
                        _old_scale_headline),
-    "lint": ("lint", "lint", "sanitize seed=2",
+    "lint": ("lint", LINT_REQUIRES, "sanitize seed=2",
              lambda gate, m: _old_lint(gate, 2, m)),
 }
 
@@ -224,7 +234,7 @@ PREDICATE_CASES = {
 @pytest.mark.parametrize("case", sorted(PREDICATE_CASES))
 def test_predicate_table_records_what_the_hand_written_checks_did(case):
     name, table, where, old = PREDICATE_CASES[case]
-    metric_names = list(REQUIRES[table])
+    metric_names = list(table)
     # Every metric at 0, below 1, at 1 and above it; all but the lint
     # bench, which indexed its metric, also with every metric missing.
     values = [0.0, 0.5, 1.0, 3.0] + ([None] if case != "lint" else [])
@@ -232,8 +242,7 @@ def test_predicate_table_records_what_the_hand_written_checks_did(case):
         metrics = {metric: value for metric, value in zip(metric_names, row)
                    if value is not None}
         new_gate, old_gate = Gate(name), Gate(name)
-        verdicts = new_gate.require(
-            where, metrics, None if table == name else table)
+        verdicts = new_gate.require(where, metrics, table)
         old(old_gate, metrics)
         assert new_gate.failures == old_gate.failures, row
         assert verdicts == {metric: value is not None and value >= 1
@@ -269,13 +278,16 @@ def test_tournament_single_layout_is_a_usage_error(tmp_path):
     ["chaos", "--stations", "0", "--out", "BENCH_chaos.json"],
     ["chaos", "--duration", "0", "--out", "BENCH_chaos.json"],
     ["tournament", "--duration", "0", "--out", "BENCH_tournament.json"],
+    ["tournament", "--plans", "wedge", "--duration", "0",
+     "--out", "BENCH_tournament.json"],
     ["scale", "--stations", "0", "--out", "BENCH_scale.json"],
     ["scale", "--regions", "0", "--out", "BENCH_scale.json"],
     ["scale", "--flow", "-5", "--out", "BENCH_scale.json"],
     ["report", "--stations", "0"],
     ["lint", str(REPO_ROOT / "src"), "--deep", "--bench", "--stations", "0"],
 ], ids=("mc-worlds-empty", "mc-worlds-comma", "chaos-stations-0",
-        "chaos-duration-0", "tournament-duration-0", "scale-stations-0",
+        "chaos-duration-0", "tournament-duration-0",
+        "tournament-wedge-duration-0", "scale-stations-0",
         "scale-regions-0", "scale-flow-negative", "report-stations-0",
         "lint-bench-stations-0"))
 def test_bad_value_exits_2_in_one_line_before_any_run(argv, tmp_path,
@@ -318,6 +330,35 @@ def test_gate_writes_the_checked_in_layout(name, argv, tmp_path, capsys):
     assert set(written) == set(checked_in)
     if "digests" in written:
         assert written["digests"]["identical"] is True
+
+
+def test_bench_diff_fails_only_on_a_compared_difference(tmp_path):
+    """CI's comparison of a fresh BENCH file with the committed one:
+    the named sections, or the whole file less the skipped per-preset
+    keys."""
+    committed = {"digests": {"procs1": "a"}, "overhead": 1.0,
+                 "presets": [{"states": 5, "elapsed_s": 0.5}]}
+    bench = tmp_path / "BENCH_x.json"
+    bench.write_text(json.dumps(committed))
+    for command in (["init", "-q"], ["add", bench.name],
+                    ["commit", "-qm", "bench"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *command],
+                       cwd=tmp_path, check=True)
+
+    def diff(fresh, *args):
+        bench.write_text(json.dumps({**committed, **fresh}))
+        return subprocess.run(
+            [sys.executable,
+             str(REPO_ROOT / ".github" / "scripts" / "bench_diff.py"),
+             bench.name, *args],
+            cwd=tmp_path, capture_output=True).returncode
+
+    assert diff({"overhead": 2.0}, "digests") == 0
+    assert diff({"digests": {"procs1": "b"}}, "digests", "overhead") == 1
+    skip = ("--skip-preset-key", "elapsed_s")
+    assert diff({"presets": [{"states": 5, "elapsed_s": 0.7}]}, *skip) == 0
+    assert diff({"presets": [{"states": 6, "elapsed_s": 0.5}]}, *skip) == 1
 
 
 def test_sweep_leaves_gate_files_to_their_gates(tmp_path, monkeypatch,

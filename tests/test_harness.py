@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, chaos_plan
 
 from repro.harness import (
     EXPERIMENTS,
@@ -29,7 +29,14 @@ from repro.harness import (
     run_sweep,
     write_bench_json,
 )
-from repro.harness.experiments import OBS_MIX, obs_scenario, with_chaos
+from repro.harness.experiments import (
+    OBS_MIX,
+    chaos_scenario,
+    chaos_targets,
+    obs_scenario,
+    scaled_mix,
+    with_chaos,
+)
 from repro.harness.runner import params_key, seeds_from_count
 from repro.metrics.stats import aggregate, t_critical_95
 from repro.workload.scenario import Scenario
@@ -212,3 +219,30 @@ def test_obs_scenario_is_what_each_old_construction_built(variant):
 def test_obs_scenario_rejects_an_unknown_variant():
     with pytest.raises(ValueError, match="unknown sanitize variant"):
         obs_scenario(0, "storm", 8, 150.0, prefix="sanitize")
+
+
+def _old_chaos_scenario(seed=0, stations=50, duration_seconds=240.0,
+                        mix="mixed", rate_scale=0.25, watchdog=True,
+                        shed_threshold_bytes=2048):
+    """``chaos_scenario`` as it was written before it used ``with_chaos``."""
+    scenario = Scenario(
+        name=f"chaos-{mix}", topology="gateway", stations=stations,
+        duration_seconds=duration_seconds, mix=scaled_mix(mix, rate_scale),
+        seed=seed, watchdog=watchdog,
+        shed_threshold_bytes=shed_threshold_bytes,
+    )
+    plan = chaos_plan(int(duration_seconds), gateway="gateway",
+                      stations=chaos_targets(scenario, 2))
+    return dataclasses.replace(scenario, fault_plan=plan)
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    {"seed": 3, "stations": 8, "duration_seconds": 90.0},
+    {"mix": "bursty", "rate_scale": 1.0, "watchdog": False,
+     "shed_threshold_bytes": 0},
+    {"stations": 2, "duration_seconds": 30.5},
+], ids=("default", "gate-quick-drive", "bursty-no-watchdog", "one-ip"))
+def test_chaos_scenario_is_what_its_old_construction_built(params):
+    assert _fields(chaos_scenario(**params)) == _fields(
+        _old_chaos_scenario(**params))
