@@ -43,16 +43,18 @@ def run_mode(mode: str):
     record = kiss_frame(commands.type_byte(commands.CMD_DATA), frame.encode())
 
     # Track the largest amount of work done at a single instant: the
-    # "interrupt-time spike".
+    # "interrupt-time spike".  The line counts a character before it
+    # calls the handler, so the spy charges all the work done since its
+    # previous call to the instant it runs at.
     spikes = []
     last = {"time": -1, "ops": 0, "acc": 0}
 
-    original = driver._rx_char_interrupt
+    handler = line.a._receive_handler
 
     def spy(byte):
-        before = driver.processing_ops
-        original(byte)
-        delta = driver.processing_ops - before
+        handler(byte)
+        delta = driver.processing_ops - last["ops"]
+        last["ops"] = driver.processing_ops
         if sim.now == last["time"]:
             last["acc"] += delta
         else:

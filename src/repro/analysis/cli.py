@@ -69,7 +69,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.bench:
         from repro.harness.experiments import obs_scenario
-        from repro.harness.gate import checked
+        from repro.harness.gate import checked, usage_error
+        if args.seeds < 1:
+            usage_error(f"--seeds must be >= 1, got {args.seeds}")
         checked(obs_scenario, 0, "e3", args.stations, args.duration)
 
     if args.list_rules:

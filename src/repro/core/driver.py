@@ -14,9 +14,12 @@ The driver below follows that structure byte for byte:
   :class:`~repro.serialio.line.SerialEndpoint`, and receives **one
   character per interrupt** (at frame fidelity, a whole write per call,
   counted the same);
-* escaped KISS frame-end characters are decoded **on the fly** (or, for
-  ablation A1, buffered raw and post-processed when the final FEND
-  arrives -- ``reassembly="buffered"``);
+* escaped KISS frame-end characters are decoded **on the fly**: the
+  handler is the KISS deframer's ``push_byte`` itself (or, for ablation
+  A1, ``reassembly="buffered"``, a handler that buffers raw bytes and
+  post-processes them when the final FEND arrives);
+* the interrupt count is the line's own count of received bytes, so the
+  driver does no per-character work besides the unescaping;
 * when the final frame end is read it checks the AX.25 destination
   callsign ("either its own, or the broadcast address") and the PID;
 * IP packets go onto the stack's IP input queue via the soft interrupt;
@@ -111,7 +114,12 @@ class PacketRadioInterface(NetworkInterface):
         #: line noise grows the buffer without bound.
         self.raw_buffer_limit = 2 * self._deframer.max_frame + 2
         self._raw_discarding = False
-        serial.on_receive(self._rx_char_interrupt)
+        #: Bytes the buffered mode's second pass has decoded.
+        self._second_pass_ops = 0
+        # The DZ line's receive interrupt handler.  On the fly it is the
+        # deframer itself, unescaping each character as it lands.
+        serial.on_receive(self._deframer.push_byte if reassembly == "per_char"
+                          else self._rx_char_interrupt)
         serial.on_receive_burst(self._rx_burst)
 
         #: When set, bulk (non-ARP/ICMP) output is shed once the serial
@@ -126,8 +134,6 @@ class PacketRadioInterface(NetworkInterface):
         self.sheds_control = 0
 
         # driver statistics (imitating if_data plus driver-specific ones)
-        self.rx_char_interrupts = 0
-        self.processing_ops = 0          # unit work items (ablation A1 metric)
         self.frames_from_tnc = 0
         self.frames_not_for_us = 0       # promiscuous TNC overhead (E3 metric)
         self.frames_bad = 0
@@ -160,17 +166,26 @@ class PacketRadioInterface(NetworkInterface):
     # receive path: per-character interrupt handling
     # ------------------------------------------------------------------
 
+    @property
+    def rx_char_interrupts(self) -> int:
+        """Receive character interrupts: the DZ line's received bytes."""
+        return self.serial.bytes_received
+
+    @property
+    def processing_ops(self) -> int:
+        """Unit work items (the A1 metric).
+
+        One per character interrupt, plus one per byte of the buffered
+        mode's second pass.
+        """
+        return self.serial.bytes_received + self._second_pass_ops
+
     def _rx_char_interrupt(self, byte: int) -> None:
-        """Called by the DZ tty line once per received character."""
-        self.rx_char_interrupts += 1
-        if self.reassembly == "per_char":
-            # On-the-fly processing: unescape as each character arrives.
-            self.processing_ops += 1
-            self._deframer.push_byte(byte)
-            return
-        # Ablation mode: stash raw bytes, decode the whole packet at the
-        # final frame end.  Costs a second pass over every byte.
-        self.processing_ops += 1
+        """The buffered ablation's (A1) per-character interrupt handler.
+
+        It stashes raw bytes and decodes the whole packet at the final
+        frame end, a second pass over every byte.
+        """
         if self._raw_discarding:
             if byte == FEND:
                 self._raw_discarding = False
@@ -179,7 +194,7 @@ class PacketRadioInterface(NetworkInterface):
         if byte == FEND and len(self._raw_buffer) > 1:
             buffered = bytes(self._raw_buffer)
             self._raw_buffer.clear()
-            self.processing_ops += len(buffered)
+            self._second_pass_ops += len(buffered)
             self._deframer.push(buffered)
         elif byte == FEND:
             self._raw_buffer.clear()
@@ -196,17 +211,14 @@ class PacketRadioInterface(NetworkInterface):
     def _rx_burst(self, data: bytes) -> None:
         """Frame-fidelity receive: one event delivers a whole write.
 
-        Counter-for-counter identical to ``len(data)`` calls of
-        :meth:`_rx_char_interrupt`; the per-char reassembly mode feeds
-        the vectorised deframer and the buffered ablation mode keeps its
-        exact per-byte accounting by looping.
+        It has the effect of ``len(data)`` calls of the per-byte
+        handler: the per-char reassembly mode feeds the vectorised
+        deframer, and the buffered ablation mode loops.
         """
         if self.reassembly != "per_char":
             for byte in data:
                 self._rx_char_interrupt(byte)
             return
-        self.rx_char_interrupts += len(data)
-        self.processing_ops += len(data)
         self._deframer.push(data)
 
     def _kiss_record(self, type_byte: int, payload: bytes) -> None:

@@ -99,7 +99,6 @@ class KissDeframer:
         self.errors = 0
         self.oversize_drops = 0
         self._buffer = bytearray()
-        self._in_frame = False
         self._escaped = False
         self._discarding = False
 
@@ -132,8 +131,6 @@ class KissDeframer:
         """Feed a FEND-free run of bytes through the state machine."""
         if self._discarding:
             return
-        if not self._in_frame:
-            self._in_frame = True
         buffer = self._buffer
         parts = segment.split(_FESC_BYTES)
         head = parts[0]
@@ -192,8 +189,6 @@ class KissDeframer:
             return
         if self._discarding:
             return
-        if not self._in_frame:
-            self._in_frame = True
         if self._escaped:
             if byte == TFEND:
                 self._buffer.append(FEND)
@@ -240,6 +235,5 @@ class KissDeframer:
 
     def _reset(self) -> None:
         self._buffer.clear()
-        self._in_frame = False
         self._escaped = False
         self._discarding = False

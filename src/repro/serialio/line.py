@@ -9,6 +9,11 @@ meaningful thing to model, and what makes the serial line a real
 bottleneck in experiment E3.  A write's bytes are one event series
 (:meth:`~repro.sim.engine.Simulator.at_series`): each byte is still
 its own dispatched event, but the queue holds one entry per write.
+The receiving endpoint counts each byte that gets past its fault
+filter in ``bytes_received`` before it calls the per-byte handler.
+The pr0 driver reads its interrupt count there and registers its KISS
+unescaper as the handler, so a received character is one
+:meth:`SerialEndpoint._deliver` and one handler call.
 
 The line also supports the scale subsystem's **frame fidelity**
 (``fidelity="frame"``): a write is delivered as one burst event at the
@@ -69,6 +74,8 @@ class SerialEndpoint:
         # Time at which the transmitter in this direction becomes free.
         self._tx_free_at = 0
         self.bytes_sent = 0
+        #: Bytes that landed here past the fault filter: one receive
+        #: interrupt each, counted before the handler runs.
         self.bytes_received = 0
         #: Receive-path fault filter (installed by :mod:`repro.faults`):
         #: called with each byte as it lands at *this* endpoint; returns
@@ -138,17 +145,19 @@ class SerialEndpoint:
         return -(-remaining // self.line.byte_time)
 
     def _deliver(self, byte: int) -> None:
-        assert self.peer is not None
-        if self.peer.rx_fault is not None:
-            faulted = self.peer.rx_fault(byte)
+        peer = self.peer
+        assert peer is not None
+        if peer.rx_fault is not None:
+            faulted = peer.rx_fault(byte)
             if faulted != byte:
-                self.peer.rx_faulted += 1
+                peer.rx_faulted += 1
             if faulted is None:
                 return
             byte = faulted
-        self.peer.bytes_received += 1
-        if self.peer._receive_handler is not None:
-            self.peer._receive_handler(byte)
+        peer.bytes_received += 1
+        handler = peer._receive_handler
+        if handler is not None:
+            handler(byte)
 
     def _deliver_burst(self, data: bytes) -> None:
         """Frame-fidelity delivery: the whole write lands in one event.

@@ -105,6 +105,8 @@ class _Series:
         """Advance ``event`` to its next element; returns its heap entry.
 
         None when the element ``event`` showed was the last.
+        :meth:`Simulator.step_event` calls this; :meth:`Simulator.run`
+        runs the same steps inline.
         """
         index = self.index + 1
         if index == len(self.items):
@@ -375,7 +377,7 @@ class Simulator:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         queue = self._queue
-        pop = heappop
+        pop, replace = heappop, heapreplace
         executed = 0
         try:
             while queue:
@@ -387,21 +389,38 @@ class Simulator:
                     continue
                 if until is not None and time > until:
                     break
-                args = event.args
-                # A series leaves the heap only after its last element;
-                # until then it re-arms in place, at a key reserved when
-                # it was registered, before the callback runs.
-                entry = None if event.series is None else event.series.rearm(event)
-                if entry is None:
+                series = event.series
+                if series is None:
                     pop(queue)
                 else:
-                    heapreplace(queue, entry)
+                    # A series leaves the heap only after its last
+                    # element; until then it re-arms in place, at a key
+                    # reserved when it was registered, before the
+                    # callback runs.  These are _Series.rearm's steps,
+                    # inlined because a per-character line runs them per
+                    # byte; test_run_rearms_a_series_as_step_event_does
+                    # holds the two copies to one behaviour.
+                    items = series.items
+                    index = series.index
+                    item = items[index]
+                    index += 1
+                    if index == len(items):
+                        pop(queue)
+                    else:
+                        series.index = index
+                        event.time = next_time = time + series.interval
+                        event.seq = seq = series.keys[index]
+                        event.args = (items[index],)
+                        replace(queue, (next_time, seq, event))
                 self._now = time
                 self._events_executed += 1
                 executed += 1
                 if self.profiler is not None:
                     self.profiler.count(event)
-                event.fn(*args, **event.kwargs)
+                if series is None:
+                    event.fn(*event.args, **event.kwargs)
+                else:
+                    event.fn(item)
         finally:
             self._running = False
         if until is not None and self._now < until:

@@ -10,12 +10,13 @@ import pytest
 from repro.ax25.address import AX25Address, AX25Path, encode_address_field
 from repro.ax25.defs import PID_ARPA_ARP, PID_ARPA_IP, PID_NO_L3
 from repro.ax25.frames import AX25Frame
-from repro.core.driver import PacketRadioInterface
+from repro.core.driver import PacketRadioInterface, TncWatchdog
 from repro.inet.arp import ARP_REPLY, ARP_REQUEST, ArpPacket, HRD_AX25
 from repro.inet.ip import IPv4Address
 from repro.kiss import commands
 from repro.kiss.framing import FEND, KissDeframer, frame as kiss_frame
 from repro.serialio.line import LINE_FIDELITY_LEVELS, SerialLine
+from repro.sim.clock import SECOND
 
 MY_CALL = AX25Address("NT7GW")
 PEER_CALL = AX25Address("KB7DZ")
@@ -164,24 +165,36 @@ def test_escaped_bytes_decoded_on_the_fly(harness):
     assert harness.ip_in == [payload]
 
 
-def test_per_char_interrupts_counted(harness):
+def _counts(harness):
+    driver = harness.driver
+    return driver.rx_char_interrupts, driver.processing_ops
+
+
+def test_per_char_interrupts_counted(sim):
+    """One interrupt, and one unit of work, per character at either fidelity."""
     frame = AX25Frame.ui(MY_CALL, PEER_CALL, PID_ARPA_IP, b"12345")
     record = kiss_frame(commands.type_byte(commands.CMD_DATA), frame.encode())
-    harness.line.b.write(record)
-    harness.sim.run_until_idle()
-    assert harness.driver.rx_char_interrupts == len(record)
+    assert len(record) == 24
+    for fidelity in LINE_FIDELITY_LEVELS:
+        harness = DriverHarness(sim, fidelity=fidelity)
+        harness.line.b.write(record)
+        sim.run_until_idle()
+        assert _counts(harness) == (len(record), len(record))
 
 
 def test_buffered_reassembly_mode_equivalent_output(sim):
-    per_char = DriverHarness(sim, reassembly="per_char")
-    buffered = DriverHarness(sim, reassembly="buffered")
     payload = bytes([FEND, 0xDB]) + b"same frames"
     frame = AX25Frame.ui(MY_CALL, PEER_CALL, PID_ARPA_IP, payload)
-    per_char.feed_frame(frame)
-    buffered.feed_frame(frame)
-    assert per_char.ip_in == buffered.ip_in == [payload]
-    # The buffered strategy touches every byte twice.
-    assert buffered.driver.processing_ops > per_char.driver.processing_ops
+    for fidelity in LINE_FIDELITY_LEVELS:
+        per_char = DriverHarness(sim, reassembly="per_char", fidelity=fidelity)
+        buffered = DriverHarness(sim, reassembly="buffered", fidelity=fidelity)
+        per_char.feed_frame(frame)
+        buffered.feed_frame(frame)
+        assert per_char.ip_in == buffered.ip_in == [payload]
+        # The buffered strategy touches every byte twice: its second
+        # pass decodes the record less its leading FEND.
+        assert _counts(per_char) == (34, 34)
+        assert _counts(buffered) == (34, 34 + 33)
 
 
 def test_unknown_reassembly_mode_rejected(sim):
@@ -200,8 +213,11 @@ def _record(raw: bytes) -> bytes:
 
 def _receive_outcome(harness):
     """Every driver counter, the line's fault count, and what was delivered."""
-    counters = {name: value for name, value in vars(harness.driver).items()
+    driver = harness.driver
+    counters = {name: value for name, value in vars(driver).items()
                 if isinstance(value, int)}
+    counters.update(rx_char_interrupts=driver.rx_char_interrupts,
+                    processing_ops=driver.processing_ops)
     return (counters, harness.line.a.rx_faulted, harness.ip_in,
             [frame.encode() for frame in harness.driver.non_ip_queue])
 
@@ -246,12 +262,33 @@ def test_burst_handler_matches_per_char_handler(sim, reassembly):
     driver = frame.driver
     assert (driver.frames_ip_in, driver.frames_not_for_us,
             driver.frames_non_ip, driver.frames_bad) == (4, 2, 1, 3)
+    assert _counts(frame) == RECEIVE_COUNTS[reassembly]
+
+
+#: ``(rx_char_interrupts, processing_ops)`` after the receive cases:
+#: one interrupt per byte of the ten records, and in buffered mode a
+#: second pass over each record less its leading FEND.
+RECEIVE_COUNTS = {"per_char": (250, 250), "buffered": (250, 250 + 240)}
 
 
 def _drop_every(nth):
     """A deterministic ``rx_fault`` that drops every ``nth`` byte it sees."""
     seen = itertools.count(1)
     return lambda byte: None if next(seen) % nth == 0 else byte
+
+
+def _noise(drop_every, alter_every):
+    """A deterministic ``rx_fault`` that drops every ``drop_every``-th
+    byte it sees and flips a bit of every ``alter_every``-th."""
+    seen = itertools.count(1)
+
+    def fault(byte):
+        index = next(seen)
+        if index % drop_every == 0:
+            return None
+        return byte ^ 0x20 if index % alter_every == 0 else byte
+
+    return fault
 
 
 def test_receive_fault_downshift_matches_per_char(sim):
@@ -279,6 +316,66 @@ def test_receive_fault_downshift_matches_per_char(sim):
     assert _receive_outcome(frame) == _receive_outcome(per_char)
     assert per_char.line.a.rx_faulted > 0
     assert 0 < len(per_char.ip_in) < len(records)
+    assert _counts(frame) == (339, 339)
+
+
+@pytest.mark.parametrize("reassembly", ["per_char", "buffered"])
+def test_fault_filter_counts_only_the_bytes_it_delivers(sim, reassembly):
+    """A byte the filter drops is no interrupt; one it alters is one."""
+    per_char, frame = (
+        DriverHarness(sim, reassembly=reassembly, fidelity=fidelity)
+        for fidelity in LINE_FIDELITY_LEVELS)
+    for harness in (per_char, frame):
+        harness.line.a.rx_fault = _noise(53, 11)
+        for raw in RECEIVE_CASES:
+            harness.line.b.write(_record(raw))
+    sim.run_until_idle()
+    assert _receive_outcome(frame) == _receive_outcome(per_char)
+    written = sum(len(_record(raw)) for raw in RECEIVE_CASES)
+    assert per_char.line.a.rx_faulted == 26
+    assert per_char.driver.rx_char_interrupts == written - written // 53
+    assert _counts(frame) == NOISE_COUNTS[reassembly]
+
+
+#: ``(rx_char_interrupts, processing_ops)`` after the receive cases
+#: through ``_noise(53, 11)``, which drops 4 of their 250 bytes.
+NOISE_COUNTS = {"per_char": (246, 246), "buffered": (246, 246 + 238)}
+
+
+@pytest.mark.parametrize("reassembly", ["per_char", "buffered"])
+@pytest.mark.parametrize("fidelity", LINE_FIDELITY_LEVELS)
+def test_watchdog_reads_the_same_progress_at_every_check(sim, streams,
+                                                         fidelity, reassembly):
+    """The watchdog's progress value is the interrupt count at each check.
+
+    Traffic, a silence long enough for resets, then traffic through a
+    filter that drops and alters bytes.
+    """
+    harness = DriverHarness(sim, reassembly=reassembly, fidelity=fidelity)
+    watchdog = TncWatchdog(harness.driver, streams)
+    progress = []
+    check = watchdog._check
+
+    def spy():
+        progress.append(harness.driver.rx_char_interrupts)
+        check()
+
+    watchdog._check = spy
+    watchdog.start()
+    records = [_record(raw) for raw in RECEIVE_CASES]
+    write = harness.line.b.write
+    sim.at(1 * SECOND, write, b"".join(records[:3]))
+    sim.at(12 * SECOND, write, b"".join(records[3:6]))
+    sim.at(60 * SECOND, setattr, harness.line.a, "rx_fault", _noise(7, 5))
+    sim.at(70 * SECOND, write, b"".join(records[6:]))
+    sim.at(83 * SECOND, write, records[0])
+    sim.run(until=120 * SECOND)
+    assert progress == WATCHDOG_PROGRESS
+    assert (watchdog.resets_issued, watchdog.recoveries) == (7, 1)
+
+
+#: ``rx_char_interrupts`` at each of the watchdog's 24 checks.
+WATCHDOG_PROGRESS = [78] * 2 + [175] * 12 + [240] * 2 + [263] * 8
 
 
 # ----------------------------------------------------------------------

@@ -285,15 +285,17 @@ def test_tournament_single_layout_is_a_usage_error(tmp_path):
     ["scale", "--flow", "-5", "--out", "BENCH_scale.json"],
     ["report", "--stations", "0"],
     ["lint", str(REPO_ROOT / "src"), "--deep", "--bench", "--stations", "0"],
+    ["lint", str(REPO_ROOT / "src"), "--deep", "--bench", "--seeds", "0"],
 ], ids=("mc-worlds-empty", "mc-worlds-comma", "chaos-stations-0",
         "chaos-duration-0", "tournament-duration-0",
         "tournament-wedge-duration-0", "scale-stations-0",
         "scale-regions-0", "scale-flow-negative", "report-stations-0",
-        "lint-bench-stations-0"))
+        "lint-bench-stations-0", "lint-bench-seeds-0"))
 def test_bad_value_exits_2_in_one_line_before_any_run(argv, tmp_path,
                                                       monkeypatch, capsys):
-    """Each of these used to pass on nothing (``mc``) or end in a
-    ``ValueError`` traceback from inside its first run."""
+    """Each of these used to pass on nothing (``mc``, lint's
+    ``--seeds 0``) or end in a ``ValueError`` traceback from inside its
+    first run."""
     def refuse(*args, **kwargs):
         raise AssertionError("a run started before the options were checked")
 

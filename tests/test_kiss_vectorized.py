@@ -20,8 +20,8 @@ from repro.kiss.framing import FEND, FESC, TFEND, TFESC, KissDeframer, frame
 
 def _state(deframer: KissDeframer):
     return (deframer.frames, deframer.errors, deframer.oversize_drops,
-            bytes(deframer._buffer), deframer._in_frame,
-            deframer._escaped, deframer._discarding)
+            bytes(deframer._buffer), deframer._escaped,
+            deframer._discarding)
 
 
 def _differential(stream: bytes, chunks, max_frame: int = 2048) -> None:

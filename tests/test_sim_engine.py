@@ -404,6 +404,100 @@ def test_cancelling_a_series_drops_its_remaining_elements():
     assert sim.events_executed == 3
 
 
+class FnSwappingProfiler:
+    """Swaps ``event.fn`` in ``count()``, as perfbench's layer timer does.
+
+    The wrapper puts the original back before calling it.  Each counted
+    event's ``(time, seq, args)`` is recorded as it shows then, and each
+    call of a wrapper as the arguments it got.
+    """
+
+    def __init__(self) -> None:
+        self.shown = []
+        self.wrapped = []
+
+    def count(self, event: Event) -> None:
+        self.shown.append((event.time, event.seq, event.args))
+        fn = event.fn
+
+        def timed(*args, **kwargs):
+            event.fn = fn
+            self.wrapped.append(args)
+            return fn(*args, **kwargs)
+
+        event.fn = timed
+
+
+def dispatch_one_series(make_sim, drive, profiler):
+    """Run one series, tied with plain events, through ``drive``."""
+    sim = make_sim()
+    sim.profiler = profiler
+    calls = []
+
+    def callback(item):
+        calls.append((sim.now, item, (series.time, series.seq, series.args)))
+
+    sim.at(10, calls.append, "plain at 10")
+    series = sim.at_series(10, 4, callback, b"wxyz", label="bytes")
+    sim.at(14, calls.append, "plain at 14")
+    sim.at(22, calls.append, "plain at 22")
+    elements = sorted((event.time, event.seq, event.args)
+                      for event in sim.pending_events()
+                      if event.label == "bytes")
+    drive(sim)
+    assert series.fn is callback
+    return (elements, calls, sim.events_executed,
+            profiler and (profiler.shown, profiler.wrapped))
+
+
+def drive_by_run(sim):
+    sim.run_until_idle()
+
+
+def drive_by_step_event(sim):
+    while sim.head_events():
+        sim.step_event(sim.head_events()[0])
+
+
+def drive_by_step(sim):
+    while sim.step():
+        pass
+
+
+@pytest.mark.parametrize("profiler", [None, FnSwappingProfiler],
+                         ids=["no-profiler", "fn-swapping-profiler"])
+@pytest.mark.parametrize("salt", [None, 0xD1CE, 7],
+                         ids=["fifo", "salt-d1ce", "salt-7"])
+def test_run_rearms_a_series_as_step_event_does(salt, profiler):
+    """``run()`` re-arms a series inline, ``step_event`` through
+    ``_Series.rearm``: each element must show the same ``(time, seq,
+    args)``, reach the callback with the same argument and count the
+    same in ``events_executed``."""
+    make_sim = (Simulator if salt is None
+                else lambda: OrderShuffleSimulator(order_salt=salt))
+    outcomes = [dispatch_one_series(make_sim, drive,
+                                    profiler and profiler())
+                for drive in (drive_by_run, drive_by_step_event,
+                              drive_by_step)]
+    assert outcomes[1] == outcomes[0] == outcomes[2]
+    elements, calls, executed, profiled = outcomes[0]
+    assert [(time, args) for time, _seq, args in elements] == [
+        (10, (ord("w"),)), (14, (ord("x"),)), (18, (ord("y"),)),
+        (22, (ord("z"),))]
+    # After each element the series shows the next one; after the last
+    # it still shows the last.
+    assert [call[2] for call in calls if isinstance(call, tuple)] == (
+        elements[1:] + elements[-1:])
+    assert [call[:2] for call in calls if isinstance(call, tuple)] == [
+        (time, args[0]) for time, _seq, args in elements]
+    assert executed == 7
+    if profiled is not None:
+        shown, wrapped = profiled
+        assert len(shown) == 7
+        assert [args for args in wrapped if isinstance(args[0], int)] == [
+            args for _time, _seq, args in elements]
+
+
 def test_series_rejects_past_empty_and_unspaced_schedules(sim):
     sim.schedule(100, lambda: None)
     sim.run_until_idle()
