@@ -12,7 +12,7 @@ setup(
         "gateway, all as a deterministic discrete-event simulation."
     ),
     license="MIT",
-    python_requires=">=3.9",
+    python_requires=">=3.11",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},

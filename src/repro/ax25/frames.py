@@ -18,6 +18,7 @@ so frames at this layer carry none.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 from repro.ax25.address import (
@@ -209,82 +210,12 @@ class AX25Frame:
 
     @classmethod
     def decode(cls, data: bytes) -> "AX25Frame":
-        """Parse an on-air byte string back into a frame."""
-        destination, source, path, is_command, offset = _decode_addresses(data)
-        if len(data) <= offset:
-            raise FrameError("frame has no control byte")
-        control = data[offset]
-        offset += 1
-        poll_final = bool(control & PF_BIT)
+        """Parse an on-air byte string back into a frame.
 
-        if control & 0x01 == 0:
-            # I frame: bit 0 clear.
-            ns = (control >> 1) & 0x07
-            nr = (control >> 5) & 0x07
-            if len(data) <= offset:
-                raise FrameError("I frame missing PID byte")
-            pid = data[offset]
-            info = bytes(data[offset + 1 :])
-            return cls(
-                destination=destination,
-                source=source,
-                frame_type=FrameType.I,
-                path=path,
-                pid=pid,
-                info=info,
-                ns=ns,
-                nr=nr,
-                poll_final=poll_final,
-                command=is_command,
-            )
-
-        if control & 0x03 == 0x01:
-            # Supervisory frame: bits 1-0 == 01.
-            subtype = control & 0x0F
-            frame_type = _S_CONTROL_TO_TYPE.get(subtype)
-            if frame_type is None:
-                raise FrameError(f"unknown supervisory control 0x{control:02x}")
-            nr = (control >> 5) & 0x07
-            return cls(
-                destination=destination,
-                source=source,
-                frame_type=frame_type,
-                path=path,
-                nr=nr,
-                poll_final=poll_final,
-                command=is_command,
-            )
-
-        # Unnumbered frame: bits 1-0 == 11.
-        masked = control & ~PF_BIT
-        frame_type = _U_CONTROL_TO_TYPE.get(masked)
-        if frame_type is None:
-            raise FrameError(f"unknown unnumbered control 0x{control:02x}")
-        if frame_type is FrameType.UI:
-            if len(data) <= offset:
-                raise FrameError("UI frame missing PID byte")
-            pid = data[offset]
-            info = bytes(data[offset + 1 :])
-            return cls(
-                destination=destination,
-                source=source,
-                frame_type=FrameType.UI,
-                path=path,
-                pid=pid,
-                info=info,
-                poll_final=poll_final,
-                command=is_command,
-            )
-        info = bytes(data[offset:]) if frame_type is FrameType.FRMR else b""
-        return cls(
-            destination=destination,
-            source=source,
-            frame_type=frame_type,
-            path=path,
-            poll_final=poll_final,
-            command=is_command,
-            info=info,
-        )
+        Memoised on the bytes: every station that hears one transmission
+        gets the same frozen frame (see :func:`_decode_frame`).
+        """
+        return _decode_frame(bytes(data))
 
     # ------------------------------------------------------------------
     # digipeating helpers
@@ -322,3 +253,90 @@ def _decode_addresses(data: bytes):
         return decode_address_field(data)
     except ValueError as exc:
         raise FrameError(str(exc)) from exc
+
+
+@lru_cache(maxsize=256)
+def _decode_frame(data: bytes) -> AX25Frame:
+    """Decode one on-air frame; the body of :meth:`AX25Frame.decode`.
+
+    Memoised on the frame bytes: the KISS hosts, ROM TNCs, BBS and
+    digipeaters that hear one transmission each decode the same bytes.
+    The result is a pure function of the immutable key and the frame is
+    frozen all the way down, so a hit returns exactly what a fresh
+    decode would.  A malformed frame raises and is not cached.
+    """
+    destination, source, path, is_command, offset = _decode_addresses(data)
+    if len(data) <= offset:
+        raise FrameError("frame has no control byte")
+    control = data[offset]
+    offset += 1
+    poll_final = bool(control & PF_BIT)
+
+    if control & 0x01 == 0:
+        # I frame: bit 0 clear.
+        ns = (control >> 1) & 0x07
+        nr = (control >> 5) & 0x07
+        if len(data) <= offset:
+            raise FrameError("I frame missing PID byte")
+        pid = data[offset]
+        info = data[offset + 1 :]
+        return AX25Frame(
+            destination=destination,
+            source=source,
+            frame_type=FrameType.I,
+            path=path,
+            pid=pid,
+            info=info,
+            ns=ns,
+            nr=nr,
+            poll_final=poll_final,
+            command=is_command,
+        )
+
+    if control & 0x03 == 0x01:
+        # Supervisory frame: bits 1-0 == 01.
+        subtype = control & 0x0F
+        frame_type = _S_CONTROL_TO_TYPE.get(subtype)
+        if frame_type is None:
+            raise FrameError(f"unknown supervisory control 0x{control:02x}")
+        nr = (control >> 5) & 0x07
+        return AX25Frame(
+            destination=destination,
+            source=source,
+            frame_type=frame_type,
+            path=path,
+            nr=nr,
+            poll_final=poll_final,
+            command=is_command,
+        )
+
+    # Unnumbered frame: bits 1-0 == 11.
+    masked = control & ~PF_BIT
+    frame_type = _U_CONTROL_TO_TYPE.get(masked)
+    if frame_type is None:
+        raise FrameError(f"unknown unnumbered control 0x{control:02x}")
+    if frame_type is FrameType.UI:
+        if len(data) <= offset:
+            raise FrameError("UI frame missing PID byte")
+        pid = data[offset]
+        info = data[offset + 1 :]
+        return AX25Frame(
+            destination=destination,
+            source=source,
+            frame_type=FrameType.UI,
+            path=path,
+            pid=pid,
+            info=info,
+            poll_final=poll_final,
+            command=is_command,
+        )
+    info = data[offset:] if frame_type is FrameType.FRMR else b""
+    return AX25Frame(
+        destination=destination,
+        source=source,
+        frame_type=frame_type,
+        path=path,
+        poll_final=poll_final,
+        command=is_command,
+        info=info,
+    )

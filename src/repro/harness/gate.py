@@ -75,8 +75,8 @@ def parse_gate_args(parser: argparse.ArgumentParser, argv: Sequence[str],
 
     ``seeds`` is the ``--seeds`` default: ``None`` defers to the
     experiment's own default, 0 means the command takes only ``--out``.
-    A given seed count is also parsed into ``args.seed_list``.  A
-    command's own ``--procs`` must be at least 1.
+    A given seed count must be at least 1 and is also parsed into
+    ``args.seed_list``.  A command's own ``--procs`` must be at least 1.
     """
     if seeds != 0:
         parser.add_argument("--seeds", type=int, default=seeds, metavar="N",
@@ -89,7 +89,7 @@ def parse_gate_args(parser: argparse.ArgumentParser, argv: Sequence[str],
     args = parser.parse_args(argv)
     if getattr(args, "seeds", None) is not None:
         if args.seeds < 1:
-            parser.error("--seeds must be >= 1")
+            usage_error(f"--seeds must be >= 1, got {args.seeds}")
         args.seed_list = seeds_from_count(args.seeds, base=args.seed_base)
     if getattr(args, "procs", 1) < 1:
         usage_error(f"--procs must be >= 1, got {args.procs}")

@@ -74,11 +74,6 @@ class ChannelPort:
         """True if any audible station (or this one) is transmitting now."""
         return self.channel.carrier_sensed_at(self)
 
-    @property
-    def transmitting(self) -> bool:
-        """True while this port's transmitter is keyed."""
-        return self.tx_until > self.channel.sim.now
-
     # -- transmission ---------------------------------------------------
 
     def transmit(self, payload: bytes, airtime: int) -> Transmission:

@@ -48,6 +48,7 @@ class RadioStation:
         self.queue_drops = 0
         self.frames_queued = 0
         self._rng = channel.streams.stream(f"csma/{name}")
+        self._label = f"csma {name}"
 
     # ------------------------------------------------------------------
     # transmit path
@@ -81,35 +82,32 @@ class RadioStation:
         if self._access_event is not None or not self._queue:
             return
         self._access_event = self.sim.call_soon(
-            self._try_channel, label=f"csma {self.name}"
+            self._try_channel, label=self._label
         )
 
     def _try_channel(self) -> None:
         self._access_event = None
         if not self._queue:
             return
-        if self.port.transmitting:
+        port = self.port
+        now = self.sim.now
+        if port.tx_until > now:
             # Our own transmitter is keyed; try again when it frees.
-            self._retry_at(self.port.tx_until)
-            return
-        if not self.csma.full_duplex and self.port.carrier_sensed():
+            self._retry_at(port.tx_until)
+        elif (not self.csma.full_duplex
+              and self.channel.carrier_sensed_at(port)):
             # Busy: wait one slot and sense again.
-            self._retry_after(self.csma.slot_time)
-            return
-        # Idle: p-persistence roll.
-        if self._rng.random() <= self.csma.persistence:
+            self._retry_at(now + self.csma.slot_time)
+        elif self._rng.random() <= self.csma.persistence:
+            # Idle: p-persistence roll.
             self._transmit_next()
         else:
-            self._retry_after(self.csma.slot_time)
-
-    def _retry_after(self, delay: int) -> None:
-        self._access_event = self.sim.schedule(
-            max(delay, 1), self._try_channel, label=f"csma {self.name}"
-        )
+            self._retry_at(now + self.csma.slot_time)
 
     def _retry_at(self, when: int) -> None:
+        # At least one tick ahead, so a zero slot time cannot spin.
         self._access_event = self.sim.at(
-            max(when, self.sim.now + 1), self._try_channel, label=f"csma {self.name}"
+            max(when, self.sim.now + 1), self._try_channel, label=self._label
         )
 
     def _transmit_next(self) -> None:

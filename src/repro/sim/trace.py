@@ -19,13 +19,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.spans import FlightRecorder
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     """One trace entry.
 
     ``category`` is a dotted topic like ``"radio.tx"`` or ``"tcp.rexmit"``;
     ``source`` identifies the emitting component (hostname, callsign);
     ``detail`` carries free-form structured fields.
+
+    Slotted, not frozen: a frozen dataclass's ``__init__`` sets each
+    field through ``object.__setattr__``, which made a record cost
+    about four times as much, and a busy channel logs one per key-up,
+    collision and unkey.  Nothing writes to a record once it is logged.
     """
 
     time: int
@@ -64,7 +69,11 @@ class Tracer:
         """Record an event at the current simulated time."""
         record = TraceRecord(self.sim.now, category, source, message, detail)
         self.records.append(record)
-        self._by_category.setdefault(category, []).append(record)
+        bucket = self._by_category.get(category)
+        if bucket is None:
+            self._by_category[category] = [record]
+        else:
+            bucket.append(record)
         if self.echo:  # pragma: no cover - interactive convenience
             print(record.render())  # reprolint: disable=OBS001 -- echo mode is an explicit interactive tap
         for listener in self._listeners:

@@ -8,6 +8,8 @@ EXPERIMENTS.md silently relies on.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.apps.ftp import FileStore, FtpClient, FtpServer
 from repro.apps.ping import Pinger
 from repro.core.topology import build_gateway_testbed
@@ -45,6 +47,18 @@ def test_same_seed_identical_trace_and_counters():
     trace_b, summary_b = run_busy_scenario(seed=77)
     assert summary_a == summary_b
     assert trace_a == trace_b
+
+
+def test_busy_scenario_trace_is_pinned():
+    """Every line the busy scenario traces, read before trace records
+    were slotted.  The test above compares two runs of one build with
+    each other, so it cannot see a line that changed in both."""
+    trace, summary = run_busy_scenario(seed=77)
+    assert len(trace.splitlines()) == 494
+    assert hashlib.sha256(trace.encode()).hexdigest() == (
+        "22461f3fd989d9c2fa52f7870aab6dd282c3c30f93da03d86743a8f95658c60a")
+    assert summary == (3, (10_388_468, 4_304_694, 2_662_804), 600, 45, 55,
+                       0, 9_732)
 
 
 def test_different_seed_diverges():

@@ -286,16 +286,24 @@ def test_tournament_single_layout_is_a_usage_error(tmp_path):
     ["report", "--stations", "0"],
     ["lint", str(REPO_ROOT / "src"), "--deep", "--bench", "--stations", "0"],
     ["lint", str(REPO_ROOT / "src"), "--deep", "--bench", "--seeds", "0"],
+    ["chaos", "--seeds", "0", "--out", "BENCH_chaos.json"],
+    ["tournament", "--seeds", "0", "--out", "BENCH_tournament.json"],
+    ["scale", "--seeds", "0", "--out", "BENCH_scale.json"],
+    ["report", "--bench", "--seeds", "0", "--out", "BENCH_obs.json"],
+    ["sweep", "--bench", "e3", "--seeds", "0", "--out", "BENCH_e3.json"],
 ], ids=("mc-worlds-empty", "mc-worlds-comma", "chaos-stations-0",
         "chaos-duration-0", "tournament-duration-0",
         "tournament-wedge-duration-0", "scale-stations-0",
         "scale-regions-0", "scale-flow-negative", "report-stations-0",
-        "lint-bench-stations-0", "lint-bench-seeds-0"))
+        "lint-bench-stations-0", "lint-bench-seeds-0", "chaos-seeds-0",
+        "tournament-seeds-0", "scale-seeds-0", "report-bench-seeds-0",
+        "sweep-seeds-0"))
 def test_bad_value_exits_2_in_one_line_before_any_run(argv, tmp_path,
                                                       monkeypatch, capsys):
     """Each of these used to pass on nothing (``mc``, lint's
-    ``--seeds 0``) or end in a ``ValueError`` traceback from inside its
-    first run."""
+    ``--seeds 0``), end in a ``ValueError`` traceback from inside its
+    first run, or print argparse's usage block above the message (a
+    gate's ``--seeds 0``)."""
     def refuse(*args, **kwargs):
         raise AssertionError("a run started before the options were checked")
 

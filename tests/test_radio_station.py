@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.radio.channel import RadioChannel
@@ -160,3 +162,118 @@ def test_deterministic_with_same_seed():
 
     assert run(5) == run(5)
     assert run(5) != run(6)
+
+
+# ----------------------------------------------------------------------
+# CSMA exactness: every poll at the same time, key and label
+# ----------------------------------------------------------------------
+
+class _Dispatched:
+    """Profiler hook that keeps each dispatched event's key and label."""
+
+    def __init__(self):
+        self.events = []
+
+    def count(self, event):
+        self.events.append((event.time, event.seq, event.label))
+
+
+def _draws(streams, name):
+    """How many numbers ``streams``' stream ``name`` has handed out."""
+    fresh = RandomStreams(seed=streams.seed).stream(name)
+    target = streams.stream(name).getstate()
+    drawn = 0
+    while fresh.getstate() != target:
+        fresh.random()
+        drawn += 1
+    return drawn
+
+
+def _csma_run(case):
+    """One small contended channel; returns its dispatch log and draws.
+
+    Four stations offer three frames each at staggered times (two
+    stations in ``own_keyed``), so stations poll a busy channel, lose
+    and win p-persistence rolls, and queue frames behind their own
+    transmissions.
+    """
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    streams = RandomStreams(seed=2024)
+    unit, modem = MS, ModemProfile()
+    csma = CsmaParameters(persistence=0.3, slot_time=40 * MS,
+                          full_duplex=case == "full_duplex")
+    if case == "slot_time_0":
+        # A busy station re-polls every microsecond: keep frames short.
+        unit, modem = 1, ModemProfile(bit_rate=1_000_000, txdelay=100,
+                                      txtail=0)
+        csma = CsmaParameters(persistence=0.3, slot_time=0)
+    channel = RadioChannel(sim, streams, carrier_detect_delay=20 * unit)
+    names = ("A", "B", "C", "D")
+    got = {name: [] for name in names}
+    stations = {name: RadioStation(sim, channel, name, modem=modem,
+                                   csma=csma, on_frame=got[name].append)
+                for name in names}
+    if case == "hidden":
+        # A and C hear only B; D hears only C.
+        channel.add_link("A", "B")
+        channel.add_link("B", "C")
+        channel.add_link("C", "D")
+    elif case == "partition":
+        # C is deaf to A and B to D, but not the other way round.
+        channel.blocked_pairs.update({("C", "A"), ("B", "D")})
+    profiler = _Dispatched()
+    sim.profiler = profiler
+    if case == "own_keyed":
+        # A's later frames arrive while A's own transmitter is keyed
+        # and its queue is empty; B's arrives under A's carrier.
+        a = stations["A"]
+        airtime = a.modem.frame_airtime(40)
+        a.send_frame(b"a" * 40)
+        sim.schedule(airtime // 2, a.send_frame, b"b" * 40)
+        sim.schedule(airtime // 3, stations["B"].send_frame, b"c" * 20)
+        sim.schedule(airtime + airtime // 2, a.send_frame, b"d" * 10)
+    else:
+        for index, name in enumerate(names):
+            for frame in range(3):
+                sim.schedule((index * 70 + frame * 450) * unit,
+                             stations[name].send_frame,
+                             bytes([65 + index]) * (20 + 10 * frame))
+    sim.run_until_idle(max_events=100_000)
+    events = profiler.events
+    digest = hashlib.sha256(repr(events).encode()).hexdigest()[:16]
+    draws = {name: _draws(streams, f"csma/{name}") for name in names}
+    delivered = {name: len(frames) for name, frames in got.items()}
+    return len(events), digest, draws, delivered
+
+
+#: ``_csma_run(case)`` for each case, read before the poll was made one
+#: call, so they hold the poll to what it did then.
+CSMA_PINS = {
+    "connected": (230, "e932753e3ff6e4b5", {"A": 5, "B": 12, "C": 3, "D": 6},
+                  {"A": 7, "B": 5, "C": 6, "D": 6}),
+    "hidden": (136, "e8a57b5a2aee1752", {"A": 5, "B": 12, "C": 3, "D": 6},
+               {"A": 3, "B": 0, "C": 0, "D": 3}),
+    "partition": (222, "4a1f1256580da98e", {"A": 5, "B": 12, "C": 3, "D": 6},
+                  {"A": 2, "B": 4, "C": 1, "D": 3}),
+    "full_duplex": (58, "88bcbceeacce8f52",
+                    {"A": 5, "B": 12, "C": 3, "D": 6},
+                    {"A": 0, "B": 0, "C": 0, "D": 0}),
+    "slot_time_0": (1535, "57ed329a5f0be661",
+                    {"A": 5, "B": 12, "C": 3, "D": 6},
+                    {"A": 0, "B": 1, "C": 1, "D": 1}),
+    "own_keyed": (59, "04ac7d7b5096da1b", {"A": 5, "B": 7, "C": 0, "D": 0},
+                  {"A": 1, "B": 3, "C": 4, "D": 4}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSMA_PINS))
+def test_csma_polls_keep_their_time_key_label_and_draws(case):
+    """Every dispatched event of a contended channel is pinned.
+
+    A poll that reads carrier, rolls p-persistence or reschedules
+    differently moves an event's time, tie-break key or label, or a
+    station's ``csma/NAME`` draw count.
+    """
+    assert _csma_run(case) == CSMA_PINS[case]

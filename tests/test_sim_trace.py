@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sim.trace import NullTracer
+from repro.sim.trace import NullTracer, TraceRecord
 
 
 def test_records_carry_sim_time(sim, tracer):
@@ -90,3 +90,32 @@ def test_select_since_uses_time_order(sim, tracer):
         ["t30", "t40"]
     assert [r.message for r in tracer.select(since=35)] == ["t40"]
     assert tracer.select(category="cat.x", since=999) == []
+
+
+def test_log_returns_the_record_and_line_it_always_did(sim, tracer):
+    """Field values, equality and the rendered line are pinned.
+
+    The lines were read from the frozen-dataclass record this slotted
+    one replaced; the second ``radio.tx`` record joins an existing
+    category index, the first starts one.
+    """
+    sim.schedule(1_234_567, lambda: None)
+    sim.run_until_idle()
+    first = tracer.log("radio.tx", "N7AKR-2", "keyed", bytes=42,
+                       airtime=483_333)
+    other = tracer.log("tcp.rexmit", "44.24.0.28", "rto", seq=7)
+    second = tracer.log("radio.tx", "KB7DZ", "keyed")
+    assert first == TraceRecord(1_234_567, "radio.tx", "N7AKR-2", "keyed",
+                                {"bytes": 42, "airtime": 483_333})
+    assert second == TraceRecord(1_234_567, "radio.tx", "KB7DZ", "keyed")
+    assert second != TraceRecord(1_234_567, "radio.tx", "KB7DZ", "keyed",
+                                 {"bytes": 0})
+    assert [record.render() for record in (first, other, second)] == [
+        "[1.234567s] radio.tx         N7AKR-2      keyed bytes=42 "
+        "airtime=483333",
+        "[1.234567s] tcp.rexmit       44.24.0.28   rto seq=7",
+        "[1.234567s] radio.tx         KB7DZ        keyed",
+    ]
+    assert tracer.records == [first, other, second]
+    assert tracer.select(category="radio.tx") == [first, second]
+    assert tracer.select(category="tcp") == [other]
