@@ -9,7 +9,8 @@ tie-break) changes which callback sees the other's writes.
 
 The pass walks every class, collects callsites that hand a bound
 ``self.<method>`` to a scheduler entry point (``schedule`` / ``at`` /
-``at_series`` / ``call_soon``, from ``units.SCHEDULER_ENTRY_POINTS``),
+``at_series`` / ``call_soon``, the rows of ``units.SCHEDULER_ENTRY_POINTS``
+that take a callback; ``requeue`` re-arms an event it is handed),
 and groups registrations made *from the same function with the same
 delay expression* — statically "schedulable at the same timestamp with
 no deterministic tie-break key".  For each pair of distinct callbacks
@@ -159,7 +160,7 @@ def _registration(node: ast.AST) -> Optional[Tuple[str, str]]:
             and node.func.attr in SCHEDULER_ENTRY_POINTS):
         return None
     entry = SCHEDULER_ENTRY_POINTS[node.func.attr]
-    if len(node.args) <= entry.callback:
+    if entry.callback is None or len(node.args) <= entry.callback:
         return None
     callback = node.args[entry.callback]
     if not (isinstance(callback, ast.Attribute)

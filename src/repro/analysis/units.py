@@ -266,21 +266,23 @@ BYTES_LEN_NAMES: FrozenSet[str] = frozenset({
 class SchedulerEntry(NamedTuple):
     """Where one scheduler entry point takes its callback and its times.
 
-    Positions count the positional arguments after ``self``.
+    Positions count the positional arguments after ``self``.  A method
+    that re-queues an existing event takes no callback (``None``).
     """
 
-    callback: int
+    callback: Optional[int]
     times: Tuple[int, ...]
 
 
-#: Every :class:`~repro.sim.engine.Simulator` method that registers a
-#: callback.  The taint walker's ``dataflow.SCHEDULER_METHODS``, the
+#: Every :class:`~repro.sim.engine.Simulator` method that puts an event
+#: on the queue.  The taint walker's ``dataflow.SCHEDULER_METHODS``, the
 #: units sinks below, RACE001 and SNAP001 all read their views from
 #: this one table, and :func:`live_seed_check` holds each row to the
 #: real signature.
 SCHEDULER_ENTRY_POINTS: Dict[str, SchedulerEntry] = {
     "schedule": SchedulerEntry(callback=1, times=(0,)),       # delay
     "at": SchedulerEntry(callback=1, times=(0,)),             # time
+    "requeue": SchedulerEntry(callback=None, times=(1,)),     # time
     "at_series": SchedulerEntry(callback=2, times=(0, 1)),    # first, interval
     "call_soon": SchedulerEntry(callback=0, times=()),
 }
@@ -346,18 +348,22 @@ def live_seed_check() -> Dict[str, str]:
     from repro.obs.instruments import Histogram, Rate
     from repro.serialio.line import SerialLine
     from repro.sim import clock
-    from repro.sim.engine import Simulator
+    from repro.sim.engine import Event, Simulator
 
     # Scheduler entry points: each row names where the callback and the
     # integer-microsecond times sit, and every Simulator method that
-    # takes a callback has a row.
+    # takes a callback or hands back a queued event has a row.
     for method, entry in SCHEDULER_ENTRY_POINTS.items():
         fn = getattr(Simulator, method, None)
         if fn is None:
             failures[f"Simulator.{method}"] = "method missing"
             continue
         params = list(inspect.signature(fn).parameters.values())[1:]
-        if (len(params) <= entry.callback
+        if entry.callback is None:
+            if any(param.name == "fn" for param in params):
+                failures[f"Simulator.{method}"] = (
+                    "takes a callback but its row has none")
+        elif (len(params) <= entry.callback
                 or params[entry.callback].name != "fn"):
             failures[f"Simulator.{method}"] = (
                 f"callback is not parameter {entry.callback}")
@@ -367,11 +373,14 @@ def live_seed_check() -> Dict[str, str]:
                 failures[f"Simulator.{method}"] = (
                     f"parameter {position} is not an int time")
     for method, fn in vars(Simulator).items():
-        if (callable(fn) and not method.startswith("_")
-                and "fn" in inspect.signature(fn).parameters
+        if not callable(fn) or method.startswith("_"):
+            continue
+        signature = inspect.signature(fn)
+        if (("fn" in signature.parameters
+                or signature.return_annotation in ("Event", Event))
                 and method not in SCHEDULER_ENTRY_POINTS):
             failures[f"Simulator.{method}"] = (
-                "takes a callback but is not in SCHEDULER_ENTRY_POINTS")
+                "queues an event but is not in SCHEDULER_ENTRY_POINTS")
     if not isinstance(getattr(Simulator, "now", None), property):
         failures["Simulator.now"] = "now is not a property"
 

@@ -116,11 +116,15 @@ class PacketRadioInterface(NetworkInterface):
         self._raw_discarding = False
         #: Bytes the buffered mode's second pass has decoded.
         self._second_pass_ops = 0
-        # The DZ line's receive interrupt handler.  On the fly it is the
-        # deframer itself, unescaping each character as it lands.
-        serial.on_receive(self._deframer.push_byte if reassembly == "per_char"
-                          else self._rx_char_interrupt)
-        serial.on_receive_burst(self._rx_burst)
+        # The DZ line's receive interrupt handlers.  On the fly they are
+        # the deframer itself, unescaping each character (or each burst,
+        # at frame fidelity) as it lands.
+        if reassembly == "per_char":
+            serial.on_receive(self._deframer.push_byte)
+            serial.on_receive_burst(self._deframer.push)
+        else:
+            serial.on_receive(self._rx_char_interrupt)
+            serial.on_receive_burst(self._rx_burst)
 
         #: When set, bulk (non-ARP/ICMP) output is shed once the serial
         #: backlog toward the TNC exceeds this many bytes.  None = off.
@@ -209,17 +213,13 @@ class PacketRadioInterface(NetworkInterface):
             self._raw_discarding = True
 
     def _rx_burst(self, data: bytes) -> None:
-        """Frame-fidelity receive: one event delivers a whole write.
-
-        It has the effect of ``len(data)`` calls of the per-byte
-        handler: the per-char reassembly mode feeds the vectorised
-        deframer, and the buffered ablation mode loops.
+        """The buffered ablation's frame-fidelity receive: one event
+        delivers a whole write, with the effect of ``len(data)`` calls
+        of its per-byte handler.  (Per-char reassembly hands bursts to
+        the vectorised deframer directly.)
         """
-        if self.reassembly != "per_char":
-            for byte in data:
-                self._rx_char_interrupt(byte)
-            return
-        self._deframer.push(data)
+        for byte in data:
+            self._rx_char_interrupt(byte)
 
     def _kiss_record(self, type_byte: int, payload: bytes) -> None:
         command, _port = commands.split_type_byte(type_byte)
@@ -379,9 +379,8 @@ class PacketRadioInterface(NetworkInterface):
         self._write_kiss(frame.encode())
 
     def _write_kiss(self, frame_bytes: bytes) -> None:
-        record = kiss_frame(commands.type_byte(commands.CMD_DATA), frame_bytes)
         self.frames_to_tnc += 1
-        self.serial.write(record)
+        self.serial.write(kiss_frame(commands.DATA_TYPE_BYTE, frame_bytes))
 
     # ------------------------------------------------------------------
     # parameter control (if_ioctl extensions)

@@ -42,6 +42,11 @@ def type_byte(command: int, port: int = 0) -> int:
     return ((port & 0x0F) << 4) | (command & 0x0F)
 
 
+#: The type byte of a DATA record on port 0: every AX.25 frame a host
+#: and its TNC pass each other.
+DATA_TYPE_BYTE = type_byte(CMD_DATA)
+
+
 def split_type_byte(value: int) -> tuple[int, int]:
     """Return ``(command, port)`` from a record type byte."""
     return value & 0x0F, (value >> 4) & 0x0F

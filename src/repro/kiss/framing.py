@@ -113,9 +113,26 @@ class KissDeframer:
         is a single ``bytearray`` extend instead of a Python-level loop
         per byte.  This is the frame-fidelity fast path: one burst
         delivery per KISS record instead of one interrupt per character.
+
+        The commonest burst is one whole record with nothing to
+        unescape, pushed while the deframer is idle: ``FEND``, at most
+        ``max_frame`` bytes with no FEND or FESC, ``FEND``.  Its type
+        byte and payload are handed on as slices of ``data``.
         """
         data = bytes(data)
         length = len(data)
+        last = length - 1
+        if (1 < last <= self.max_frame + 1
+                and data[0] == FEND and data[last] == FEND
+                and not self._buffer and not self._escaped
+                and not self._discarding
+                and data.find(FEND, 1, last) < 0
+                and data.find(FESC, 1, last) < 0):
+            if self.on_frame is None:
+                self.frames.append((data[1], data[2:last]))
+            else:
+                self.on_frame(data[1], data[2:last])
+            return
         position = 0
         while position < length:
             boundary = data.find(FEND, position)

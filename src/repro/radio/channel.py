@@ -161,6 +161,17 @@ class RadioChannel:
             return True
         return (hearer.name, speaker.name) in self._links
 
+    def _full_mesh(self) -> bool:
+        """True when a port hears a sender exactly when it is not the sender.
+
+        That is :meth:`hears` with no explicit links and no blocked
+        pair.  A loop over ports or transmissions asks this once and
+        then tests identity instead of calling :meth:`hears` per item;
+        a partition fault that edits ``blocked_pairs`` mid-run is seen
+        by the next loop.
+        """
+        return self._links is None and not self.blocked_pairs
+
     # ------------------------------------------------------------------
     # carrier sense
     # ------------------------------------------------------------------
@@ -170,10 +181,12 @@ class RadioChannel:
         now = self.sim.now
         if port.tx_until > now:
             return True
+        detectable_from = now - self.carrier_detect_delay
+        full_mesh = self._full_mesh()
         for tx in self.active:
-            if (tx.end > now
-                    and now >= tx.start + self.carrier_detect_delay
-                    and self.hears(port, tx.sender)):
+            if (tx.end > now and tx.start <= detectable_from
+                    and (tx.sender is not port if full_mesh
+                         else self.hears(port, tx.sender))):
                 return True
         return False
 
@@ -224,23 +237,27 @@ class RadioChannel:
         return tx
 
     def _mark_mutual_collisions(self, new: Transmission, old: Transmission) -> None:
-        collided_somewhere = False
-        for port in self.ports.values():
-            hears_new = self.hears(port, new.sender)
-            hears_old = self.hears(port, old.sender)
-            if hears_new and hears_old:
-                survivor = self._capture_survivor(new, old)
-                if survivor is not new:
-                    new.corrupted_at.add(port.name)
-                if survivor is not old:
-                    old.corrupted_at.add(port.name)
-                collided_somewhere = True
+        # The receivers that hear both senders; the overlap destroys the
+        # capture loser (both, without capture) at each of them.
+        if self._full_mesh():
+            shared = [port.name for port in self.ports.values()
+                      if port is not new.sender and port is not old.sender]
+        else:
+            shared = [port.name for port in self.ports.values()
+                      if self.hears(port, new.sender)
+                      and self.hears(port, old.sender)]
+        if shared:
+            survivor = self._capture_survivor(new, old)
+            if survivor is not new:
+                new.corrupted_at.update(shared)
+            if survivor is not old:
+                old.corrupted_at.update(shared)
         # Half-duplex: each sender cannot hear the other's frame at all;
         # mark the overlapping frame corrupted at the opposite sender so
         # it is not delivered there.
         new.corrupted_at.add(old.sender.name)
         old.corrupted_at.add(new.sender.name)
-        if collided_somewhere:
+        if shared:
             self.total_collisions += 1
             if self.tracer is not None:
                 self.tracer.log("radio.collision", new.sender.name,
@@ -278,13 +295,18 @@ class RadioChannel:
             return
         recorder = self.tracer.flight if self.tracer is not None else None
         probe = probe_ax25(tx.payload) if recorder is not None else None
+        sender = tx.sender
+        full_mesh = self._full_mesh()
         for port in self.ports.values():
+            if full_mesh:
+                if port is sender:
+                    continue
+            elif not self.hears(port, sender):
+                continue
             # Losses are span-relevant only at the addressed station:
             # everyone hears everything on the shared channel, but only
             # the intended receiver losing the frame loses the packet.
             watched = probe is not None and port.name == probe[0]
-            if not self.hears(port, tx.sender):
-                continue
             # Half-duplex receivers that were transmitting during any part
             # of this frame missed it.
             if port.tx_until > tx.start:

@@ -86,6 +86,9 @@ class RadioStation:
         )
 
     def _try_channel(self) -> None:
+        # Every retry requeues this firing access event: the same time,
+        # tie-break key and label as a fresh one, without building it.
+        event = self._access_event
         self._access_event = None
         if not self._queue:
             return
@@ -93,30 +96,27 @@ class RadioStation:
         now = self.sim.now
         if port.tx_until > now:
             # Our own transmitter is keyed; try again when it frees.
-            self._retry_at(port.tx_until)
+            when = port.tx_until
         elif (not self.csma.full_duplex
               and self.channel.carrier_sensed_at(port)):
             # Busy: wait one slot and sense again.
-            self._retry_at(now + self.csma.slot_time)
+            when = now + self.csma.slot_time
         elif self._rng.random() <= self.csma.persistence:
             # Idle: p-persistence roll.
             self._transmit_next()
+            if not self._queue:
+                return
+            # Next access attempt when this transmission completes.
+            when = port.tx_until
         else:
-            self._retry_at(now + self.csma.slot_time)
-
-    def _retry_at(self, when: int) -> None:
+            when = now + self.csma.slot_time
         # At least one tick ahead, so a zero slot time cannot spin.
-        self._access_event = self.sim.at(
-            max(when, self.sim.now + 1), self._try_channel, label=self._label
-        )
+        self._access_event = self.sim.requeue(event, max(when, now + 1))
 
     def _transmit_next(self) -> None:
         payload = self._queue.popleft()
         airtime = self.modem.frame_airtime(len(payload))
         self.port.transmit(payload, airtime)
-        if self._queue:
-            # Next access attempt when this transmission completes.
-            self._retry_at(self.port.tx_until)
 
     # ------------------------------------------------------------------
     # receive path

@@ -87,6 +87,7 @@ class SerialEndpoint:
         #: every write, so a gauge can sample the serial backlog exactly
         #: when it changes (no extra polling events).
         self.on_backlog_sample: Optional[Callable[[int], None]] = None
+        self._label = f"serial {name}"
 
     def on_receive(self, handler: Callable[[int], None]) -> None:
         """Install the per-byte receive interrupt handler."""
@@ -116,7 +117,7 @@ class SerialEndpoint:
         byte_time = line.byte_time
         start = max(sim.now, self._tx_free_at)
         completion = start + len(data) * byte_time
-        label = f"serial {self.name}"
+        label = self._label
         if line.fidelity == "frame" and (
                 self.peer is None or self.peer.rx_fault is None):
             if data:

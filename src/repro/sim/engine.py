@@ -211,6 +211,26 @@ class Simulator:
         heappush(self._queue, (time, seq, event))
         return event
 
+    def requeue(self, event: Event, time: int) -> Event:
+        """Queue a fired plain ``event`` again at ``time``; returns it.
+
+        Equivalent to ``at(time, event.fn, *event.args,
+        label=event.label)``: the event takes the tie-break key that
+        call would draw now, but no new event is built.  A callback that
+        re-arms itself (a CSMA poll) passes its own event; an event that
+        is still queued must not be requeued.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {format_time(time)}; now is {format_time(self._now)}"
+            )
+        if event.series is not None:
+            raise SimulationError(f"cannot requeue series event {event!r}")
+        event.time = time
+        event.seq = seq = self._next_seq(time)
+        heappush(self._queue, (time, seq, event))
+        return event
+
     def at_series(
         self,
         first: int,
@@ -323,7 +343,8 @@ class Simulator:
         Identity-based on purpose: a fired event keeps ``cancelled ==
         False`` but leaves the queue, and reprocheck's stuck-FSM
         invariant needs to tell "armed timer" apart from "stale
-        reference to a timer that already fired".
+        reference to a timer that already fired".  A fired event that
+        :meth:`requeue` put back is queued again.
         """
         return any(entry[2] is event for entry in self._queue)
 

@@ -210,8 +210,7 @@ class KissTnc:
             probe = probe_ax25(payload)
             if probe is not None and probe[0] == self._span_target():
                 recorder.enter_key(probe[1], "tnc.up", self.name)
-        record = kiss_frame(commands.type_byte(commands.CMD_DATA), payload)
-        self.serial.write(record)
+        self.serial.write(kiss_frame(commands.DATA_TYPE_BYTE, payload))
         if self.tracer is not None:
             self.tracer.log("tnc.to_host", self.name, "frame up serial",
                             bytes=len(payload))

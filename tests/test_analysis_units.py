@@ -118,8 +118,10 @@ def test_scheduler_sink_set_matches_dataflow():
     """The units sinks stay a subset of the taint scheduler set."""
     from repro.analysis.dataflow import SCHEDULER_METHODS
     assert units.SCHEDULER_SINKS <= SCHEDULER_METHODS
-    # call_soon takes no delay argument, so it is *not* a units sink.
+    # call_soon takes no delay argument, so it is *not* a units sink;
+    # requeue takes no callback but does take a time.
     assert "call_soon" not in units.SCHEDULER_SINKS
+    assert "requeue" in units.SCHEDULER_SINKS
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +176,15 @@ def test_unit002_flags_seconds_into_scheduler(tmp_path):
         "class Station:\n"
         "    def wait(self, duration_seconds):\n"
         "        self.sim.schedule(duration_seconds, self.poll)\n")})
+    assert "UNIT002" in _rules(findings)
+
+
+def test_unit002_flags_seconds_into_requeue(tmp_path):
+    """A requeued event's time is a scheduler time like ``at``'s."""
+    findings = deep_findings(tmp_path, {"model.py": (
+        "class Station:\n"
+        "    def retry(self, event, backoff_seconds):\n"
+        "        self.sim.requeue(event, backoff_seconds)\n")})
     assert "UNIT002" in _rules(findings)
 
 

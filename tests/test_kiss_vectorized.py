@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kiss.framing import FEND, FESC, TFEND, TFESC, KissDeframer, frame
 
@@ -24,17 +25,35 @@ def _state(deframer: KissDeframer):
             deframer._discarding)
 
 
-def _differential(stream: bytes, chunks, max_frame: int = 2048) -> None:
-    reference = KissDeframer(max_frame=max_frame)
+def _differential(stream: bytes, chunks, max_frame: int = 2048,
+                  callback: bool = False) -> None:
+    """``stream`` pushed in ``chunks``, against ``push_byte`` per byte.
+
+    With ``callback`` the records go to ``on_frame`` instead of
+    ``frames``.  Either way they must be the same ``(type, payload)``
+    pairs, with each payload a ``bytes``.
+    """
+    def build():
+        got = []
+        deframer = KissDeframer(
+            on_frame=(lambda kind, payload: got.append((kind, payload)))
+            if callback else None,
+            max_frame=max_frame)
+        return deframer, got
+
+    reference, reference_got = build()
     for byte in stream:
         reference.push_byte(byte)
-    vectorised = KissDeframer(max_frame=max_frame)
+    vectorised, got = build()
     position = 0
     for size in chunks:
         vectorised.push(stream[position:position + size])
         position += size
     vectorised.push(stream[position:])
     assert _state(vectorised) == _state(reference)
+    assert got == reference_got
+    assert all(type(payload) is bytes
+               for _kind, payload in got + vectorised.frames)
 
 
 def test_simple_records_equivalent():
@@ -96,3 +115,72 @@ def test_randomized_differential(seed):
         remaining -= size
     _differential(bytes(stream), chunks,
                   max_frame=rng.choice([16, 64, 2048]))
+
+
+# ----------------------------------------------------------------------
+# whole records, one push each (what a frame-fidelity line delivers)
+# ----------------------------------------------------------------------
+
+def _whole_pushes(pushes, callback: bool) -> None:
+    """Each buffer in ``pushes`` as one push, at ``max_frame=8``."""
+    _differential(b"".join(pushes), [len(data) for data in pushes],
+                  max_frame=8, callback=callback)
+
+
+def _record(content: bytes) -> bytes:
+    return bytes([FEND]) + content + bytes([FEND])
+
+
+#: Buffers pushed one at a time, at ``max_frame=8``.
+RECORD_CASES = {
+    "empty record": [bytes([FEND, FEND])],
+    "empty then record": [bytes([FEND, FEND]), _record(b"\x00hi")],
+    "type byte only": [_record(b"\x05")],
+    "exactly max_frame": [_record(b"\x00" + bytes(range(1, 8)))],
+    "max_frame + 1": [_record(b"\x00" + bytes(range(1, 9))),
+                      _record(b"\x00ok")],
+    "inner FEND": [_record(b"\x00ab") + b"\x01cd" + bytes([FEND])],
+    "leading FEND pair": [bytes([FEND]) + _record(b"\x00ab")],
+    "FESC TFEND": [_record(bytes([0, FESC, TFEND, 0x41]))],
+    "FESC TFESC": [_record(bytes([0, FESC, TFESC, 0x41]))],
+    "bare TFEND and TFESC": [_record(bytes([0, TFEND, TFESC, 0x41]))],
+    "partial frame first": [bytes([FEND, 0, 0x41]), _record(b"\x00ab")],
+    "pending escape first": [bytes([FEND, 0, FESC]), _record(b"\x00ab")],
+    "discard first": [bytes([FEND, 0, FESC, 0x41]), _record(b"\x00ab")],
+    "oversize discard first": [bytes([FEND]) + bytes(12),
+                               _record(b"\x00ab")],
+    "no trailing FEND": [bytes([FEND, 0, 0x41]), bytes([0x42, FEND])],
+}
+
+
+@pytest.mark.parametrize("callback", [False, True],
+                         ids=["frames", "on_frame"])
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_whole_record_pushes_match_push_byte(case, callback):
+    _whole_pushes(RECORD_CASES[case], callback)
+
+
+_CONTENT_BYTES = st.sampled_from([0x00, 0x41, 0x7F, FESC, TFEND, TFESC])
+_CONTENT = st.lists(_CONTENT_BYTES, max_size=10).map(bytes)
+_PUSHES = st.lists(st.one_of(
+    st.just(bytes([FEND, FEND])),
+    # A whole record, sometimes at or past max_frame (8).
+    st.lists(_CONTENT_BYTES, min_size=1, max_size=10).map(
+        lambda content: _record(bytes(content))),
+    st.integers(7, 10).map(lambda size: _record(bytes([0x41]) * size)),
+    # Two records in one buffer, joined at one FEND.
+    st.tuples(_CONTENT, _CONTENT).map(
+        lambda pair: _record(pair[0]) + pair[1] + bytes([FEND])),
+    # What can leave the deframer busy: a partial frame, a pending
+    # escape, a bad escape (discard) or an oversize run.
+    _CONTENT.map(lambda content: bytes([FEND]) + content),
+    _CONTENT.map(lambda content: bytes([FEND]) + content + bytes([FESC])),
+    st.just(bytes([FESC, 0x41])),
+    st.just(bytes(12)),
+), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pushes=_PUSHES, callback=st.booleans())
+def test_random_whole_record_pushes_match_push_byte(pushes, callback):
+    _whole_pushes(pushes, callback)

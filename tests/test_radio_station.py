@@ -223,6 +223,15 @@ def _csma_run(case):
     elif case == "partition":
         # C is deaf to A and B to D, but not the other way round.
         channel.blocked_pairs.update({("C", "A"), ("B", "D")})
+    elif case == "partition_mid_run":
+        # The same partition opens while the first frames contend, a
+        # third pair joins it, and it heals while the last ones do.
+        blocked = channel.blocked_pairs
+        sim.schedule(150 * unit, blocked.update, {("C", "A"), ("B", "D")})
+        sim.schedule(700 * unit, blocked.add, ("A", "C"))
+        sim.schedule(1100 * unit, blocked.difference_update,
+                     {("C", "A"), ("A", "C")})
+        sim.schedule(1500 * unit, blocked.clear)
     profiler = _Dispatched()
     sim.profiler = profiler
     if case == "own_keyed":
@@ -265,6 +274,11 @@ CSMA_PINS = {
                     {"A": 0, "B": 1, "C": 1, "D": 1}),
     "own_keyed": (59, "04ac7d7b5096da1b", {"A": 5, "B": 7, "C": 0, "D": 0},
                   {"A": 1, "B": 3, "C": 4, "D": 4}),
+    # Read before full-mesh hearing became an identity test: the loops
+    # must see each edit of ``blocked_pairs`` from the next event on.
+    "partition_mid_run": (212, "c6987a29037ba5ef",
+                          {"A": 5, "B": 12, "C": 3, "D": 6},
+                          {"A": 5, "B": 3, "C": 6, "D": 4}),
 }
 
 

@@ -506,3 +506,122 @@ def test_series_rejects_past_empty_and_unspaced_schedules(sim):
         with pytest.raises(SimulationError):
             sim.at_series(first, interval, print, items)
     assert sim.events_pending == 0
+
+
+# ----------------------------------------------------------------------
+# requeue: a fired event re-armed in place dispatches as a fresh at()
+# ----------------------------------------------------------------------
+
+class DispatchLog(FnSwappingProfiler):
+    """Keeps each dispatched event's ``(time, seq, label, args)``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log = []
+
+    def count(self, event: Event) -> None:
+        self.log.append((event.time, event.seq, event.label, event.args))
+        super().count(event)
+
+
+class Poller:
+    """A callback that re-arms its own event once per gap in ``gaps``."""
+
+    def __init__(self, sim, rearm, name, first, gaps) -> None:
+        self.sim = sim
+        self.rearm = rearm
+        self.gaps = list(gaps)
+        self.event = sim.at(first, self.poll, name, label=f"poll {name}")
+        #: Per re-arm: did it hand back the event that was firing?
+        self.kept = []
+
+    def poll(self, name: str) -> None:
+        if not self.gaps:
+            return
+        event = self.rearm(self.sim, self.event,
+                           self.sim.now + self.gaps.pop(0))
+        self.kept.append(event is self.event)
+        self.event = event
+
+
+def rearm_by_requeue(sim, event, time):
+    return sim.requeue(event, time)
+
+
+def rearm_by_at(sim, event, time):
+    return sim.at(time, event.fn, *event.args, label=event.label)
+
+
+def requeue_program(make_sim, rearm, drive):
+    """Two pollers tied with plain events, some registered mid-run.
+
+    Poller A fires at 10, 15, 15, 20, 23, 25 and 30, poller B at 10, 20,
+    25, 25 and 28; plain events fire at 10, 15, 20 and 25, and the one at
+    15 registers two more, at 15 and at 20.
+    """
+    sim = make_sim()
+    log = DispatchLog()
+    sim.profiler = log
+    plain = []
+
+    def spawn(tag: str) -> None:
+        plain.append(tag)
+        sim.schedule(5, plain.append, tag + "+5", label="plain")
+        sim.schedule(0, plain.append, tag + "+0", label="plain")
+
+    first = Poller(sim, rearm, "A", 10, [5, 0, 5, 3, 2, 5])
+    for time in (10, 15, 20, 25):
+        sim.at(time, spawn if time == 15 else plain.append, f"t{time}",
+               label="plain")
+    second = Poller(sim, rearm, "B", 10, [10, 5, 0, 3])
+    drive(sim)
+    return log.log, sim.events_executed, first.kept + second.kept
+
+
+@pytest.mark.parametrize("drive", [drive_by_run, drive_by_step,
+                                   drive_by_step_event],
+                         ids=["run", "step", "step_event"])
+@pytest.mark.parametrize("salt", [None, 0xD1CE, 7],
+                         ids=["fifo", "salt-d1ce", "salt-7"])
+def test_requeue_dispatches_as_a_fresh_at_would(salt, drive):
+    """A poll that requeues its own event dispatches every element at
+    the ``(time, seq, label, args)`` that scheduling a new event with
+    ``at`` gives, under FIFO and salted tie-breaks alike, and hands back
+    the event that was firing."""
+    make_sim = (Simulator if salt is None
+                else lambda: OrderShuffleSimulator(order_salt=salt))
+    log, executed, kept = requeue_program(make_sim, rearm_by_requeue, drive)
+    reference, reference_executed, fresh = requeue_program(
+        make_sim, rearm_by_at, drive)
+    assert log == reference
+    assert executed == reference_executed == len(log) == 18
+    assert kept == [True] * 10
+    assert fresh == [False] * 10
+    polls = sorted((time, args[0]) for time, _seq, label, args in log
+                   if label.startswith("poll"))
+    assert polls == sorted(
+        [(time, "A") for time in (10, 15, 15, 20, 23, 25, 30)]
+        + [(time, "B") for time in (10, 20, 25, 25, 28)])
+
+
+@pytest.mark.parametrize("salt", [None, 0xD1CE, 7],
+                         ids=["fifo", "salt-d1ce", "salt-7"])
+def test_requeue_refuses_the_past_and_a_series(salt):
+    sim = Simulator() if salt is None else OrderShuffleSimulator(salt)
+    fired = []
+    event = sim.at(10, fired.append, "x", label="once")
+    sim.run_until_idle()
+    key = event.seq
+    with pytest.raises(SimulationError):
+        sim.requeue(event, 9)
+    assert (event.time, event.seq, sim.events_pending) == (10, key, 0)
+    assert not sim.is_queued(event)
+    series = sim.at_series(20, 5, fired.append, b"ab", label="bytes")
+    with pytest.raises(SimulationError):
+        sim.requeue(series, 30)
+    assert sim.events_pending == 2
+    assert sim.requeue(event, 10) is event
+    assert sim.is_queued(event)
+    sim.run_until_idle()
+    assert fired == ["x", "x", ord("a"), ord("b")]
+    assert sim.events_executed == 4
