@@ -99,12 +99,30 @@ def test_perf_kiss_deframe_64k_stream(benchmark):
             frames_per_s=frames / mean)
 
 
-def test_perf_kiss_deframe_vectorized(benchmark):
-    """Buffer-at-a-time deframing of the same 64 KiB stream.
+def _deframe_rates(benchmark, size: int, frames: int) -> Dict[str, float]:
+    """Rates of a deframing bench, against the per-byte case's MB/s."""
+    mean = _mean_seconds(benchmark)
+    metrics = {
+        "bytes_per_s": size / mean,
+        "mb_per_s": size / mean / 1e6,
+        "frames_per_s": frames / mean,
+    }
+    before = _PERF_RESULTS.get("kiss_deframe", {}).get("mb_per_s")
+    if before is not None:
+        metrics["per_byte_mb_per_s"] = before        # "before" column
+        metrics["speedup_vs_per_byte"] = metrics["mb_per_s"] / before
+    return metrics
 
-    The vectorised ``push`` (``bytes.find``/``split``) is the
-    frame-fidelity fast path; its speedup over the per-byte loop above
-    is recorded as before/after MB/s columns in BENCH_perf.json.
+
+def test_perf_kiss_deframe_vectorized(benchmark):
+    """The same 64 KiB stream as one ``push`` call.
+
+    No simulated line writes such a buffer: a frame-fidelity line
+    delivers one record per burst.  ``push`` decodes one whole record
+    in one step and feeds any other buffer, this one included, to
+    ``push_byte`` a byte at a time, so this case runs at per-byte
+    speed.  ``kiss_deframe_per_record`` below times the shape the
+    simulator does push.
     """
     payload = bytes(range(256)) * 1
     record = kiss_frame(0, payload)
@@ -122,18 +140,28 @@ def test_perf_kiss_deframe_vectorized(benchmark):
     for byte in stream:
         reference.push_byte(byte)
     assert frames == len(reference.frames)
+    _record("kiss_deframe_vectorized", benchmark,
+            **_deframe_rates(benchmark, len(stream), frames))
 
-    mean = _mean_seconds(benchmark)
-    metrics = {
-        "bytes_per_s": len(stream) / mean,
-        "mb_per_s": len(stream) / mean / 1e6,
-        "frames_per_s": frames / mean,
-    }
-    before = _PERF_RESULTS.get("kiss_deframe", {}).get("mb_per_s")
-    if before is not None:
-        metrics["per_byte_mb_per_s"] = before        # "before" column
-        metrics["speedup_vs_per_byte"] = metrics["mb_per_s"] / before
-    _record("kiss_deframe_vectorized", benchmark, **metrics)
+
+def test_perf_kiss_deframe_per_record(benchmark):
+    """The same stream pushed one record per call, as a line delivers it.
+
+    Each record's payload holds a FEND and a FESC, so every push goes
+    through ``unescape``.
+    """
+    record = kiss_frame(0, bytes(range(256)))
+    count = 65536 // len(record) + 1
+
+    def run():
+        deframer = KissDeframer()
+        for _ in range(count):
+            deframer.push(record)
+        return len(deframer.frames)
+
+    assert benchmark(run) == count
+    _record("kiss_deframe_per_record", benchmark,
+            **_deframe_rates(benchmark, len(record) * count, count))
 
 
 def test_perf_ax25_codec(benchmark):

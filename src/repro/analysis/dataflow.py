@@ -1,4 +1,4 @@
-"""Forward dataflow over function ASTs: one walker, two domains.
+"""Forward dataflow over function ASTs: one walker, several domains.
 
 :class:`ForwardWalker` is a forward abstract interpreter generic in its
 domain.  It owns the control flow: the statement scan, the fork and
@@ -9,9 +9,10 @@ project fixpoint that re-walks every function until no per-function
 summary changes.  A domain supplies its bottom value, its join, the
 entry value of a parameter, the expression transfer (``_expr``), the
 store transfer (``_assign``) and the summary it exports; it may also
-override the augmented-assignment and loop-element rules.  Two domains
-exist: taint, below, and units of measure in
-:mod:`repro.analysis.absint`.
+override the augmented-assignment and loop-element rules.  Three
+domains exist: taint, below, units of measure in
+:mod:`repro.analysis.absint`, and SHARD002's Simulator identity in
+:mod:`repro.analysis.passes.shard`.
 
 Summaries compare by their facts only (parameter indices, returned
 origins or dimensions, sink kinds), never by the printable reach text

@@ -32,6 +32,7 @@ import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, ProjectInfo
+from repro.analysis.dataflow import ForwardEngine, ForwardWalker
 from repro.analysis.findings import Finding
 from repro.analysis.imports import dotted_name
 from repro.analysis.registry import ProjectPass, Rule, register_deep_pass
@@ -108,8 +109,16 @@ class ShardIsolationPass(ProjectPass):
     def check_project(self, project: ProjectInfo,
                       graph: CallGraph) -> Iterator[Finding]:
         yield from self._shared_state(project)
+        engine = _SimEscapeEngine(project, graph)
+        engine.run()
         for fn in project.functions.values():
-            yield from _SimEscapeWalker(project, graph, fn).findings(self)
+            seen = set()
+            for node, message, provenance in engine.hits(fn.qualname):
+                key = (getattr(node, "lineno", 0), message)
+                if key not in seen:
+                    seen.add(key)
+                    yield self.finding(fn.module_info, node,
+                                       RULE_SIM_ESCAPE, message, provenance)
 
     # ------------------------------------------------------------------
     # SHARD001
@@ -361,88 +370,45 @@ class ShardIsolationPass(ProjectPass):
         return out
 
 
-class _SimEscapeWalker:
-    """SHARD002: per-function Simulator identity tracking."""
+class _SimEscapeWalker(ForwardWalker[FrozenSet[str]]):
+    """SHARD002: per-function Simulator identity tracking.
 
-    def __init__(self, project: ProjectInfo, graph: CallGraph,
-                 fn: FunctionInfo) -> None:
-        self.project = project
-        self.graph = graph
-        self.fn = fn
-        self.env: Dict[str, FrozenSet[str]] = {}
-        self.hits: List[Tuple[ast.AST, str, Tuple[str, ...]]] = []
+    A name's value is the set of ``Simulator@line`` construction sites
+    it may belong to, joined by union.
+    """
 
-    def findings(self, owner: ShardIsolationPass) -> Iterator[Finding]:
-        self._scan(getattr(self.fn.node, "body", []))
-        seen = set()
-        for node, message, provenance in self.hits:
-            key = (getattr(node, "lineno", 0), message)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield owner.finding(self.fn.module_info, node,
-                                RULE_SIM_ESCAPE, message, provenance)
+    bottom: FrozenSet[str] = frozenset()
 
-    # -- statements ----------------------------------------------------
+    def _join(self, a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
+        return a | b
 
-    def _scan(self, statements) -> None:
-        for node in statements:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            if isinstance(node, ast.Assign):
-                sims = self._expr(node.value)
-                for target in node.targets:
-                    self._assign(target, sims, node)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                self._assign(node.target, self._expr(node.value), node)
-            elif isinstance(node, ast.AugAssign):
-                self._expr(node.value)
-            elif isinstance(node, ast.Expr):
-                self._expr(node.value)
-            elif isinstance(node, ast.Return) and node.value is not None:
-                self._expr(node.value)
-            elif isinstance(node, ast.If):
-                self._expr(node.test)
-                self._scan(node.body)
-                self._scan(node.orelse)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                self._expr(node.iter)
-                for _ in range(2):
-                    self._scan(node.body)
-                self._scan(node.orelse)
-            elif isinstance(node, ast.While):
-                for _ in range(2):
-                    self._scan(node.body)
-                self._scan(node.orelse)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    sims = self._expr(item.context_expr)
-                    if item.optional_vars is not None:
-                        self._assign(item.optional_vars, sims, node)
-                self._scan(node.body)
-            elif isinstance(node, ast.Try):
-                self._scan(node.body)
-                for handler in node.handlers:
-                    self._scan(handler.body)
-                self._scan(node.orelse)
-                self._scan(node.finalbody)
+    def _param(self, index: int, name: str) -> FrozenSet[str]:
+        return frozenset()
 
-    def _assign(self, target: ast.expr, sims: FrozenSet[str],
-                stmt: ast.stmt) -> None:
+    def summary(self) -> None:
+        return None  # identity never crosses a call boundary
+
+    def _augmented(self, node: ast.AugAssign) -> FrozenSet[str]:
+        """``x op= value`` keeps ``x``'s regions; the value is still read."""
+        self._expr(node.value)
+        return self._read(node.target)
+
+    def _assign(self, target: ast.expr, value: FrozenSet[str],
+                statement: ast.stmt) -> None:
         if isinstance(target, ast.Name):
-            self.env[target.id] = sims
+            self.env[target.id] = value
         elif isinstance(target, ast.Attribute):
             # ``owned_by_a.attr = object_of_b``
             base = self._expr(target.value)
-            self._check_mix(stmt, base, sims,
+            self._check_mix(statement, base, value,
                             f"stored into .{target.attr} of")
         elif isinstance(target, ast.Subscript):
             base = self._expr(target.value)
-            self._check_mix(stmt, base, sims, "stored into container of")
+            self._check_mix(statement, base, value,
+                            "stored into container of")
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._assign(element, sims, stmt)
+                self._assign(element, value, statement)
 
     # -- expressions ---------------------------------------------------
 
@@ -493,8 +459,8 @@ class _SimEscapeWalker:
         return out
 
     def _resolves_to_simulator(self, node: ast.Call) -> bool:
-        resolved = self.graph.resolve_call(node, self.fn.module,
-                                           self.fn.cls)
+        resolved = self.engine.graph.resolve_call(node, self.fn.module,
+                                                  self.fn.cls)
         if resolved is None:
             return False
         return (resolved.endswith(".Simulator.__init__")
@@ -513,3 +479,13 @@ class _SimEscapeWalker:
                  f"owner belongs to {', '.join(sorted(owner))}",
                  f"{how.strip()} at line {getattr(node, 'lineno', 0)}"),
             ))
+
+
+class _SimEscapeEngine(ForwardEngine):
+    """Runs the SHARD002 walker over every function.
+
+    Its summary is always None, so the first sweep changes nothing and
+    is the only one.
+    """
+
+    walker = _SimEscapeWalker

@@ -215,8 +215,9 @@ class PacketRadioInterface(NetworkInterface):
     def _rx_burst(self, data: bytes) -> None:
         """The buffered ablation's frame-fidelity receive: one event
         delivers a whole write, with the effect of ``len(data)`` calls
-        of its per-byte handler.  (Per-char reassembly hands bursts to
-        the vectorised deframer directly.)
+        of its per-byte handler.  (On-the-fly reassembly registers the
+        deframer's ``push`` as its burst handler instead, which decodes
+        a whole record in one step.)
         """
         for byte in data:
             self._rx_char_interrupt(byte)

@@ -18,7 +18,6 @@ from repro.kiss.commands import (
     CMD_SLOTTIME,
     CMD_TXDELAY,
     CMD_TXTAIL,
-    KissCommand,
 )
 from repro.kiss.framing import (
     FEND,
@@ -43,7 +42,6 @@ __all__ = [
     "CMD_TXTAIL",
     "FEND",
     "FESC",
-    "KissCommand",
     "KissDeframer",
     "KissError",
     "TFEND",

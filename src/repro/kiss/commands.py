@@ -8,8 +8,6 @@ machinery: TXDELAY, persistence P, slot time).
 
 from __future__ import annotations
 
-import enum
-
 CMD_DATA = 0x0      #: data frame follows
 CMD_TXDELAY = 0x1   #: keyup delay, in 10 ms units
 CMD_PERSIST = 0x2   #: p-persistence value, P = (value + 1)/256
@@ -18,19 +16,6 @@ CMD_TXTAIL = 0x4    #: time to hold transmitter after frame, 10 ms units
 CMD_FULLDUP = 0x5   #: nonzero = full duplex
 CMD_SETHW = 0x6     #: hardware-specific
 CMD_RETURN = 0xF    #: exit KISS mode (reboot to ROM firmware)
-
-
-class KissCommand(enum.IntEnum):
-    """Enumerated view of the command nibble."""
-
-    DATA = CMD_DATA
-    TXDELAY = CMD_TXDELAY
-    PERSIST = CMD_PERSIST
-    SLOTTIME = CMD_SLOTTIME
-    TXTAIL = CMD_TXTAIL
-    FULLDUP = CMD_FULLDUP
-    SETHW = CMD_SETHW
-    RETURN = CMD_RETURN
 
 
 def type_byte(command: int, port: int = 0) -> int:

@@ -6,10 +6,13 @@ characters is done on the fly.  In particular, escaped frame end
 characters that are embedded in the packet are decoded."
 
 :func:`frame`/:func:`escape` build the byte stream a host writes to the
-TNC; :class:`KissDeframer` is the character-at-a-time state machine the
-driver's receive interrupt handler runs.  It is written so one byte can
-be pushed per call -- mirroring the per-character tty interrupt -- and
-also accepts whole buffers for convenience.
+TNC, and :func:`unescape` reverses :func:`escape` the same way, with
+``bytes`` methods over a whole record body.  :class:`KissDeframer` is
+the character-at-a-time state machine the driver's receive interrupt
+handler runs: :meth:`~KissDeframer.push_byte` takes one byte per call,
+mirroring the per-character tty interrupt.  :meth:`~KissDeframer.push`
+takes a buffer: one whole record on an idle deframer is decoded in one
+step, and any other buffer is fed to ``push_byte`` a byte at a time.
 """
 
 from __future__ import annotations
@@ -42,29 +45,22 @@ def escape(payload: bytes) -> bytes:
 
 
 def unescape(payload: bytes) -> bytes:
-    """Reverse :func:`escape`.  Raises :class:`KissError` on bad sequences."""
-    out = bytearray()
-    index = 0
-    length = len(payload)
-    while index < length:
-        byte = payload[index]
-        if byte == FESC:
-            if index + 1 >= length:
-                raise KissError("dangling FESC at end of payload")
-            follower = payload[index + 1]
-            if follower == TFEND:
-                out.append(FEND)
-            elif follower == TFESC:
-                out.append(FESC)
-            else:
-                raise KissError(f"invalid escape FESC 0x{follower:02x}")
-            index += 2
-        elif byte == FEND:
-            raise KissError("unescaped FEND inside payload")
-        else:
-            out.append(byte)
-            index += 1
-    return bytes(out)
+    """Reverse :func:`escape`.  Raises :class:`KissError` on bad sequences.
+
+    A raw FEND is a violation, and so is a FESC that is not followed by
+    TFEND or TFESC: the FESC count must equal the number of ``FESC
+    TFEND`` and ``FESC TFESC`` pairs, which cannot overlap.  The FEND
+    pair is then decoded first: decoding ``FESC TFESC`` writes a FESC
+    of its own, which must not pair with a following TFEND.
+    """
+    payload = bytes(payload)
+    if FEND in payload:
+        raise KissError("unescaped FEND inside payload")
+    if payload.count(FESC) != (payload.count(_ESCAPED_FEND)
+                               + payload.count(_ESCAPED_FESC)):
+        raise KissError("FESC not followed by TFEND or TFESC")
+    return (payload.replace(_ESCAPED_FEND, _FEND_BYTES)
+            .replace(_ESCAPED_FESC, _FESC_BYTES))
 
 
 def frame(type_byte: int, payload: bytes) -> bytes:
@@ -105,99 +101,43 @@ class KissDeframer:
     def push(self, data: bytes) -> None:
         """Push a buffer of received bytes.
 
-        Byte-for-byte equivalent to calling :meth:`push_byte` in a loop
-        (same frames, same ``errors``/``oversize_drops`` counts, same
-        residual state) but vectorised: the buffer is cut at FEND
-        delimiters with ``bytes.find`` and each delimiter-free segment
-        is unescaped by splitting on FESC, so the common no-escape case
-        is a single ``bytearray`` extend instead of a Python-level loop
-        per byte.  This is the frame-fidelity fast path: one burst
-        delivery per KISS record instead of one interrupt per character.
-
-        The commonest burst is one whole record with nothing to
-        unescape, pushed while the deframer is idle: ``FEND``, at most
-        ``max_frame`` bytes with no FEND or FESC, ``FEND``.  Its type
-        byte and payload are handed on as slices of ``data``.
+        One whole record, ``FEND`` body ``FEND``, pushed while the
+        deframer is idle (empty buffer, no pending escape, not
+        discarding) is decoded in one step; a frame-fidelity line
+        delivers each record so.  A body with no FESC and at most
+        ``max_frame`` bytes is handed on as slices of ``data``; one with
+        a FESC goes through :func:`unescape` and is handed on if that
+        gives at most ``max_frame`` bytes.  Any other buffer (several
+        records, part of one, a bad escape, an oversize body, a busy
+        deframer) is fed to :meth:`push_byte` a byte at a time, so the
+        frames, counts and residual state always match ``push_byte``'s.
         """
         data = bytes(data)
-        length = len(data)
-        last = length - 1
-        if (1 < last <= self.max_frame + 1
-                and data[0] == FEND and data[last] == FEND
+        last = len(data) - 1
+        if (1 < last and data[0] == FEND and data[last] == FEND
                 and not self._buffer and not self._escaped
                 and not self._discarding
-                and data.find(FEND, 1, last) < 0
-                and data.find(FESC, 1, last) < 0):
-            if self.on_frame is None:
-                self.frames.append((data[1], data[2:last]))
-            else:
-                self.on_frame(data[1], data[2:last])
-            return
-        position = 0
-        while position < length:
-            boundary = data.find(FEND, position)
-            if boundary < 0:
-                self._push_segment(data[position:])
-                return
-            if boundary > position:
-                self._push_segment(data[position:boundary])
-            self._end_of_frame()
-            position = boundary + 1
-
-    def _push_segment(self, segment: bytes) -> None:
-        """Feed a FEND-free run of bytes through the state machine."""
-        if self._discarding:
-            return
-        buffer = self._buffer
-        parts = segment.split(_FESC_BYTES)
-        head = parts[0]
-        if self._escaped:
-            # The pending FESC from the previous push resolves against
-            # this segment's first byte.
-            lead = segment[0]
-            if lead == TFEND:
-                buffer.append(FEND)
-            elif lead == TFESC:
-                buffer.append(FESC)
-            else:
-                self.errors += 1
-                self._discard()
-                return
-            self._escaped = False
-            head = head[1:]
-        if head:
-            buffer += head
-        if len(buffer) > self.max_frame:
-            self.oversize_drops += 1
-            self._discard()
-            return
-        last = len(parts) - 1
-        for index in range(1, len(parts)):
-            part = parts[index]
-            if not part:
-                if index == last:
-                    # Segment ends mid-escape; the next byte decides.
-                    self._escaped = True
+                and data.find(FEND, 1, last) < 0):
+            if data.find(FESC, 1, last) < 0:
+                if last <= self.max_frame + 1:
+                    if self.on_frame is None:
+                        self.frames.append((data[1], data[2:last]))
+                    else:
+                        self.on_frame(data[1], data[2:last])
                     return
-                # FESC immediately followed by FESC: a bad escape.
-                self.errors += 1
-                self._discard()
-                return
-            follower = part[0]
-            if follower == TFEND:
-                buffer.append(FEND)
-            elif follower == TFESC:
-                buffer.append(FESC)
             else:
-                self.errors += 1
-                self._discard()
-                return
-            if len(part) > 1:
-                buffer += part[1:]
-            if len(buffer) > self.max_frame:
-                self.oversize_drops += 1
-                self._discard()
-                return
+                try:
+                    record = unescape(data[1:last])
+                except KissError:
+                    record = b""  # push_byte counts the error
+                if 0 < len(record) <= self.max_frame:
+                    if self.on_frame is None:
+                        self.frames.append((record[0], record[1:]))
+                    else:
+                        self.on_frame(record[0], record[1:])
+                    return
+        for byte in data:
+            self.push_byte(byte)
 
     def push_byte(self, byte: int) -> None:
         """Push one received byte (the per-character interrupt path)."""

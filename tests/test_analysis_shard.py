@@ -210,6 +210,61 @@ def test_shard002_silent_on_byte_handoff(tmp_path):
     assert "SHARD002" not in _rules(findings)
 
 
+def test_shard002_follows_identity_through_compound_statements(tmp_path):
+    # These five findings are the ones SHARD002 gave when it still had
+    # its own statement scanner, provenance included; the shared walker
+    # must give the same.  ``total += ...`` keeps total's region rather
+    # than joining in the right-hand side's.
+    findings = deep_findings(tmp_path, {"regions.py": (
+        _TWO_REGIONS_HEADER +
+        "class Region:\n"
+        "    def __init__(self, sim):\n"
+        "        self.sim = sim\n"
+        "    def __enter__(self):\n"
+        "        return self\n"
+        "    def __exit__(self, *exc):\n"
+        "        return False\n"
+        "def build(flag, rounds):\n"
+        "    sim_a = Simulator()\n"
+        "    sim_b = Simulator()\n"
+        "    stack_a = NetStack(sim_a)\n"
+        "    stack_b = NetStack(sim_b)\n"
+        "    pending = stack_a\n"
+        "    while pending is not None and rounds:\n"
+        "        stack_b.neighbors.append(pending)\n"
+        "        rounds -= 1\n"
+        "    with Region(sim_a) as held:\n"
+        "        sim_b.schedule(1, held.sim)\n"
+        "    try:\n"
+        "        count = 0\n"
+        "    finally:\n"
+        "        stack_b.sim = stack_a\n"
+        "    total = stack_a\n"
+        "    total += stack_b.neighbors.count(None)\n"
+        "    sim_b.schedule(2, total)\n"
+        "    peer = bytes(0)\n"
+        "    if flag:\n"
+        "        peer = stack_a\n"
+        "    else:\n"
+        "        count += 1\n"
+        "    stack_b.neighbors.append(peer)\n")})
+    hits = [f for f in findings if f.rule == "SHARD002"]
+    assert [(f.line, f.provenance[2]) for f in hits] == [
+        (24, "passed into .append() of at line 24"),
+        (27, "passed into .schedule() of at line 27"),
+        (31, "stored into .sim of at line 31"),
+        (34, "passed into .schedule() of at line 34"),
+        (40, "passed into .append() of at line 40"),
+    ]
+    for hit in hits:
+        assert hit.message.startswith(
+            "object constructed under Simulator@18 ")
+        assert " of an object of Simulator@19 (in pkg.regions.build)" \
+            in hit.message
+        assert hit.provenance[:2] == ("value belongs to Simulator@18",
+                                      "owner belongs to Simulator@19")
+
+
 # ----------------------------------------------------------------------
 # FID001: fidelity emission parity
 # ----------------------------------------------------------------------

@@ -50,11 +50,6 @@ def test_unescape_rejects_raw_fend():
 
 
 @given(st.binary(max_size=512))
-def test_escape_round_trip_property(payload):
-    assert unescape(escape(payload)) == payload
-
-
-@given(st.binary(max_size=512))
 def test_escaped_stream_contains_no_fend(payload):
     assert FEND not in escape(payload)
 
@@ -86,6 +81,50 @@ def test_escape_matches_per_byte_reference(payload, kind):
     escaped = escape(kind(payload))
     assert type(escaped) is bytes
     assert escaped == _reference_escape(payload)
+
+
+def _reference_unescape(payload):
+    """The per-byte scan ``unescape`` must match; None where it raises.
+
+    A raw FEND, a FESC followed by anything but TFEND or TFESC, and a
+    FESC at the end are each a violation.
+    """
+    out = bytearray()
+    index = 0
+    while index < len(payload):
+        byte = payload[index]
+        if byte == FEND:
+            return None
+        if byte != FESC:
+            out.append(byte)
+            index += 1
+            continue
+        follower = payload[index + 1] if index + 1 < len(payload) else None
+        if follower == TFEND:
+            out.append(FEND)
+        elif follower == TFESC:
+            out.append(FESC)
+        else:
+            return None
+        index += 2
+    return bytes(out)
+
+
+@given(payloads, buffer_types)
+def test_escape_round_trip_property(payload, kind):
+    decoded = unescape(kind(escape(payload)))
+    assert type(decoded) is bytes
+    assert decoded == payload
+
+
+@given(payloads, buffer_types)
+def test_unescape_raises_exactly_where_per_byte_scan_does(payload, kind):
+    expected = _reference_unescape(payload)
+    if expected is None:
+        with pytest.raises(KissError):
+            unescape(kind(payload))
+    else:
+        assert unescape(kind(payload)) == expected
 
 
 @given(st.lists(payloads, max_size=6), buffer_types)
@@ -210,6 +249,6 @@ def test_type_byte_range_checks():
         commands.type_byte(0, port=16)
 
 
-def test_command_enum_values():
-    assert commands.KissCommand.DATA == 0
-    assert commands.KissCommand.RETURN == 0xF
+def test_command_nibble_values():
+    assert commands.CMD_DATA == 0
+    assert commands.CMD_RETURN == 0xF

@@ -1,12 +1,16 @@
-"""Differential testing of the vectorised KISS deframer.
+"""Differential testing of the KISS deframer's buffer path.
 
-``KissDeframer.push`` (buffer-at-a-time, ``bytes.find``/``split``) must
-be byte-for-byte equivalent to ``push_byte`` in a loop -- same frames,
-same error and oversize accounting, same residual state -- for any
-byte stream and any chunking of it.  These tests check the crafted
-corner cases (escapes split across pushes, doubled FESC, oversize
-mid-segment) and then hammer the equivalence with seeded random
-streams sliced into random chunks.
+``KissDeframer.push`` has two outcomes.  One whole record pushed while
+the deframer is idle is decoded in one step: a slice when it has no
+escape, ``unescape`` when it has one.  Every other buffer is fed to
+``push_byte`` a byte at a time.  Either way it must match ``push_byte``
+in a loop -- same frames, same error and oversize accounting, same
+residual state -- for any byte stream and any chunking of it, and each
+push must take the outcome its input calls for.  These tests check the
+crafted corner cases (escapes split across pushes, doubled FESC,
+oversize mid-record, escaped records at the size bound) and then
+hammer the equivalence with seeded random streams sliced into random
+chunks.
 """
 
 from __future__ import annotations
@@ -25,17 +29,48 @@ def _state(deframer: KissDeframer):
             deframer._discarding)
 
 
+class _CountingDeframer(KissDeframer):
+    """A deframer that counts the bytes ``push`` hands to ``push_byte``."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.per_byte_calls = 0
+
+    def push_byte(self, byte: int) -> None:
+        self.per_byte_calls += 1
+        super().push_byte(byte)
+
+
+def _one_step(deframer: KissDeframer, data: bytes) -> bool:
+    """Whether ``push(data)`` must decode ``data`` without ``push_byte``.
+
+    It must when the deframer is idle and ``push_byte`` would turn
+    ``data``, ``FEND`` body ``FEND``, into one record and nothing else.
+    """
+    if deframer._buffer or deframer._escaped or deframer._discarding:
+        return False
+    if (len(data) < 3 or data[0] != FEND or data[-1] != FEND
+            or FEND in data[1:-1]):
+        return False
+    reference = KissDeframer(max_frame=deframer.max_frame)
+    for byte in data:
+        reference.push_byte(byte)
+    return len(reference.frames) == 1
+
+
 def _differential(stream: bytes, chunks, max_frame: int = 2048,
                   callback: bool = False) -> None:
     """``stream`` pushed in ``chunks``, against ``push_byte`` per byte.
 
     With ``callback`` the records go to ``on_frame`` instead of
     ``frames``.  Either way they must be the same ``(type, payload)``
-    pairs, with each payload a ``bytes``.
+    pairs, with each payload a ``bytes``.  Each push must decode in one
+    step exactly when :func:`_one_step` says so, and otherwise call
+    ``push_byte`` once per byte.
     """
     def build():
         got = []
-        deframer = KissDeframer(
+        deframer = _CountingDeframer(
             on_frame=(lambda kind, payload: got.append((kind, payload)))
             if callback else None,
             max_frame=max_frame)
@@ -44,16 +79,19 @@ def _differential(stream: bytes, chunks, max_frame: int = 2048,
     reference, reference_got = build()
     for byte in stream:
         reference.push_byte(byte)
-    vectorised, got = build()
+    pushed, got = build()
     position = 0
-    for size in chunks:
-        vectorised.push(stream[position:position + size])
-        position += size
-    vectorised.push(stream[position:])
-    assert _state(vectorised) == _state(reference)
+    for size in list(chunks) + [len(stream)]:
+        data = stream[position:position + size]
+        one_step = _one_step(pushed, data)
+        pushed.per_byte_calls = 0
+        pushed.push(data)
+        assert pushed.per_byte_calls == (0 if one_step else len(data))
+        position += len(data)
+    assert _state(pushed) == _state(reference)
     assert got == reference_got
     assert all(type(payload) is bytes
-               for _kind, payload in got + vectorised.frames)
+               for _kind, payload in got + pushed.frames)
 
 
 def test_simple_records_equivalent():
@@ -146,10 +184,30 @@ RECORD_CASES = {
     "bare TFEND and TFESC": [_record(bytes([0, TFEND, TFESC, 0x41]))],
     "partial frame first": [bytes([FEND, 0, 0x41]), _record(b"\x00ab")],
     "pending escape first": [bytes([FEND, 0, FESC]), _record(b"\x00ab")],
+    "pending escape, empty buffer": [bytes([FEND, FESC]), _record(b"\x00ab")],
     "discard first": [bytes([FEND, 0, FESC, 0x41]), _record(b"\x00ab")],
     "oversize discard first": [bytes([FEND]) + bytes(12),
                                _record(b"\x00ab")],
     "no trailing FEND": [bytes([FEND, 0, 0x41]), bytes([0x42, FEND])],
+    "FESC TFESC TFEND": [_record(bytes([0, FESC, TFESC, TFEND]))],
+    # Twelve escaped bytes that decode to exactly max_frame.
+    "escaped past max_frame + 1, decoded within":
+        [_record(bytes([0]) + bytes([FESC, TFEND]) * 4 + b"ABC")],
+    "escaped exactly max_frame + 1": [_record(bytes([0, FESC, TFEND])
+                                              + bytes(range(1, 7)))],
+    "escaped, decoded max_frame + 1": [_record(bytes([0, FESC, TFEND])
+                                               + bytes(range(1, 8))),
+                                       _record(b"\x00ok")],
+    "FESC last in body": [_record(bytes([0, 0x41, FESC])),
+                          _record(bytes([0, FESC, TFESC]))],
+    "FESC FESC TFEND": [_record(bytes([0, FESC, FESC, TFEND]))],
+    "FESC then 0x41": [_record(bytes([0, FESC, 0x41]))],
+    "partial frame, then escaped record":
+        [bytes([FEND, 0, 0x41]), _record(bytes([0, FESC, TFEND]))],
+    "pending escape, then escaped record":
+        [bytes([FEND, 0, FESC]), _record(bytes([0, FESC, TFESC]))],
+    "discard, then escaped record":
+        [bytes([FEND, 0, FESC, 0x41]), _record(bytes([0, FESC, TFEND]))],
 }
 
 
