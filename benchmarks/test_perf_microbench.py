@@ -25,29 +25,20 @@ from repro.ax25.frames import AX25Frame
 from repro.inet.ip import IPv4Address, IPv4Datagram, PROTO_TCP
 from repro.inet.tcp import FLAG_ACK, TcpSegment
 from repro.kiss.framing import KissDeframer, frame as kiss_frame
+from repro.serialio.line import SerialLine
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
 
-from benchmarks.conftest import write_cases
+from benchmarks.conftest import mean_seconds, write_cases
 
 #: case name -> metrics dict, filled in as the benches run.
 _PERF_RESULTS: Dict[str, Dict[str, float]] = {}
 
 
-def _record(case: str, benchmark, **rates: float) -> None:
-    """Stash one bench's rates for the module-level JSON artifact."""
-    metrics = dict(rates)
-    stats = getattr(benchmark, "stats", None)
-    if stats is not None:
-        metrics["mean_seconds_per_round"] = float(stats.stats.mean)
-    _PERF_RESULTS[case] = metrics
-
-
-def _mean_seconds(benchmark) -> float:
-    stats = getattr(benchmark, "stats", None)
-    if stats is None:  # e.g. --benchmark-disable
-        return float("nan")
-    return float(stats.stats.mean)
+def _record(case: str, mean: float, **rates: float) -> None:
+    """Stash one bench's rates, and the mean round they come from, for
+    the module-level JSON artifact."""
+    _PERF_RESULTS[case] = dict(rates, mean_seconds_per_round=mean)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -74,8 +65,45 @@ def test_perf_event_loop_throughput(benchmark):
         return state["count"]
 
     assert benchmark(run) == 10_000
-    _record("event_loop", benchmark,
-            events_per_s=10_000 / _mean_seconds(benchmark))
+    mean = mean_seconds(benchmark, run)
+    _record("event_loop", mean, events_per_s=10_000 / mean)
+
+
+def test_perf_engine_fanout(benchmark):
+    """One 100-byte KISS record written to 22 per-char lines at once.
+
+    A frame that every promiscuous TNC passes up reaches each hearer's
+    host line at the same instant, baud and length, so at every byte
+    time the 22 lines' bytes tie in the event queue: this case times
+    what the engine pays per byte of such a fan-out.  Each line feeds a
+    ``KissDeframer``, and 50 unrelated events wait later in the queue,
+    as a gateway's timers do.  A round builds the lines and runs until
+    the record has landed everywhere.
+    """
+    record = kiss_frame(0, bytes(range(97)))
+    assert len(record) == 100
+
+    def run():
+        sim = Simulator()
+        lines = [SerialLine(sim, baud=9600, name=f"tty{index}")
+                 for index in range(22)]
+        deframers = [KissDeframer() for _ in lines]
+        for line, deframer in zip(lines, deframers):
+            line.b.on_receive(deframer.push_byte)
+        landed = [line.a.write(record) for line in lines][-1]
+        for index in range(50):
+            sim.at(landed + SECOND + index, lambda: None, label="unrelated")
+        sim.run(until=landed)
+        return sim.events_executed, deframers
+
+    executed, deframers = benchmark(run)
+    assert executed == 22 * len(record)
+    assert all(deframer.frames == [(0, bytes(range(97)))]
+               for deframer in deframers)
+    mean = mean_seconds(benchmark, run)
+    _record("engine_fanout", mean,
+            ns_per_byte=mean / executed * 1e9,
+            events_per_s=executed / mean)
 
 
 def test_perf_kiss_deframe_64k_stream(benchmark):
@@ -92,56 +120,11 @@ def test_perf_kiss_deframe_64k_stream(benchmark):
 
     frames = benchmark(run)
     assert frames > 200
-    mean = _mean_seconds(benchmark)
-    _record("kiss_deframe", benchmark,
+    mean = mean_seconds(benchmark, run)
+    _record("kiss_deframe", mean,
             bytes_per_s=len(stream) / mean,
             mb_per_s=len(stream) / mean / 1e6,
             frames_per_s=frames / mean)
-
-
-def _deframe_rates(benchmark, size: int, frames: int) -> Dict[str, float]:
-    """Rates of a deframing bench, against the per-byte case's MB/s."""
-    mean = _mean_seconds(benchmark)
-    metrics = {
-        "bytes_per_s": size / mean,
-        "mb_per_s": size / mean / 1e6,
-        "frames_per_s": frames / mean,
-    }
-    before = _PERF_RESULTS.get("kiss_deframe", {}).get("mb_per_s")
-    if before is not None:
-        metrics["per_byte_mb_per_s"] = before        # "before" column
-        metrics["speedup_vs_per_byte"] = metrics["mb_per_s"] / before
-    return metrics
-
-
-def test_perf_kiss_deframe_vectorized(benchmark):
-    """The same 64 KiB stream as one ``push`` call.
-
-    No simulated line writes such a buffer: a frame-fidelity line
-    delivers one record per burst.  ``push`` decodes one whole record
-    in one step and feeds any other buffer, this one included, to
-    ``push_byte`` a byte at a time, so this case runs at per-byte
-    speed.  ``kiss_deframe_per_record`` below times the shape the
-    simulator does push.
-    """
-    payload = bytes(range(256)) * 1
-    record = kiss_frame(0, payload)
-    stream = record * (65536 // len(record) + 1)
-
-    def run():
-        deframer = KissDeframer()
-        deframer.push(stream)
-        return len(deframer.frames)
-
-    frames = benchmark(run)
-    assert frames > 200
-    # Differential sanity right here: same result as the per-byte path.
-    reference = KissDeframer()
-    for byte in stream:
-        reference.push_byte(byte)
-    assert frames == len(reference.frames)
-    _record("kiss_deframe_vectorized", benchmark,
-            **_deframe_rates(benchmark, len(stream), frames))
 
 
 def test_perf_kiss_deframe_per_record(benchmark):
@@ -160,8 +143,15 @@ def test_perf_kiss_deframe_per_record(benchmark):
         return len(deframer.frames)
 
     assert benchmark(run) == count
-    _record("kiss_deframe_per_record", benchmark,
-            **_deframe_rates(benchmark, len(record) * count, count))
+    mean = mean_seconds(benchmark, run)
+    size = len(record) * count
+    before = _PERF_RESULTS.get("kiss_deframe", {}).get("mb_per_s")
+    rates = {"bytes_per_s": size / mean, "mb_per_s": size / mean / 1e6,
+             "frames_per_s": count / mean}
+    if before is not None:
+        rates["per_byte_mb_per_s"] = before        # "before" column
+        rates["speedup_vs_per_byte"] = rates["mb_per_s"] / before
+    _record("kiss_deframe_per_record", mean, **rates)
 
 
 def test_perf_ax25_codec(benchmark):
@@ -179,8 +169,8 @@ def test_perf_ax25_codec(benchmark):
         return total
 
     assert benchmark(run) == 500 * 200
-    _record("ax25_codec", benchmark,
-            frames_per_s=500 / _mean_seconds(benchmark))
+    mean = mean_seconds(benchmark, run)
+    _record("ax25_codec", mean, frames_per_s=500 / mean)
 
 
 def test_perf_ip_tcp_codec(benchmark):
@@ -202,8 +192,8 @@ def test_perf_ip_tcp_codec(benchmark):
         return total
 
     assert benchmark(run) == 300 * 512
-    _record("ip_tcp_codec", benchmark,
-            segments_per_s=300 / _mean_seconds(benchmark))
+    mean = mean_seconds(benchmark, run)
+    _record("ip_tcp_codec", mean, segments_per_s=300 / mean)
 
 
 def test_perf_full_gateway_session(benchmark):
@@ -222,8 +212,9 @@ def test_perf_full_gateway_session(benchmark):
         return pinger.received
 
     assert benchmark(run) == 2
-    _record("full_gateway_session", benchmark,
-            sim_events_per_s=state["events"] / _mean_seconds(benchmark),
+    mean = mean_seconds(benchmark, run)
+    _record("full_gateway_session", mean,
+            sim_events_per_s=state["events"] / mean,
             sim_events=float(state["events"]))
 
 
