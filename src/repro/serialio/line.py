@@ -9,7 +9,14 @@ meaningful thing to model, and what makes the serial line a real
 bottleneck in experiment E3.  A write's bytes are one event series
 (:meth:`~repro.sim.engine.Simulator.at_series`): each byte is still
 its own dispatched event, but the queue holds one entry per write.
-The receiving endpoint counts each byte that gets past its fault
+Writes that start together on idle lines of one baud, with the same
+length and nothing scheduled between them, share one entry: their
+series are the lanes of one cohort.  That is the shape of a
+promiscuous fan-out.  Every KISS TNC that hears a frame passes the
+same record up its own line from the channel's one delivery loop, so
+each byte time fires the bytes of all of those lines in one pass of
+the engine's loop.  A write on a busy line starts later and goes on
+its own.  The receiving endpoint counts each byte that gets past its fault
 filter in ``bytes_received`` before it calls the per-byte handler.
 The pr0 driver reads its interrupt count there and registers its KISS
 unescaper as the handler, so a received character is one

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+from repro.ax25.address import AX25Address
+from repro.ax25.defs import PID_NO_L3
+from repro.ax25.frames import AX25Frame
+from repro.core.hosts import make_radio_host
+from repro.core.topology import build_gateway_testbed
+from repro.kiss.framing import frame as kiss_frame
 from repro.serialio.line import SerialLine
 from repro.sim.clock import SECOND
+from repro.sim.engine import Simulator
 
 import pytest
 
@@ -124,3 +131,69 @@ def test_sustained_overload_backlog_drains_completely(sim):
     assert line.a.tx_backlog_bytes == 0
     assert not line.a.tx_busy
     assert line.b.bytes_received == 1200
+
+
+class PerByteSimulator(Simulator):
+    """The reference schedule: a series is one ``at`` per element, every
+    key drawn when the series is registered."""
+
+    def at_series(self, first, interval, fn, items, label=""):
+        return [self.at(first + index * interval, fn, item, label=label)
+                for index, item in enumerate(items)][0]
+
+
+def fan_out(sim, hearers):
+    """The PC sends one UI frame that ``hearers`` promiscuous KISS TNCs
+    hear (the gateway's and ``hearers - 1`` other hosts') and pass up
+    their per-char lines.  Returns each TNC's host-bound writes as
+    ``(time, queue entries before, after)`` and each host's
+    deframed records as ``(time, host, record)``."""
+    testbed = build_gateway_testbed(seed=1, sim=sim)
+    radios = [("gateway", testbed.gateway.radio)] + [
+        (f"pc{index}", make_radio_host(sim, testbed.channel, f"pc{index}",
+                                       f"N0PC-{index}",
+                                       f"44.24.0.{40 + index}").radio)
+        for index in range(hearers - 1)]
+    writes, records = [], []
+    for host, radio in radios:
+        endpoint = radio.serial.b
+
+        def write(data, write=endpoint.write):
+            before = len(sim._queue)
+            done = write(data)
+            writes.append((sim.now, before, len(sim._queue)))
+            return done
+
+        endpoint.write = write
+        deframer = radio.interface._deframer
+
+        def on_frame(kind, payload, host=host, on_frame=deframer.on_frame):
+            records.append((sim.now, host, payload))
+            on_frame(kind, payload)
+
+        deframer.on_frame = on_frame
+    hello = AX25Frame.ui(AX25Address("QST"), AX25Address("KB7DZ"), PID_NO_L3,
+                         b"hello, all stations").encode()
+    testbed.pc.radio.serial.a.write(kiss_frame(0, hello))
+    sim.run(until=10 * SECOND)
+    return writes, records
+
+
+@pytest.mark.parametrize("hearers", [2, 6])
+def test_a_frame_every_promiscuous_tnc_passes_up_is_one_queue_entry(hearers):
+    """The TNCs that hear a frame write it up their lines in one instant
+    with no key drawn between the writes, so the writes are the lanes of
+    one cohort: one queue entry in all.  Each host still deframes the
+    record at the instants the per-byte schedule gives."""
+    writes, records = fan_out(Simulator(), hearers)
+    reference_writes, reference_records = fan_out(PerByteSimulator(), hearers)
+    assert records == reference_records
+    assert sorted(host for _time, host, _record in records) == sorted(
+        ["gateway"] + [f"pc{index}" for index in range(hearers - 1)])
+    assert len({record for _time, _host, record in records}) == 1
+    assert len(writes) == hearers
+    assert len({time for time, _before, _after in writes}) == 1
+    assert writes[-1][2] - writes[0][1] == 1
+    length = len(kiss_frame(0, records[0][2]))
+    assert all(after - before == length
+               for _time, before, after in reference_writes)
