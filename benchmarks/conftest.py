@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.harness.results import bench_json_path, write_bench_json
 
@@ -44,8 +44,18 @@ def mean_seconds(benchmark, run: Callable[[], object]) -> float:
     return time.perf_counter() - started
 
 
-def write_cases(bench: str, source: str, results: Mapping[str, Mapping[str, float]]) -> Path:
-    """Write ``BENCH_<bench>.json`` at the cwd: one seed-0 run per case, in case order."""
+def write_cases(bench: str, source: str, results: Mapping[str, Mapping[str, float]],
+                module: str) -> Optional[Path]:
+    """Write ``BENCH_<bench>.json`` at the cwd: one seed-0 run per case, in case order.
+
+    Only a complete, timed run writes.  Each test in ``module`` records
+    one case, and only when its benchmark timed its rounds, so a ``-k``
+    subset, a ``--benchmark-disable`` run or a failed case leaves a case
+    out: then nothing is written and None is returned.
+    """
+    tests = [name for name in vars(sys.modules[module]) if name.startswith("test_")]
+    if len(results) < len(tests):
+        return None
     return write_bench_json(bench_json_path(bench), {
         "bench": bench, "spec": {"source": source},
         "runs": [{"params": {"case": case}, "seed": 0, "metrics": metrics}

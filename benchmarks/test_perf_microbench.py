@@ -11,6 +11,7 @@ Each test records its headline rate (events/sec, frames/sec, ...) and a
 module-teardown fixture writes them to ``BENCH_perf.json`` through the
 harness's results writer, so the repo's performance trajectory is
 tracked across PRs alongside the ``python -m repro sweep`` outputs.
+The file is written only when every case ran with benchmarking on.
 """
 
 from __future__ import annotations
@@ -31,22 +32,24 @@ from repro.sim.engine import Simulator
 
 from benchmarks.conftest import mean_seconds, write_cases
 
-#: case name -> metrics dict, filled in as the benches run.
+#: case name -> metrics dict, filled in as the benches run timed.
 _PERF_RESULTS: Dict[str, Dict[str, float]] = {}
 
 
-def _record(case: str, mean: float, **rates: float) -> None:
+def _record(benchmark, case: str, mean: float, **rates: float) -> None:
     """Stash one bench's rates, and the mean round they come from, for
-    the module-level JSON artifact."""
-    _PERF_RESULTS[case] = dict(rates, mean_seconds_per_round=mean)
+    the module-level JSON artifact.  Under ``--benchmark-disable`` the
+    mean is one round, and the case is left out."""
+    if not benchmark.disabled:
+        _PERF_RESULTS[case] = dict(rates, mean_seconds_per_round=mean)
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _emit_bench_json():
-    """Write BENCH_perf.json after the module's benches have run."""
+    """Write BENCH_perf.json after the module's benches have all run timed."""
     yield
-    if _PERF_RESULTS:
-        write_cases("perf", "benchmarks/test_perf_microbench.py", _PERF_RESULTS)
+    write_cases("perf", "benchmarks/test_perf_microbench.py", _PERF_RESULTS,
+                __name__)
 
 
 def test_perf_event_loop_throughput(benchmark):
@@ -66,7 +69,7 @@ def test_perf_event_loop_throughput(benchmark):
 
     assert benchmark(run) == 10_000
     mean = mean_seconds(benchmark, run)
-    _record("event_loop", mean, events_per_s=10_000 / mean)
+    _record(benchmark, "event_loop", mean, events_per_s=10_000 / mean)
 
 
 def test_perf_engine_fanout(benchmark):
@@ -101,7 +104,7 @@ def test_perf_engine_fanout(benchmark):
     assert all(deframer.frames == [(0, bytes(range(97)))]
                for deframer in deframers)
     mean = mean_seconds(benchmark, run)
-    _record("engine_fanout", mean,
+    _record(benchmark, "engine_fanout", mean,
             ns_per_byte=mean / executed * 1e9,
             events_per_s=executed / mean)
 
@@ -121,7 +124,7 @@ def test_perf_kiss_deframe_64k_stream(benchmark):
     frames = benchmark(run)
     assert frames > 200
     mean = mean_seconds(benchmark, run)
-    _record("kiss_deframe", mean,
+    _record(benchmark, "kiss_deframe", mean,
             bytes_per_s=len(stream) / mean,
             mb_per_s=len(stream) / mean / 1e6,
             frames_per_s=frames / mean)
@@ -151,7 +154,7 @@ def test_perf_kiss_deframe_per_record(benchmark):
     if before is not None:
         rates["per_byte_mb_per_s"] = before        # "before" column
         rates["speedup_vs_per_byte"] = rates["mb_per_s"] / before
-    _record("kiss_deframe_per_record", mean, **rates)
+    _record(benchmark, "kiss_deframe_per_record", mean, **rates)
 
 
 def test_perf_ax25_codec(benchmark):
@@ -170,7 +173,7 @@ def test_perf_ax25_codec(benchmark):
 
     assert benchmark(run) == 500 * 200
     mean = mean_seconds(benchmark, run)
-    _record("ax25_codec", mean, frames_per_s=500 / mean)
+    _record(benchmark, "ax25_codec", mean, frames_per_s=500 / mean)
 
 
 def test_perf_ip_tcp_codec(benchmark):
@@ -193,7 +196,7 @@ def test_perf_ip_tcp_codec(benchmark):
 
     assert benchmark(run) == 300 * 512
     mean = mean_seconds(benchmark, run)
-    _record("ip_tcp_codec", mean, segments_per_s=300 / mean)
+    _record(benchmark, "ip_tcp_codec", mean, segments_per_s=300 / mean)
 
 
 def test_perf_full_gateway_session(benchmark):
@@ -213,7 +216,7 @@ def test_perf_full_gateway_session(benchmark):
 
     assert benchmark(run) == 2
     mean = mean_seconds(benchmark, run)
-    _record("full_gateway_session", mean,
+    _record(benchmark, "full_gateway_session", mean,
             sim_events_per_s=state["events"] / mean,
             sim_events=float(state["events"]))
 
@@ -241,4 +244,5 @@ def test_perf_obs_overhead(benchmark):
     assert ring < 10.0, (
         f"recorder overhead {ring:.1f}% (median round) "
         f"exceeds the 10% budget (noise floor {noise:.1f}%)")
-    _PERF_RESULTS["obs_overhead"] = dict(metrics)
+    if not benchmark.disabled:
+        _PERF_RESULTS["obs_overhead"] = dict(metrics)

@@ -23,15 +23,24 @@ other type up there without a Python call.
 
 Pickle writes a class, a module-level function, a builtin of a module
 and an enum member by name (a member as its class and value), and the
-load looks the very same object up again.  A capturer learns those
-objects from a plain dump of the world at its first capture and keeps
-them in a table.  Every capture starts from a copy of a memo that
-already holds the table, so each of them costs one memo reference and
-no Python call.  A restore first loads, in the same unpickler, a
-prefix pickle that memoises the table through persistent ids, so those
-references resolve to the objects a lookup by name would give.
-Objects first met after the first capture still go by name: learning
-them later would mean reading the memo back after every dump.
+load looks the very same object up again.  A capturer keeps such
+objects in a table, with the ``str`` keys of the dicts it has written
+(attribute names, mostly).  Every capture starts from a copy of a memo
+that already holds the table, so each entry costs one memo reference,
+not a lookup by name or a string written out.  The table learns from
+the captures: the first learns from a plain dump of its world before it
+writes (every branch from the first state restores that snapshot), and
+after captures 2, 4, 8, ... the capturer reads back what that capture's
+dump memoised.  A class first met deep in a search (a connection, a
+frame, a timer) and its attribute names thus join the table a few
+captures later.  Only a dump that succeeded is read back, so everything
+appended was pickled by name.  The table only grows, and each snapshot
+ends with its capturer's key and the table length it was written
+against.  A restore loads, in the same unpickler, a prefix pickle that
+memoises exactly that many entries through persistent ids (one cached
+per length) and then the snapshot: its references resolve to the
+objects a lookup by name would give, and its own memo indices start
+where its writer's did.
 
 Whatever pickle cannot carry -- a lambda or nested function, a
 generator, an OS handle -- makes :meth:`StateCapturer.capture` raise
@@ -42,10 +51,13 @@ whose state cannot be pickled structurally defines its own
 shipped sim state needs one.
 
 Fingerprints canonicalise a world's *behavioural* state vector --
-sorted dict items, deques as tuples, enums by value -- and hash it.
-Exact tuples and exact atoms (``str``, ``bytes``, ``int``, ``float``,
-``bool``, ``None``), most of what a vector holds, are dispatched by
-type identity before the ``isinstance`` ladder.
+sorted dict items, deques as tuples, enums by value -- and hash it.  A
+vector that is already canonical, exact tuples and exact atoms
+(``str``, ``bytes``, ``int``, ``float``, ``bool``, ``None``) all the
+way down, is hashed as it is: a walk that builds nothing checks that,
+and such a vector has the ``repr`` of its canonical form.  Every
+preset world's ``state_vector`` returns one.  Any other vector goes
+through :func:`canonical`.
 Two states with equal fingerprints have identical futures, which is
 what lets the explorer merge them (see DESIGN §11 for the soundness
 argument about what the vector may omit).
@@ -167,24 +179,9 @@ def _prefix(count: int) -> bytes:
     return b"".join(ops)
 
 
-class _Stamp:
-    """What a snapshot holds before its world: the capturer's key.
-
-    It pickles as a call of ``check`` with ``key``.  Every capturer's
-    ``check`` is its first table entry, so the call goes to the
-    restoring capturer, which refuses another capturer's key before the
-    world loads.
-    """
-
-    __slots__ = ("check", "key")
-
-    def __init__(self, check: Callable[[int], None], key: int) -> None:
-        self.check = check
-        self.key = key
-
-    def __reduce__(self) -> tuple:
-        return self.check, (self.key,)
-
+#: What a snapshot ends with: its capturer's key and the length of the
+#: table it was written against.
+_TRAILER = struct.Struct("<QI")
 
 #: Capturer keys, unique in the process.
 _KEYS = itertools.count()
@@ -198,25 +195,26 @@ class StateCapturer:
     independent -- the explorer restores the same snapshot once per
     branch and mutates each copy freely.
 
-    The first capture builds the capturer's table: its own key check,
-    the objects given to :meth:`share`, then every class, module-level
-    function, module builtin and enum member that a plain dump of the
-    world memoised.  A snapshot is the pickler's own output buffer,
-    with no copy; ``restore`` loads the table's prefix and then the
-    snapshot in one unpickler.
+    The table starts with the objects given to :meth:`share`.  It
+    learns from a plain dump of the world at the first capture, and
+    from the capture's own dump after captures 2, 4, 8, ...: it appends
+    every class, module-level function, module builtin and enum member
+    that the dump memoised, and every ``str`` key of a dict it
+    memoised, that the table did not hold yet.  A snapshot is the
+    pickler's output and a trailer holding the capturer's key and the
+    table length; ``restore`` refuses another capturer's key, and a
+    length its table never had, before anything loads.
     """
 
     def __init__(self) -> None:
-        self._stamp = _Stamp(self._check, next(_KEYS))
-        self._table: List[Any] = [self._stamp.check]
-        self._memo: Any = None
-        self._prefix = _prefix(1)
+        self._key = next(_KEYS)
+        self._table: List[Any] = []
+        self._memo = _memo(self._table)
+        #: Prefix pickles by table length, built at the first restore of
+        #: a snapshot written against that length.
+        self._prefixes: Dict[int, bytes] = {}
         self.captures = 0
         self.restores = 0
-
-    def _check(self, key: int) -> None:
-        if key != self._stamp.key:
-            raise ValueError("snapshot taken by another StateCapturer")
 
     def share(self, obj: Any) -> None:
         """Exempt ``obj`` from copying: snapshots alias it directly.
@@ -224,50 +222,65 @@ class StateCapturer:
         A shared object is a table entry and is never pickled, so it
         may hold what pickle cannot carry (a lock, a code object); use
         it for genuinely ambient things (an interner, a profiling
-        hook), never for mutable sim state.  The table is fixed by the
-        first capture, so sharing after it raises.
+        hook), never for mutable sim state.  Sharing after the first
+        capture raises.
         """
-        if self._memo is not None:
+        if self.captures:
             raise RuntimeError("share() after the first capture")
         # One memo entry per object: a second would shift every index.
         if not any(entry is obj for entry in self._table):
             self._table.append(obj)
+            self._memo = _memo(self._table)
 
     def capture(self, world: Any) -> bytes:
         """Freeze the world: bytes sharing nothing mutable with it."""
+        if not self.captures:
+            # Every branch from the first state restores the first
+            # snapshot, so it is written against what its world holds.
+            self._learn(self._dump(world)[1])
+        length = len(self._table)
+        chunks, written = self._dump(world)
         self.captures += 1
-        if self._memo is None:
-            self._learn(world)
+        if self.captures > 1 and not self.captures & (self.captures - 1):
+            self._learn(written)  # after captures 2, 4, 8, ...
+        chunks.append(_TRAILER.pack(self._key, length))
+        return b"".join(chunks)
+
+    def _dump(self, world: Any) -> Tuple[List[bytes], Any]:
+        """The pickler's output for ``world``, and the memo it ended with."""
         chunks: List[bytes] = []
         pickler = _Pickler(types.SimpleNamespace(write=chunks.append),
                            pickle.HIGHEST_PROTOCOL)
         pickler.memo = self._memo
-        pickler.dump((self._stamp, world))
-        # The pickler writes once per 64 KiB frame, and joining one
-        # chunk returns it: a snapshot is normally the pickler's own
-        # output buffer, not a copy.
-        return b"".join(chunks)
-
-    def _learn(self, world: Any) -> None:
-        """Complete the table from what a plain dump of ``world`` memoised."""
-        known = len(self._table)
-        pickler = _Pickler(io.BytesIO(), pickle.HIGHEST_PROTOCOL)
-        pickler.memo = _memo(self._table)
         pickler.dump(world)
-        written = sorted(pickler.memo.copy().values(),
-                         key=operator.itemgetter(0))
-        self._table += [obj for _index, obj in written[known:]
-                        if _by_reference(obj)]
-        self._memo = _memo(self._table)
-        self._prefix = _prefix(len(self._table))
+        return chunks, pickler.memo
+
+    def _learn(self, written: Any) -> None:
+        """Append the entries a dump's memo holds past the table."""
+        known = len(self._table)
+        fresh = sorted(written.copy().values(),
+                       key=operator.itemgetter(0))[known:]
+        keys = {id(key) for _index, obj in fresh if isinstance(obj, dict)
+                for key in obj}
+        learned = [obj for _index, obj in fresh if _by_reference(obj)
+                   or type(obj) is str and id(obj) in keys]
+        if learned:
+            self._table += learned
+            self._memo = _memo(self._table)
 
     def restore(self, frozen: bytes) -> Any:
         """A fresh live world from a frozen snapshot."""
         self.restores += 1
-        unpickler = pickle.Unpickler(io.BytesIO(self._prefix + frozen))
+        key, length = _TRAILER.unpack_from(frozen, len(frozen) - _TRAILER.size)
+        if key != self._key or length > len(self._table):
+            raise ValueError("snapshot taken by another StateCapturer")
+        prefix = self._prefixes.get(length)
+        if prefix is None:
+            prefix = self._prefixes[length] = _prefix(length)
+        unpickler = pickle.Unpickler(io.BytesIO(prefix + frozen))
         unpickler.persistent_load = self._table.__getitem__
         unpickler.load()
-        return unpickler.load()[1]
+        return unpickler.load()
 
 
 #: Types ``canonical`` returns unchanged (exact types: an enum that
@@ -281,13 +294,13 @@ def canonical(value: Any) -> Any:
     Dicts become sorted item tuples, sets become sorted tuples, any
     sequence becomes a tuple, enums collapse to their value.  Unordered
     containers must canonicalise to the same result regardless of
-    insertion history or the states would never merge.
+    insertion history or the states would never merge.  The result is
+    exact tuples and atoms all the way down, and a value that already
+    is comes back equal, with the same ``repr``: :func:`fingerprint`
+    hashes such a value without calling this.
     """
-    cls = type(value)
-    if cls in _ATOMS:
+    if type(value) in _ATOMS:
         return value
-    if cls is tuple:
-        return tuple([canonical(item) for item in value])
     if isinstance(value, enum.Enum):
         return canonical(value.value)
     if isinstance(value, dict):
@@ -304,7 +317,25 @@ def canonical(value: Any) -> Any:
         f"{value!r} -- reduce it to primitives in state_vector()")
 
 
+def _is_canonical(items: tuple) -> bool:
+    """Whether an exact tuple holds exact tuples and atoms all the way down."""
+    for item in items:
+        cls = type(item)
+        if cls is tuple:
+            if not _is_canonical(item):
+                return False
+        elif cls not in _ATOMS:
+            return False
+    return True
+
+
 def fingerprint(state_vector: Any) -> str:
-    """A stable hash of a canonicalised state vector."""
-    digest = hashlib.sha256(repr(canonical(state_vector)).encode())
+    """A stable hash of a canonicalised state vector.
+
+    A vector that is already canonical is hashed as it is; any other
+    goes through :func:`canonical` first, so both hash the same text.
+    """
+    if type(state_vector) is not tuple or not _is_canonical(state_vector):
+        state_vector = canonical(state_vector)
+    digest = hashlib.sha256(repr(state_vector).encode())
     return digest.hexdigest()[:32]

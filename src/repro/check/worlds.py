@@ -7,7 +7,12 @@ surface the explorer needs:
   for fingerprinting.  It must include everything that can change the
   future (FSM variables, queue contents, pending events with their
   payloads) and should exclude write-only history (trace logs,
-  monotone stat counters) so equivalent states actually merge.
+  monotone stat counters) so equivalent states actually merge.  It
+  returns exact tuples and atoms (``str``, ``bytes``, ``int``,
+  ``float``, ``bool``, ``None``) all the way down, unordered contents
+  already sorted: :func:`~repro.check.snapshot.fingerprint` hashes
+  such a vector as it is, and sends anything else through
+  :func:`~repro.check.snapshot.canonical`, which is only the fallback.
 * ``resources(event)`` -- the set of components an event can touch,
   used for the independence relation behind sleep-set POR.  When in
   doubt a world returns :data:`ALL_RESOURCES`, which only costs
@@ -71,7 +76,12 @@ class World:
     invariants: Sequence[Invariant] = ()
 
     def state_vector(self):
-        """The behavioural state as a canonicalisable structure."""
+        """The behavioural state: exact tuples and atoms all the way down.
+
+        Such a vector is already canonical, so ``fingerprint`` hashes it
+        without a copy; any other canonicalisable structure still works,
+        through ``canonical``.
+        """
         raise NotImplementedError
 
     def resources(self, event: Event) -> frozenset:

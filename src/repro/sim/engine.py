@@ -153,10 +153,19 @@ class _Cohort:
         return self.index + (position < self.cursor)
 
     def position(self, event: Event) -> Optional[int]:
-        """Where ``event`` is among the lanes, while it has an element to fire."""
-        for position, lane in enumerate(self.lanes):
-            if lane[0] is event:
-                return position if self._shown(position) < self.length else None
+        """Where ``event`` is among the lanes, while it has an element to fire.
+
+        A cancelled lane has none once the cohort has passed the
+        element its event shows, as a cancelled lone series leaves the
+        heap when the head reaches it.
+        """
+        for position, (member, _items, keys) in enumerate(self.lanes):
+            if member is event:
+                shown = self._shown(position)
+                if shown == self.length or (
+                        event.cancelled and keys[shown] != event.seq):
+                    return None
+                return position
         return None
 
     def pending(self) -> "list[Event]":
@@ -422,23 +431,21 @@ class Simulator:
         (:mod:`repro.check`) enumerates them; normal runs never call this.
         A series appears as its next element, and each lane of a cohort
         as its own series.  Cancelled events are pruned from the head of
-        the queue as a side effect, exactly as :meth:`step` would, and a
-        cohort whose lanes at the head are all cancelled moves on to its
-        next element.
+        the queue as a side effect, exactly as :meth:`step` would: a
+        cohort at the head moves past its cancelled lanes there, on to
+        its next element once none is left at this one.  Like
+        :meth:`step_event`, it raises inside :meth:`run`, whose
+        many-lane loop holds the head entry while a callback runs.
         """
+        if self._running:
+            raise SimulationError("head_events() inside run()")
         queue = self._queue
         while queue:
             head = queue[0][2]
             cohort = head.series
             if cohort is not None:
-                if cohort.due():
+                if not self._skip_cancelled(cohort):
                     break
-                cohort.cursor = len(cohort.lanes)
-                entry = cohort.entry()
-                if entry is None or not cohort.due():
-                    heappop(queue)
-                else:
-                    heapreplace(queue, entry)
             elif head.cancelled:
                 heappop(queue)
             else:
@@ -455,6 +462,26 @@ class Simulator:
                     chosen.append(event)
         chosen.sort(key=lambda event: event.seq)
         return chosen
+
+    def _skip_cancelled(self, cohort: _Cohort) -> bool:
+        """Move the cohort at the head past the cancelled lanes at its cursor.
+
+        Its entry is re-keyed, or popped once no lane is left to fire,
+        as per-element dispatch pops cancelled events at the head.
+        False when the lane at the cursor is live.
+        """
+        lanes, cursor = cohort.lanes, cohort.cursor
+        while cursor < len(lanes) and lanes[cursor][0].cancelled:
+            cursor += 1
+        if cursor == cohort.cursor:
+            return False
+        cohort.cursor = cursor
+        entry = cohort.entry()
+        if entry is None or not cohort.due():
+            heappop(self._queue)
+        else:
+            heapreplace(self._queue, entry)
+        return True
 
     def pending_events(self) -> "list[Event]":
         """Every not-yet-cancelled queued event, in no particular order.
@@ -499,6 +526,8 @@ class Simulator:
         more than speed on this path.  A lane of a many-lane cohort
         fires apart from the others and goes on as a series of its own.
         """
+        if self._running:
+            raise SimulationError("step_event() inside run()")
         if event.cancelled:
             raise SimulationError(f"cannot step cancelled event {event!r}")
         queue = self._queue
@@ -542,8 +571,10 @@ class Simulator:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
         ``until`` is an absolute time: the clock is advanced to exactly
-        ``until`` when the horizon is hit, so back-to-back ``run`` calls
-        compose.  Returns the number of events executed by this call.
+        ``until`` when the horizon is hit or the queue drains, so
+        back-to-back ``run`` calls compose.  A run that stops at
+        ``max_events`` leaves the clock at the last event it ran.
+        Returns the number of events executed by this call.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -604,6 +635,10 @@ class Simulator:
                     event.fn(item)
                     continue
                 if until is not None and time > until:
+                    # Cancelled lanes at the head leave it first, as
+                    # cancelled events do at the horizon.
+                    if self._skip_cancelled(cohort):
+                        continue
                     break
                 # Fire the cohort's lanes at this instant in key order.
                 # Each lane's event shows its next element before its
@@ -631,6 +666,9 @@ class Simulator:
                         cursor += 1
                         if event.cancelled:
                             continue
+                        # Callbacks that look at the queue see this
+                        # lane as fired.
+                        cohort.cursor = cursor
                         if rearm:
                             event.time = next_time
                             event.seq = keys[following]
@@ -647,7 +685,6 @@ class Simulator:
                     # _Cohort.entry's steps, inlined to keep a method
                     # call out of every instant.
                     if cursor < count:
-                        cohort.cursor = cursor
                         entry = (time, lanes[cursor][2][index], head[2])
                     else:
                         cohort.index = following
@@ -670,7 +707,11 @@ class Simulator:
                             heappush(queue, entry)
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        # The clock moves to the horizon only when the loop stopped
+        # there or drained the queue: a stop at max_events can leave
+        # events before ``until`` queued.
+        if until is not None and self._now < until and (
+                not queue or max_events is None or executed < max_events):
             self._now = until
         return executed
 

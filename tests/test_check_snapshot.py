@@ -19,6 +19,7 @@ from __future__ import annotations
 import collections
 import copyreg
 import enum
+import hashlib
 import io
 import itertools
 import pickle
@@ -29,8 +30,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.ping import Pinger
-from repro.check import Budget, Explorer, build_world, snapshot
+from repro.check import Budget, Explorer, build_world, explorer, snapshot
 from repro.check.snapshot import StateCapturer, canonical, fingerprint
+from repro.check.worlds import Lapb2World
 from repro.core.topology import build_figure1_testbed
 from repro.harness import metrics_digest
 from repro.inet.sockets import TcpServerSocket, TcpSocket
@@ -370,6 +372,80 @@ def test_restoring_on_another_capturer_raises():
     assert capturer.restore(later).sim.now == beacon.sim.now
 
 
+# ----------------------------------------------------------------------
+# the table keeps learning: after captures 1, 2, 4, 8, ...
+# ----------------------------------------------------------------------
+
+def _lapb2_after(steps: int) -> Lapb2World:
+    """lapb2 after its first ``steps`` head events: three open a link."""
+    world = Lapb2World()
+    for _ in range(steps):
+        world.oracle.begin()
+        world.sim.step_event(world.sim.head_events()[0])
+    return world
+
+
+def test_a_class_first_met_after_the_first_capture_joins_the_table():
+    capturer = StateCapturer()
+    capturer.capture(_lapb2_after(0))
+    mid = _lapb2_after(3)
+    assert mid.a.connections and mid.b.connections
+    # Capture 2 writes the connections' class by name and their
+    # attribute names as strings, and learns both; capture 3 refers to
+    # them as table entries.
+    second = capturer.capture(mid)
+    third = capturer.capture(mid)
+    for name in (b"LapbConnection", b"_rej_outstanding"):
+        assert name in second
+        assert name not in third
+    assert len(third) < len(second)
+    expected = fingerprint(mid.state_vector())
+    for frozen in (second, third):
+        restored = capturer.restore(frozen)
+        assert fingerprint(restored.state_vector()) == expected
+        assert restored.a.connections is not mid.a.connections
+
+
+def test_a_snapshot_from_before_the_table_grew_restores_after_it():
+    capturer = StateCapturer()
+    world = _lapb2_after(0)
+    first = capturer.capture(world)
+    grown = _lapb2_after(3)
+    capturer.capture(grown)
+    assert b"LapbConnection" not in capturer.capture(grown)
+    restored = capturer.restore(first)
+    assert restored is not world
+    # The restored world is the original, object for object: the same
+    # table entries, written the same way.
+    assert capturer.capture(restored) == capturer.capture(world)
+    for copy in (restored, world):
+        copy.sim.run_until_idle()
+    assert (fingerprint(restored.state_vector())
+            == fingerprint(world.state_vector()))
+
+
+def test_a_snapshot_against_a_longer_table_is_refused(monkeypatch):
+    mid = _lapb2_after(3)
+    short, grown = StateCapturer(), StateCapturer()
+    short.capture(_lapb2_after(0))
+    grown.capture(mid)
+    later = grown.capture(mid)
+    assert b"LapbConnection" not in later
+    with pytest.raises(ValueError):
+        short.restore(later)
+    with pytest.raises(ValueError):
+        grown.restore(short.capture(mid))
+    # Even under one key, the table length alone refuses it.
+    monkeypatch.setattr(snapshot, "_KEYS", itertools.count())
+    short = StateCapturer()
+    monkeypatch.setattr(snapshot, "_KEYS", itertools.count())
+    grown = StateCapturer()
+    short.capture(_lapb2_after(0))
+    grown.capture(mid)
+    with pytest.raises(ValueError):
+        short.restore(grown.capture(mid))
+
+
 def _explored_snapshots(name):
     """Every snapshot a short search of preset world ``name`` captures."""
     explorer = Explorer(lambda: build_world(name),
@@ -434,11 +510,37 @@ def test_canonical_merges_insertion_orders():
     assert canonical({1, 2, 3}) == canonical({3, 1, 2})
     assert fingerprint(("x", {"b": 2, "a": 1})) == \
         fingerprint(("x", {"a": 1, "b": 2}))
+    vector = ("x", {"b": 2, "a": [1, (2, 3)]}, {3, 1}, [b"l", None],
+              collections.deque([4.5]), Colour.RED, (True, 1, 1.0))
+    assert fingerprint(vector) == fingerprint(canonical(vector))
 
 
 def test_canonical_rejects_opaque_objects():
     with pytest.raises(TypeError):
         canonical(("ok", object()))
+    for vector in (("ok", ("nested", object())), object()):
+        with pytest.raises(TypeError):
+            fingerprint(vector)
+
+
+@pytest.mark.parametrize("name, visits", [
+    ("lapb2", 1336), ("hidden3", 101), ("tcpxfer", 1385), ("shedworld", 50)])
+def test_every_visited_state_vector_is_already_canonical(name, visits,
+                                                         monkeypatch):
+    """Each vector an exploration fingerprints is exact tuples and atoms
+    all the way down, so ``fingerprint`` never calls ``canonical``."""
+    vectors, copies = [], []
+    monkeypatch.setattr(explorer, "fingerprint",
+                        lambda vector: vectors.append(vector)
+                        or fingerprint(vector))
+    monkeypatch.setattr(snapshot, "canonical",
+                        lambda value: copies.append(value) or canonical(value))
+    Explorer(lambda: build_world(name),
+             budget=Budget(max_wall_seconds=60)).run()
+    assert len(vectors) == visits
+    assert copies == []
+    monkeypatch.undo()
+    assert all(repr(canonical(vector)) == repr(vector) for vector in vectors)
 
 
 # ----------------------------------------------------------------------
@@ -623,10 +725,14 @@ def test_canonical_matches_the_reference(value):
     except TypeError:
         with pytest.raises(TypeError):
             canonical(value)
+        with pytest.raises(TypeError):
+            fingerprint(value)
         return
     # repr, not ==: it tells True from 1 and 1.0 from 1, and nan from
     # itself, and it is what fingerprint() hashes.
     assert repr(canonical(value)) == repr(expected)
+    digest = hashlib.sha256(repr(expected).encode()).hexdigest()[:32]
+    assert fingerprint(value) == fingerprint(canonical(value)) == digest
 
 
 def test_canonical_treats_a_deque_subclass_as_a_sequence():

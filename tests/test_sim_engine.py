@@ -142,9 +142,14 @@ def test_events_pending_counts_uncancelled(sim):
 
 
 def test_run_not_reentrant(sim):
+    """Nor do the exploration hooks run inside ``run()``, whose
+    many-lane loop holds a cohort's queue entry while a callback runs."""
+    later = sim.schedule(5, lambda: None)
+
     def reenter():
-        with pytest.raises(SimulationError):
-            sim.run()
+        for hook in (sim.run, sim.head_events, lambda: sim.step_event(later)):
+            with pytest.raises(SimulationError):
+                hook()
 
     sim.schedule(1, reenter)
     sim.run_until_idle()
@@ -247,19 +252,56 @@ def test_cancellation_during_dispatch_keeps_equal_time_order():
 # of one length at one instant on several lines as the lanes of a cohort
 # ----------------------------------------------------------------------
 
-def per_byte_write(endpoint: SerialEndpoint, data: bytes) -> int:
+def per_byte_write(endpoint: SerialEndpoint, data: bytes) -> "list[Event]":
     """The reference schedule: one ``sim.at`` per byte, every key drawn
-    when the write is made."""
+    when the write is made.  Returns the bytes' events, in order."""
     line = endpoint.line
     sim = line.sim
     arrival = max(sim.now, endpoint._tx_free_at)
+    events = []
     for byte in data:
         arrival += line.byte_time
-        sim.at(arrival, endpoint._deliver, byte,
-               label=f"serial {endpoint.name}")
+        events.append(sim.at(arrival, endpoint._deliver, byte,
+                             label=f"serial {endpoint.name}"))
     endpoint._tx_free_at = arrival
     endpoint.bytes_sent += len(data)
-    return arrival
+    return events
+
+
+def series_write(endpoint: SerialEndpoint, data: bytes):
+    """The line's own write; returns the series it registered, if any."""
+    sim = endpoint.line.sim
+    last = sim._last_series
+    endpoint.write(data)
+    return None if sim._last_series is last else sim._last_series[0]
+
+
+def plain_write(endpoint: SerialEndpoint, data: bytes) -> None:
+    """The line's own write, with no handle to cancel it by."""
+    endpoint.write(data)
+
+
+def cancel_all(sim, handle) -> None:
+    """Drop what a series has not dispatched: cancel it, or each of the
+    reference's element events still queued."""
+    if isinstance(handle, list):
+        for event in handle:
+            if sim.is_queued(event):
+                event.cancel()
+    elif handle is not None:
+        handle.cancel()
+
+
+def series_queued(sim, handle) -> bool:
+    """``is_queued`` of a series.  For the reference's list of element
+    events: whether the first element not dispatched is still queued, as
+    a series shows its next element and the head prunes a cancelled one."""
+    if not isinstance(handle, list):
+        return handle is not None and sim.is_queued(handle)
+    for event in handle:
+        if event.cancelled or sim.is_queued(event):
+            return sim.is_queued(event)
+    return False
 
 
 class Boom(Exception):
@@ -281,7 +323,12 @@ class SerialScript:
     set from inside the receive handler (a write, so a key drawn in the
     middle of an instant's lanes), line 1 calls ``call_soon`` for a byte
     with 0x40 set, and line 2 raises :class:`Boom` for a byte with 0x60
-    set.
+    set.  Line 0 also cancels one of the writes made so far, chosen by
+    the byte, for a byte with 0x18 set: a lane still to fire in this
+    instant, one that has fired, or a write that is over.
+    ``write(endpoint, data)`` returns the handle that
+    :func:`cancel_all` and :func:`series_queued` take; ``handles``
+    holds them in the order the writes were made.
     """
 
     def __init__(self, sim, write, writes, probes, lines=1) -> None:
@@ -290,6 +337,7 @@ class SerialScript:
         self.lines = [SerialLine(sim, baud=9600, name=f"line{index}")
                       for index in range(lines)]
         self.log = []
+        self.handles = []
         for index, line in enumerate(self.lines):
             line.a.on_receive(functools.partial(self._rx_a, index))
             line.b.on_receive(functools.partial(self._rx_b, index))
@@ -304,7 +352,8 @@ class SerialScript:
     def _write(self, side: str, data: bytes, targets) -> None:
         self.log.append((self.sim.now, "write", side, targets))
         for target in targets:
-            self.write(getattr(self.lines[target], side), data)
+            self.handles.append(
+                self.write(getattr(self.lines[target], side), data))
 
     def _probe(self, follow: int) -> None:
         self.log.append((self.sim.now, "probe", follow))
@@ -320,8 +369,11 @@ class SerialScript:
 
     def _rx_b(self, index: int, byte: int) -> None:
         self.log.append((self.sim.now, "b", index, byte))
+        if index == 0 and byte & 0x18 == 0x18:
+            cancel_all(self.sim, self.handles[byte % len(self.handles)])
         if index == 0 and byte & 0x80:
-            self.write(self.lines[0].b, bytes([byte & 0x7F]) * (byte & 3))
+            self.handles.append(self.write(
+                self.lines[0].b, bytes([byte & 0x7F]) * (byte & 3)))
         elif index == 1 and byte & 0x40:
             self.sim.call_soon(self._soon, index, byte, label="soon")
         elif index == 2 and byte & 0x60 == 0x60:
@@ -358,8 +410,7 @@ STOPS = st.lists(st.tuples(st.integers(0, 15) | st.integers(0, 60),
 
 def script_pair(make_sim, writes, probes, lines=1):
     """The same script under the serial line's write and the reference."""
-    return (SerialScript(make_sim(), SerialEndpoint.write, writes, probes,
-                         lines),
+    return (SerialScript(make_sim(), series_write, writes, probes, lines),
             SerialScript(make_sim(), per_byte_write, writes, probes, lines))
 
 
@@ -401,6 +452,9 @@ def assert_same_state(series, reference) -> None:
     assert (event_keys(series.sim.pending_events())
             == event_keys(reference.sim.pending_events()))
     assert series.sim.events_pending == reference.sim.events_pending
+    assert ([series_queued(series.sim, handle) for handle in series.handles]
+            == [series_queued(reference.sim, handle)
+                for handle in reference.handles])
 
 
 def step_heads(series, reference, picks) -> None:
@@ -460,19 +514,22 @@ def test_stepping_head_events_follows_the_reference(writes, probes, salt,
                                                     lines, picks, stops):
     for make_sim in sim_makers(salt):
         # Always stepping the first head event, or calling step(), is
-        # run()'s order.  The script makes as many events in any order,
-        # which bounds the walks below.
+        # run()'s order.  In any order the script makes at most the
+        # events it makes with no write cancelled, which bounds the
+        # walks below.
+        uncancelled = SerialScript(make_sim(), plain_write, writes, probes,
+                                   lines)
+        drain(uncancelled.sim)
+        bound = uncancelled.sim.events_executed + 1
         run, stepped, single = (
-            SerialScript(make_sim(), SerialEndpoint.write, writes, probes,
-                         lines)
+            SerialScript(make_sim(), series_write, writes, probes, lines)
             for _ in range(3))
         drain(run.sim)
-        total = run.sim.events_executed
-        for _ in range(total + 1):
+        for _ in range(bound):
             if not stepped.sim.head_events():
                 break
             attempt(stepped.sim.step_event, stepped.sim.head_events()[0])
-        for _ in range(total + 1):
+        for _ in range(bound):
             if attempt(single.sim.step) == ("returned", False):
                 break
         assert stepped.log == run.log == single.log
@@ -480,19 +537,16 @@ def test_stepping_head_events_follows_the_reference(writes, probes, salt,
         series, reference = script_pair(make_sim, writes, probes, lines)
         byte_time = series.lines[0].byte_time
         # Runs that stop inside an instant's lanes, each followed by a
-        # walk of ``len(picks)`` steps.  A run that stops at max_events
-        # still moves the clock to ``until``, past the head events, so
-        # these stops take one or the other.
+        # walk of ``len(picks)`` steps.
         for slot, offset, max_events in stops:
-            until = (None if max_events is not None
-                     else max(0, slot * byte_time + offset))
+            until = max(0, slot * byte_time + offset)
             assert (attempt(series.sim.run, until, max_events)
                     == attempt(reference.sim.run, until, max_events))
             assert_same_state(series, reference)
             step_heads(series, reference, picks)
         # Then the rest of the script, cycling through the picks.
         step_heads(series, reference,
-                   itertools.islice(itertools.cycle(picks), total + 1))
+                   itertools.islice(itertools.cycle(picks), bound))
         assert not reference.sim.head_events()
         assert_same_state(series, reference)
 
@@ -513,6 +567,23 @@ def test_cancelling_a_series_drops_its_remaining_elements():
     assert sim.events_pending == 0
     assert not sim.is_queued(series)
     assert sim.events_executed == 3
+
+
+def test_a_run_stopped_at_max_events_leaves_the_clock_at_its_last_event():
+    sim = Simulator()
+    fired = []
+    sim.at(0, lambda: fired.append(sim.now))
+    sim.at(5, lambda: fired.append(sim.now))
+    assert sim.run(until=10, max_events=1) == 1
+    assert sim.now == 0
+    assert [event.time for event in sim.head_events()] == [5]
+    sim.run()
+    assert fired == [0, 5] and sim.now == 5
+    # The horizon, and a queue that drains, still move the clock there.
+    sim.at(30, lambda: fired.append(sim.now))
+    assert sim.run(until=20, max_events=4) == 0 and sim.now == 20
+    assert sim.run(until=40, max_events=1) == 1 and sim.now == 40
+    assert fired == [0, 5, 30]
 
 
 class FnSwappingProfiler:
@@ -717,12 +788,6 @@ def cohort_and_reference(make_sim, program):
     return results
 
 
-def cancel_all(handle) -> None:
-    """Cancel a series, or every element of the reference's list."""
-    for event in handle if isinstance(handle, list) else [handle]:
-        event.cancel()
-
-
 @pytest.mark.parametrize("when", ["before", "by-earlier-lane",
                                   "by-tied-plain-before", "by-tied-plain-after"])
 @pytest.mark.parametrize("salt", SALTED, ids=SALT_IDS)
@@ -737,17 +802,17 @@ def test_a_cancelled_lane_is_skipped_and_the_rest_fire(salt, when):
             def fire(item):
                 log.append((sim.now, name, item))
                 if when == "by-earlier-lane" and name == "p" and sim.now == 14:
-                    cancel_all(handles["r"])
+                    cancel_all(sim, handles["r"])
             return fire
 
         if when == "by-tied-plain-before":
-            sim.at(14, lambda: cancel_all(handles["q"]))
+            sim.at(14, lambda: cancel_all(sim, handles["q"]))
         for name in "pqr":
             handles[name] = register(10, 4, lane(name), name.encode() * 3)
         if when == "by-tied-plain-after":
-            sim.at(14, lambda: cancel_all(handles["q"]))
+            sim.at(14, lambda: cancel_all(sim, handles["q"]))
         if when == "before":
-            cancel_all(handles["q"])
+            cancel_all(sim, handles["q"])
         sim.run_until_idle()
 
     (log, executed), (reference_log, reference_executed) = (
@@ -777,12 +842,12 @@ def test_a_cohort_of_cancelled_lanes_leaves_the_clock_alone(salt, by):
                 log.append((sim.now, name, item))
                 if by == "first-lane" and name == "p" and sim.now == 15:
                     for handle in handles:
-                        cancel_all(handle)
+                        cancel_all(sim, handle)
             return fire
 
         handles = [register(10, 5, lane(name), b"abcd") for name in "pqr"]
         if by == "plain-event":
-            sim.at(17, lambda: [cancel_all(handle) for handle in handles])
+            sim.at(17, lambda: [cancel_all(sim, handle) for handle in handles])
         sim.run_until_idle()
         log.append(("now", sim.now))
 
@@ -791,6 +856,73 @@ def test_a_cohort_of_cancelled_lanes_leaves_the_clock_alone(salt, by):
     assert log == reference_log
     assert executed == reference_executed
     assert log[-1] == ("now", {"plain-event": 17, "first-lane": 15}[by])
+
+
+@pytest.mark.parametrize("stop", ["run-past-it", "run-short-of-it",
+                                  "head-events"])
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("salt", SALTED, ids=SALT_IDS)
+def test_a_cancelled_lane_leaves_the_queue_where_its_element_would(
+        salt, lanes, stop):
+    """``is_queued`` of a cancelled series turns False when the queue
+    passes its next element: a run past it, a run that stops short of
+    it at the horizon, or ``head_events``, each pruning as they do a
+    cancelled event at the head.  A lane of a cohort reads as a lone
+    series does."""
+    def program(sim, register, log):
+        handles = [register(10, 4, log.append, name.encode() * 2)
+                   for name in "pqr"[:lanes]]
+        victim = handles[len(handles) // 2 if stop == "run-past-it" else 0]
+        cancel_all(sim, victim)
+        log.append(("cancelled", series_queued(sim, victim)))
+        if stop == "head-events":
+            sim.head_events()
+        else:
+            sim.run(until=12 if stop == "run-past-it" else 5)
+        log.append(("stopped", [series_queued(sim, handle)
+                                for handle in handles]))
+        sim.run_until_idle()
+
+    (log, executed), (reference_log, reference_executed) = (
+        cohort_and_reference(maker(salt), program))
+    assert log == reference_log
+    assert executed == reference_executed
+    assert log[0] == ("cancelled", True)
+    stopped = [entry for entry in log
+               if isinstance(entry, tuple) and entry[0] == "stopped"]
+    victim = lanes // 2 if stop == "run-past-it" else 0
+    assert stopped == [("stopped", [index != victim
+                                    for index in range(lanes)])]
+
+
+@pytest.mark.parametrize("salt", SALTED, ids=SALT_IDS)
+def test_a_lane_callback_sees_the_lanes_before_it_as_fired(salt):
+    """While ``run()`` fires a cohort, a callback sees the lanes that
+    fired before it at this instant as per-element dispatch shows them:
+    one cancelled by a later lane is still queued at its next element,
+    and ``events_pending`` counts each later element once."""
+    def program(sim, register, log):
+        handles = {}
+
+        def lane(name):
+            def fire(item):
+                log.append((sim.now, name, item))
+                if name == "r" and sim.now == 14:
+                    cancel_all(sim, handles["p"])
+                    log.append(("in r", sim.events_pending,
+                                [series_queued(sim, handles[other])
+                                 for other in "pqr"]))
+            return fire
+
+        for name in "pqr":
+            handles[name] = register(10, 4, lane(name), name.encode() * 3)
+        sim.run_until_idle()
+
+    (log, executed), (reference_log, reference_executed) = (
+        cohort_and_reference(maker(salt), program))
+    assert log == reference_log
+    assert executed == reference_executed
+    assert ("in r", 2, [True, True, True]) in log
 
 
 def test_a_cohort_of_cancelled_lanes_leaves_no_head_event():
