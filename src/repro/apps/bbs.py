@@ -30,7 +30,7 @@ from repro.radio.modem import ModemProfile
 from repro.radio.station import RadioStation
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 
 @dataclass
@@ -148,7 +148,7 @@ class BulletinBoard:
         callsign: "AX25Address | str",
         modem: Optional[ModemProfile] = None,
         csma: Optional[CsmaParameters] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = NULL_TRACER,
         timer_policy: Optional[Callable[[], LinkTimerPolicy]] = None,
     ) -> None:
         self.sim = sim
@@ -191,9 +191,8 @@ class BulletinBoard:
             if self.internet_mail_hook(message):
                 message.forwarded = True
                 self.forwarded_to_internet += 1
-        if self.tracer is not None:
-            self.tracer.log("bbs.store", str(self.callsign),
-                            f"#{message.number} to {message.to}")
+        self.tracer.log("bbs.store", str(self.callsign),
+                        f"#{message.number} to {message.to}")
         return message
 
     def pending_for(self, bbs_suffix: str) -> List[BbsMessage]:

@@ -67,9 +67,9 @@ class Pinger:
         self.received += 1
         rtt = self.sim.now - sent_at
         self.rtts_us.append(rtt)
-        tracer = self.stack.tracer
-        if tracer is not None and tracer.flight is not None:
-            tracer.flight.instruments.histogram("rtt_us").record(rtt)
+        recorder = self.stack.tracer.flight
+        if recorder is not None:
+            recorder.instruments.histogram("rtt_us").record(rtt)
 
     @property
     def lost(self) -> int:

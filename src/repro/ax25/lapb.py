@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Dict, Optional
 
 from repro.ax25.address import AX25Address, AX25Path
 from repro.ax25.defs import (
@@ -35,9 +35,7 @@ from repro.ax25.defs import (
 from repro.ax25.frames import AX25Frame
 from repro.sim.clock import MS, SECOND
 from repro.sim.engine import Event, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 
 # ----------------------------------------------------------------------
@@ -345,8 +343,7 @@ class LapbConnection:
         gauge tracks the armed timeout as the policy adapts, and the
         windowed rate counts go-back-N retransmissions per 10 seconds.
         """
-        tracer = self.endpoint.tracer
-        recorder = tracer.flight if tracer is not None else None
+        recorder = self.endpoint.tracer.flight
         if recorder is None:
             return
         recorder.instruments.gauge("lapb_t1_us").sample(
@@ -595,15 +592,14 @@ class LapbConnection:
         for entry in self.unacked:
             self.giveup_drops += 1
             self.stats["i_abandoned"] += 1
-            if tracer is not None:
-                tracer.log(
-                    "lapb.giveup", source,
-                    f"abandoning I frame ns={entry.ns} to {self.remote}",
-                    reason=why, bytes=len(entry.info),
-                )
-                if tracer.flight is not None:
-                    tracer.flight.drop(entry.info, "lapb.giveup", source,
-                                       "link_giveup")
+            tracer.log(
+                "lapb.giveup", source,
+                f"abandoning I frame ns={entry.ns} to {self.remote}",
+                reason=why, bytes=len(entry.info),
+            )
+            if tracer.flight is not None:
+                tracer.flight.drop(entry.info, "lapb.giveup", source,
+                                   "link_giveup")
         self.unacked.clear()
 
 
@@ -639,7 +635,7 @@ class LapbEndpoint:
         paclen: int = DEFAULT_PACLEN,
         accept_connections: bool = True,
         timer_policy: Optional[Callable[[], LinkTimerPolicy]] = None,
-        tracer: Optional["Tracer"] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.sim = sim
         self.address = address
@@ -651,7 +647,7 @@ class LapbEndpoint:
         self.accept_connections = accept_connections
         #: per-connection T1 policy factory; None = FixedLinkTimer(t1)
         self.timer_policy = timer_policy
-        #: optional shared tracer; gives N2 give-up a span terminal
+        #: the shared tracer; gives N2 give-up a span terminal
         self.tracer = tracer
         self.connections: Dict[str, LapbConnection] = {}
 

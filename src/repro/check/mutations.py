@@ -84,10 +84,9 @@ def _mutant_transmit_ui(self, destination, pid, payload, path,
         self.count_shed()
         if priority == PRIO_CONTROL:
             self.sheds_control += 1
-        if self.tracer is not None:
-            self.tracer.log("driver.shed", str(self.callsign),
-                            "output shed under backlog (no exemption)",
-                            backlog=self.serial.tx_backlog_bytes)
+        self.tracer.log("driver.shed", str(self.callsign),
+                        "output shed under backlog (no exemption)",
+                        backlog=self.serial.tx_backlog_bytes)
         return
     _ORIGINAL_TRANSMIT_UI(self, destination, pid, payload, path, priority)
 

@@ -25,7 +25,7 @@ from repro.inet import icmp as icmp_mod
 from repro.inet.ip import IPv4Address, IPv4Datagram
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netif.ifnet import NetworkInterface
@@ -55,7 +55,7 @@ class AccessControlTable:
 
     def __init__(self, sim: Simulator, amateur_iface: "NetworkInterface",
                  entry_ttl: int = DEFAULT_TTL,
-                 tracer: Optional[Tracer] = None) -> None:
+                 tracer: Tracer = NULL_TRACER) -> None:
         self.sim = sim
         self.amateur_iface = amateur_iface
         self.entry_ttl = entry_ttl
@@ -90,9 +90,8 @@ class AccessControlTable:
         entry = self._live_entry(datagram.source, datagram.destination)
         if entry is None:
             self.blocked_in += 1
-            if self.tracer is not None:
-                self.tracer.log("ac.block", "gateway",
-                                f"{datagram.source}->{datagram.destination}")
+            self.tracer.log("ac.block", "gateway",
+                            f"{datagram.source}->{datagram.destination}")
             return False
         self.allowed_in += 1
         return True
@@ -111,9 +110,8 @@ class AccessControlTable:
                                 created_at=now)
             self._entries[key] = entry
             self.entries_created += 1
-            if self.tracer is not None:
-                self.tracer.log("ac.add", "gateway",
-                                f"{outside}<->{amateur}", origin=origin)
+            self.tracer.log("ac.add", "gateway",
+                            f"{outside}<->{amateur}", origin=origin)
         else:
             entry.expires_at = max(entry.expires_at, now + ttl)
             entry.refreshes += 1
@@ -137,8 +135,7 @@ class AccessControlTable:
         if key in self._entries:
             del self._entries[key]
             self.entries_revoked += 1
-            if self.tracer is not None:
-                self.tracer.log("ac.revoke", "gateway", f"{outside}<->{amateur}")
+            self.tracer.log("ac.revoke", "gateway", f"{outside}<->{amateur}")
             return True
         return False
 
@@ -177,9 +174,8 @@ class AccessControlTable:
         from_amateur = self._is_amateur_address(source)
         if not from_amateur and not self._operator_ok(request):
             self.auth_failures += 1
-            if self.tracer is not None:
-                self.tracer.log("ac.authfail", "gateway",
-                                f"{source} code={message.code}")
+            self.tracer.log("ac.authfail", "gateway",
+                            f"{source} code={message.code}")
             return
         if message.code == icmp_mod.AC_AUTHORIZE:
             ttl = request.ttl_seconds * SECOND if request.ttl_seconds else self.entry_ttl

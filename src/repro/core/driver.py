@@ -33,7 +33,7 @@ The driver below follows that structure byte for byte:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.ax25.address import AddressError, AX25Address, AX25Path, is_broadcast
 from repro.ax25.defs import PID_ARPA_ARP, PID_ARPA_IP
@@ -47,7 +47,7 @@ from repro.serialio.line import SerialEndpoint
 from repro.sim.clock import SECOND
 from repro.sim.engine import Event, Simulator
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 #: Default IP MTU over AX.25 (KA9Q convention: 256-byte paclen).
 AX25_MTU = 256
@@ -70,7 +70,7 @@ class PacketRadioInterface(NetworkInterface):
         mtu: int = AX25_MTU,
         default_path: AX25Path = AX25Path(),
         reassembly: str = "per_char",
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         super().__init__(sim, name, mtu, flags=InterfaceFlags.UP | InterfaceFlags.BROADCAST)
         if reassembly not in ("per_char", "buffered"):
@@ -152,17 +152,12 @@ class PacketRadioInterface(NetworkInterface):
     # observability
     # ------------------------------------------------------------------
 
-    def _obs(self):
-        """The attached flight recorder, if any (see repro.obs.spans)."""
-        tracer = self.tracer
-        return tracer.flight if tracer is not None else None
-
     def _my_ip(self):
         """ARP's view of our address (re-read on every use: ifconfig moves it)."""
         return self.address
 
     def _arp_obs_drop(self, packet: bytes, reason: str) -> None:
-        recorder = self._obs()
+        recorder = self.tracer.flight
         if recorder is not None:
             recorder.drop(packet, "driver.arp", str(self.callsign), reason)
 
@@ -206,9 +201,8 @@ class PacketRadioInterface(NetworkInterface):
             # A lost FEND must not grow the buffer without bound: dump
             # the partial frame and resynchronise at the next FEND.
             self.raw_overflow_drops += 1
-            if self.tracer is not None:
-                self.tracer.log("driver.drop", str(self.callsign),
-                                "raw buffer overflow; resync at next FEND")
+            self.tracer.log("driver.drop", str(self.callsign),
+                            "raw buffer overflow; resync at next FEND")
             self._raw_buffer.clear()
             self._raw_discarding = True
 
@@ -239,9 +233,8 @@ class PacketRadioInterface(NetworkInterface):
             # No recorder terminal: an undecodable frame has no parseable
             # IP payload to correlate a span with.  The tracer is the
             # observability channel for pre-span losses (CONS001).
-            if self.tracer is not None:
-                self.tracer.log("driver.drop", str(self.callsign),
-                                "undecodable AX.25 frame")
+            self.tracer.log("driver.drop", str(self.callsign),
+                            "undecodable AX.25 frame")
             return
         # "It verifies that the recipient's amateur radio callsign (which
         # is used as a link address) is either its own, or the broadcast
@@ -255,9 +248,8 @@ class PacketRadioInterface(NetworkInterface):
         # "It also checks the protocol ID field."
         if frame.pid == PID_ARPA_IP:
             self.frames_ip_in += 1
-            if self.tracer is not None:
-                self.tracer.log("driver.ip_in", str(self.callsign), str(frame))
-            recorder = self._obs()
+            self.tracer.log("driver.ip_in", str(self.callsign), str(frame))
+            recorder = self.tracer.flight
             if recorder is not None:
                 recorder.enter(frame.info, "driver.rx", str(self.callsign))
             self.deliver_input(frame.info, "ip")
@@ -277,9 +269,8 @@ class PacketRadioInterface(NetworkInterface):
                 self.non_ip_queue.append(frame)
             else:
                 self.non_ip_drops += 1
-                if self.tracer is not None:
-                    self.tracer.log("driver.drop", str(self.callsign),
-                                    "non-IP input queue full")
+                self.tracer.log("driver.drop", str(self.callsign),
+                                "non-IP input queue full")
 
     # ------------------------------------------------------------------
     # transmit path
@@ -290,7 +281,7 @@ class PacketRadioInterface(NetworkInterface):
         """Transmit one layer-3 packet toward the next hop."""
         if not self.is_up:
             self.oerrors += 1
-            recorder = self._obs()
+            recorder = self.tracer.flight
             if recorder is not None:
                 recorder.drop(packet, "driver.tx", str(self.callsign),
                               "iface_down")
@@ -309,39 +300,44 @@ class PacketRadioInterface(NetworkInterface):
         """Send a pre-built AX.25 frame (used by the §2.4 app gateway)."""
         self._write_kiss(frame.encode())
 
-    def _send_resolved(self, packet: bytes, entry: ArpEntry) -> None:
-        # Line noise can corrupt an ARP sender_hw before it is learned;
-        # a garbage cache entry must drop the datagram, not panic.
+    def _link_target(self, entry: ArpEntry) -> Optional[Tuple[AX25Address, AX25Path]]:
+        """The AX.25 destination and digipeater path an ARP entry names.
+
+        Line noise can corrupt an ARP sender_hw before it is learned; a
+        garbage cache entry must drop the packet, not panic, so an
+        undecodable address logs the drop and gives None.
+        """
         try:
             destination, _last, _bit = AX25Address.decode(entry.hw_address)
         except AddressError:
-            if self.tracer is not None:
-                self.tracer.log("driver.drop", str(self.callsign),
-                                "undecodable ARP hardware address")
-            recorder = self._obs()
+            self.tracer.log("driver.drop", str(self.callsign),
+                            "undecodable ARP hardware address")
+            return None
+        path = entry.link_hint if isinstance(entry.link_hint, AX25Path) else self.default_path
+        return destination.base, path
+
+    def _send_resolved(self, packet: bytes, entry: ArpEntry) -> None:
+        target = self._link_target(entry)
+        if target is None:
+            recorder = self.tracer.flight
             if recorder is not None:
                 recorder.drop(packet, "driver.tx", str(self.callsign),
                               "bad_header")
             return
-        path = entry.link_hint if isinstance(entry.link_hint, AX25Path) else self.default_path
-        self._transmit_ui(destination.base, PID_ARPA_IP, packet, path,
+        destination, path = target
+        self._transmit_ui(destination, PID_ARPA_IP, packet, path,
                           priority=self._ip_priority(packet))
 
     def _send_arp(self, packet: bytes, broadcast: bool,
                   entry: Optional[ArpEntry]) -> None:
         if broadcast or entry is None:
-            self._transmit_ui(AX25Address("QST"), PID_ARPA_ARP, packet,
-                              self.default_path, priority=PRIO_CONTROL)
-            return
-        try:
-            destination, _last, _bit = AX25Address.decode(entry.hw_address)
-        except AddressError:
-            if self.tracer is not None:
-                self.tracer.log("driver.drop", str(self.callsign),
-                                "undecodable ARP hardware address")
-            return
-        path = entry.link_hint if isinstance(entry.link_hint, AX25Path) else self.default_path
-        self._transmit_ui(destination.base, PID_ARPA_ARP, packet, path,
+            destination, path = AX25Address("QST"), self.default_path
+        else:
+            target = self._link_target(entry)
+            if target is None:
+                return
+            destination, path = target
+        self._transmit_ui(destination, PID_ARPA_ARP, packet, path,
                           priority=PRIO_CONTROL)
 
     @staticmethod
@@ -362,19 +358,17 @@ class PacketRadioInterface(NetworkInterface):
             self.count_shed()
             if priority == PRIO_CONTROL:
                 self.sheds_control += 1  # reprolint: disable=CONS001 -- shed site below emits driver.shed + recorder terminal
-            if self.tracer is not None:
-                self.tracer.log("driver.shed", str(self.callsign),
-                                "bulk output shed under backlog",
-                                backlog=self.serial.tx_backlog_bytes)
-            recorder = self._obs()
+            self.tracer.log("driver.shed", str(self.callsign),
+                            "bulk output shed under backlog",
+                            backlog=self.serial.tx_backlog_bytes)
+            recorder = self.tracer.flight
             if recorder is not None and pid == PID_ARPA_IP:
                 recorder.shed_packet(payload, "driver.tx", str(self.callsign),
                                      "serial_backlog")
             return
         frame = AX25Frame.ui(destination, self.callsign, pid, payload, path)
-        if self.tracer is not None:
-            self.tracer.log("driver.tx", str(self.callsign), str(frame))
-        recorder = self._obs()
+        self.tracer.log("driver.tx", str(self.callsign), str(frame))
+        recorder = self.tracer.flight
         if recorder is not None and pid == PID_ARPA_IP:
             recorder.enter(payload, "driver.tx", str(self.callsign))
         self._write_kiss(frame.encode())
@@ -430,9 +424,8 @@ class PacketRadioInterface(NetworkInterface):
         """
         record = kiss_frame(commands.type_byte(commands.CMD_RETURN), b"")
         self.serial.write(record)
-        if self.tracer is not None:
-            self.tracer.log("driver.reset_tnc", str(self.callsign),
-                            "KISS return sent to TNC")
+        self.tracer.log("driver.reset_tnc", str(self.callsign),
+                        "KISS return sent to TNC")
 
     def start_watchdog(self, streams: RandomStreams, **kwargs: Any) -> "TncWatchdog":
         """Attach and start a :class:`TncWatchdog` on this interface."""
@@ -524,12 +517,11 @@ class TncWatchdog:
                 self.recoveries += 1
                 self.last_recovery_us = now - self._suspected_at
                 self._suspected_at = None
-                if self.driver.tracer is not None:
-                    self.driver.tracer.log(
-                        "driver.watchdog.recovered", self.driver.name,
-                        "TNC responding again",
-                        after_us=self.last_recovery_us)
-                recorder = self.driver._obs()
+                self.driver.tracer.log(
+                    "driver.watchdog.recovered", self.driver.name,
+                    "TNC responding again",
+                    after_us=self.last_recovery_us)
+                recorder = self.driver.tracer.flight
                 if recorder is not None:
                     recorder.instruments.histogram(
                         "watchdog_recovery_us").record(self.last_recovery_us)
@@ -544,12 +536,11 @@ class TncWatchdog:
                     self._suspected_at = now
                 if now >= self._next_reset_at:
                     self.resets_issued += 1
-                    if self.driver.tracer is not None:
-                        self.driver.tracer.log(
-                            "driver.watchdog.reset", self.driver.name,
-                            "TNC silent, issuing KISS reset",
-                            silent_us=silent_for,
-                            attempt=self._attempt + 1)
+                    self.driver.tracer.log(
+                        "driver.watchdog.reset", self.driver.name,
+                        "TNC silent, issuing KISS reset",
+                        silent_us=silent_for,
+                        attempt=self._attempt + 1)
                     self.driver.reset_tnc()
                     backoff = min(self.backoff_cap,
                                   self.backoff_base << self._attempt)

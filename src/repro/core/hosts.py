@@ -29,7 +29,7 @@ from repro.radio.csma import CsmaParameters
 from repro.radio.modem import ModemProfile
 from repro.serialio.line import SerialLine
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 from repro.tnc.kiss_tnc import KissTnc
 from repro.tnc.rom_tnc import RomTnc
 
@@ -57,7 +57,7 @@ def attach_kiss_radio(
     csma: Optional[CsmaParameters] = None,
     tnc_address_filter: bool = False,
     default_path: AX25Path = AX25Path(),
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = NULL_TRACER,
     ifname: str = "pr0",
     fidelity: str = "per_char",
 ) -> RadioAttachment:
@@ -67,6 +67,8 @@ def attach_kiss_radio(
 
     ``fidelity`` selects the serial line's delivery granularity
     (``"per_char"`` or ``"frame"``; see :mod:`repro.serialio.line`).
+    The TNC and the driver log to ``tracer``; left out, they share the
+    stateless :data:`~repro.sim.trace.NULL_TRACER` and run untraced.
     """
     callsign = (
         callsign if isinstance(callsign, AX25Address) else AX25Address.parse(callsign)
@@ -115,7 +117,7 @@ def make_radio_host(
     hostname: str,
     callsign: "AX25Address | str",
     ip: "IPv4Address | str",
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = NULL_TRACER,
     **radio_kwargs,
 ) -> PcHost:
     """Build an IP-speaking radio-only host (the isolated PC of §2.3)."""
@@ -141,7 +143,7 @@ class GatewayHost:
         return self.radio.interface
 
     def enable_access_control(self, entry_ttl: Optional[int] = None,
-                              tracer: Optional[Tracer] = None) -> AccessControlTable:
+                              tracer: Tracer = NULL_TRACER) -> AccessControlTable:
         """Turn on the §4.3 table (idempotent)."""
         if self.access_control is None:
             kwargs = {}
@@ -165,7 +167,7 @@ def make_gateway(
     ether_ip: "IPv4Address | str",
     radio_ip: "IPv4Address | str",
     mac_index: int,
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = NULL_TRACER,
     **radio_kwargs,
 ) -> GatewayHost:
     """Build the paper's gateway: both interfaces, forwarding on."""
@@ -186,7 +188,7 @@ def make_ethernet_host(
     hostname: str,
     ip: "IPv4Address | str",
     mac_index: int,
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = NULL_TRACER,
 ) -> NetStack:
     """An ordinary host on the department Ethernet."""
     stack = NetStack(sim, hostname, tracer=tracer)
@@ -210,7 +212,7 @@ class TerminalStation:
         channel: RadioChannel,
         callsign: "AX25Address | str",
         serial_baud: int = 1200,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = NULL_TRACER,
         timer_policy: Optional[Callable[[], LinkTimerPolicy]] = None,
     ) -> None:
         self.sim = sim

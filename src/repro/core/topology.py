@@ -35,7 +35,7 @@ from repro.radio.csma import CsmaParameters
 from repro.radio.modem import ModemProfile
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 from repro.tnc.digipeater import Digipeater
 
 
@@ -277,7 +277,7 @@ def synthesize_stations(
     sim: Simulator,
     channel: RadioChannel,
     count: int,
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = NULL_TRACER,
     modem: Optional[ModemProfile] = None,
     serial_baud: int = 9600,
     csma: Optional[CsmaParameters] = None,

@@ -10,11 +10,11 @@ hardware without promiscuous mode.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.sim.clock import SECOND, US
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class EthernetLan:
@@ -24,7 +24,7 @@ class EthernetLan:
     PROPAGATION = 5 * US
 
     def __init__(self, sim: Simulator, bit_rate: int = 10_000_000,
-                 tracer: Optional[Tracer] = None, name: str = "ether0") -> None:
+                 tracer: Tracer = NULL_TRACER, name: str = "ether0") -> None:
         self.sim = sim
         self.bit_rate = bit_rate
         self.tracer = tracer
@@ -46,8 +46,7 @@ class EthernetLan:
         self._busy_until = done
         self.frames_carried += 1
         self.bytes_carried += len(data)
-        if self.tracer is not None:
-            self.tracer.log("ether.tx", sender, "frame", bytes=len(data))
+        self.tracer.log("ether.tx", sender, "frame", bytes=len(data))
         self.sim.at(done, self._deliver, sender, data, label=f"ether {self.name}")
         return done
 

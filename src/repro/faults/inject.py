@@ -39,7 +39,7 @@ from repro.radio.channel import RadioChannel
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 
 @dataclass
@@ -145,7 +145,7 @@ class FaultInjector:
     """Schedules a plan's faults against live components."""
 
     def __init__(self, sim: Simulator, streams: RandomStreams,
-                 tracer: Optional[Tracer] = None) -> None:
+                 tracer: Tracer = NULL_TRACER) -> None:
         self.sim = sim
         self.streams = streams
         self.tracer = tracer
@@ -221,9 +221,8 @@ class FaultInjector:
 
     def _fire(self, spec: FaultSpec, apply: Callable[[], None]) -> None:
         self.faults_injected += 1
-        if self.tracer is not None:
-            self.tracer.log("fault.inject", spec.target, spec.kind,
-                            duration=spec.duration)
+        self.tracer.log("fault.inject", spec.target, spec.kind,
+                        duration=spec.duration)
         apply()
 
     def _clear(self, spec: FaultSpec, undo: Callable[[], None]) -> None:
@@ -232,8 +231,7 @@ class FaultInjector:
 
     def _run_clear(self, spec: FaultSpec, undo: Callable[[], None]) -> None:
         self.faults_cleared += 1
-        if self.tracer is not None:
-            self.tracer.log("fault.clear", spec.target, spec.kind)
+        self.tracer.log("fault.clear", spec.target, spec.kind)
         undo()
 
     # ------------------------------------------------------------------

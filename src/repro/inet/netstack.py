@@ -39,14 +39,14 @@ from repro.netif.ifnet import NetworkInterface
 from repro.netif.loopback import LoopbackInterface
 from repro.netif.queues import IfQueue, SoftNet
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class NetStack:
     """The kernel network stack of one host."""
 
     def __init__(self, sim: Simulator, hostname: str,
-                 tracer: Optional[Tracer] = None) -> None:
+                 tracer: Tracer = NULL_TRACER) -> None:
         self.sim = sim
         self.hostname = hostname
         self.tracer = tracer
@@ -103,11 +103,6 @@ class NetStack:
     # observability
     # ------------------------------------------------------------------
 
-    def _obs(self):
-        """The attached flight recorder, if any (see repro.obs.spans)."""
-        tracer = self.tracer
-        return tracer.flight if tracer is not None else None
-
     # The three hook bodies below mirror queue/interface drops into the
     # stack counters; the paired observability emission happens at the
     # dropping component itself (queue on_drop / interface shed site).
@@ -121,7 +116,7 @@ class NetStack:
         self.counters.bump("if_output_sheds")  # reprolint: disable=CONS001 -- hook body; the driver emits at its shed site
 
     def _obs_born(self, datagram: IPv4Datagram) -> None:
-        recorder = self._obs()
+        recorder = self.tracer.flight
         if recorder is not None:
             recorder.born_datagram(self.hostname, datagram)
 
@@ -170,7 +165,7 @@ class NetStack:
         """Driver hand-off in interrupt context: enqueue + soft interrupt."""
         if protocol != "ip":
             return
-        recorder = self._obs()
+        recorder = self.tracer.flight
         if self.ip_input_queue.enqueue((packet, interface)):
             if recorder is not None:
                 recorder.enter(packet, "ipintrq", self.hostname)
@@ -190,7 +185,7 @@ class NetStack:
 
     def _ip_input(self, packet: bytes, interface: NetworkInterface) -> None:
         self.counters.bump("ip_received")
-        recorder = self._obs()
+        recorder = self.tracer.flight
         try:
             datagram = IPv4Datagram.decode(packet)
         except IPError:
@@ -198,9 +193,8 @@ class NetStack:
             if recorder is not None:
                 recorder.drop(packet, "ip.rx", self.hostname, "bad_header")
             return
-        if self.tracer is not None:
-            self.tracer.log("ip.rx", self.hostname, str(datagram),
-                            iface=interface.name)
+        self.tracer.log("ip.rx", self.hostname, str(datagram),
+                        iface=interface.name)
         if recorder is not None:
             recorder.enter_key(self._obs_key(datagram), "ip.rx", self.hostname)
         if self.is_local_address(datagram.destination):
@@ -223,7 +217,7 @@ class NetStack:
         if whole is None:
             return
         self.counters.bump("ip_delivered")
-        recorder = self._obs()
+        recorder = self.tracer.flight
         if recorder is not None:
             recorder.deliver_key(self._obs_key(whole), self.hostname)
         if whole.protocol == PROTO_ICMP:
@@ -239,7 +233,7 @@ class NetStack:
     # ------------------------------------------------------------------
 
     def _forward(self, datagram: IPv4Datagram, in_iface: NetworkInterface) -> None:
-        recorder = self._obs()
+        recorder = self.tracer.flight
         if self.forward_filter is not None and not self.forward_filter(datagram, in_iface):
             self.counters.bump("ip_forward_filtered")
             if recorder is not None:
@@ -269,9 +263,8 @@ class NetStack:
                 and route.interface.output_backlog > self.quench_threshold):
             self.counters.bump("quench_sent")
             self._send_icmp(icmp_mod.source_quench(datagram), datagram.source)
-        if self.tracer is not None:
-            self.tracer.log("ip.forward", self.hostname, str(forwarded),
-                            via=route.interface.name)
+        self.tracer.log("ip.forward", self.hostname, str(forwarded),
+                        via=route.interface.name)
         if recorder is not None:
             recorder.enter_key(self._obs_key(forwarded), "ip.forward",
                                self.hostname)
@@ -342,9 +335,8 @@ class NetStack:
             self.counters.bump("ip_no_route")
             # The datagram was never built, so no span was born to
             # terminate; the tracer carries the pre-span loss (CONS001).
-            if self.tracer is not None:
-                self.tracer.log("ip.drop", self.hostname,
-                                f"no route to {destination}")
+            self.tracer.log("ip.drop", self.hostname,
+                            f"no route to {destination}")
             return False
         datagram = IPv4Datagram(
             source=source or self.source_address_for(route),
@@ -356,9 +348,8 @@ class NetStack:
             dont_fragment=dont_fragment,
         )
         self._obs_born(datagram)
-        if self.tracer is not None:
-            self.tracer.log("ip.tx", self.hostname, str(datagram),
-                            via=route.interface.name)
+        self.tracer.log("ip.tx", self.hostname, str(datagram),
+                        via=route.interface.name)
         return self._transmit(datagram, route)
 
     def _transmit(self, datagram: IPv4Datagram, route: Route) -> bool:
@@ -378,7 +369,7 @@ class NetStack:
             if not route.interface.if_output(piece.encode(), next_hop):
                 ok = False
         if not ok:
-            recorder = self._obs()
+            recorder = self.tracer.flight
             if recorder is not None:
                 recorder.drop_key(self._obs_key(datagram), "driver.tx",
                                   self.hostname, "if_output_failed")

@@ -782,8 +782,7 @@ class TcpConnection:
         they evolve; the rate counts retransmissions per 10-second
         window so a storm is visible as a spike, not just a total.
         """
-        tracer = self.protocol.stack.tracer
-        recorder = tracer.flight if tracer is not None else None
+        recorder = self.protocol.stack.tracer.flight
         if recorder is None:
             return
         recorder.instruments.gauge("tcp_rto_us").sample(

@@ -31,7 +31,7 @@ from repro.radio.modem import ModemProfile
 from repro.radio.station import RadioStation
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 #: Default initial TTL for originated datagrams.
 DEFAULT_TTL = 16
@@ -69,7 +69,7 @@ class NetRomNode:
         sim: Simulator,
         callsign: "AX25Address | str",
         alias: str,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = NULL_TRACER,
         broadcast_interval: int = DEFAULT_BROADCAST_INTERVAL,
     ) -> None:
         self.sim = sim
@@ -175,9 +175,8 @@ class NetRomNode:
         route = self.routes.get(str(packet.destination))
         if route is None or route.quality < MIN_QUALITY:
             self.datagrams_dropped += 1
-            if self.tracer is not None:
-                self.tracer.log("netrom.noroute", str(self.callsign),
-                                str(packet.destination))
+            self.tracer.log("netrom.noroute", str(self.callsign),
+                            str(packet.destination))
             return False
         port = self._port_for_neighbour(route.neighbour)
         if port is None:
@@ -201,7 +200,7 @@ class NetRomNode:
         handler = self.protocols.get(packet.protocol)
         if handler is not None:
             handler(packet.payload, packet.origin)
-        elif self.tracer is not None:
+        else:
             self.tracer.log("netrom.unbound", str(self.callsign),
                             f"proto=0x{packet.protocol:02x}")
 
@@ -300,6 +299,5 @@ class NetRomNode:
                 quality=quality,
                 learned_at=self.sim.now,
             )
-            if self.tracer is not None:
-                self.tracer.log("netrom.route", str(self.callsign),
-                                f"{destination} via {neighbour} q={quality}")
+            self.tracer.log("netrom.route", str(self.callsign),
+                            f"{destination} via {neighbour} q={quality}")

@@ -63,6 +63,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.ax25.defs import PID_ARPA_IP
+from repro.ax25.frames import AX25Frame, FrameError
 from repro.obs.instruments import Instruments
 from repro.sim.clock import SECOND
 
@@ -155,11 +156,13 @@ def ip_flow_key(packet: bytes) -> Optional[FlowKey]:
 def probe_ax25(frame: bytes) -> Optional[Tuple[str, FlowKey]]:
     """Peek into an AX.25 frame: (destination callsign text, flow key).
 
-    Returns None unless the frame carries an ARPA IP payload whose flow key
-    parses.  The destination text matches ``str(AX25Address)`` for
-    non-repeated addresses ("WL0" or "WB6-2"), which is how TNC/radio
+    Returns None unless the frame decodes and carries an ARPA IP payload
+    whose flow key parses.  The destination text is ``str(AX25Address)``
+    of the decoded destination ("WL0" or "WB6-2"), which is how TNC/radio
     probes decide whether a copy of the frame is headed *to them* and
-    therefore span-relevant.
+    therefore span-relevant.  The frame is read through
+    :meth:`AX25Frame.decode`, the one AX.25 parser, so a frame no driver
+    accepts gives None here too.
 
     Memoised on the frame bytes: one frame is probed at up to four TNC
     sites and two channel sites.  The result is a pure function of the
@@ -167,32 +170,16 @@ def probe_ax25(frame: bytes) -> Optional[Tuple[str, FlowKey]]:
     a fresh parse would.  The bound is small on purpose: 256 entries
     catch nearly every repeat probe of a frame in flight.
     """
-    end = -1
-    # Address blocks are 7 bytes; the extension bit (bit 0 of the SSID
-    # byte) terminates the field.  Cap at 10 blocks: dest + src + 8 digis.
-    for block in range(10):
-        index = block * 7 + 6
-        if index >= len(frame):
-            return None
-        if frame[index] & 0x01:
-            end = index
-            break
-    if end < 0 or end + 1 >= len(frame):
+    try:
+        decoded = AX25Frame.decode(frame)
+    except FrameError:
         return None
-    control = frame[end + 1]
-    # PID follows the control byte only on I-frames (bit 0 clear) and
-    # UI frames (0x03 / 0x13).
-    if (control & 0x01) != 0 and (control & 0xEF) != 0x03:
+    if decoded.pid != PID_ARPA_IP:
         return None
-    if end + 2 >= len(frame) or frame[end + 2] != PID_ARPA_IP:
-        return None
-    key = ip_flow_key(frame[end + 3:])
+    key = ip_flow_key(decoded.info)
     if key is None:
         return None
-    callsign = "".join(chr(b >> 1) for b in frame[:6]).strip()
-    ssid = (frame[6] >> 1) & 0x0F
-    dest = callsign if ssid == 0 else f"{callsign}-{ssid}"
-    return (dest, key)
+    return (str(decoded.destination), key)
 
 
 @dataclass(frozen=True)
@@ -249,9 +236,11 @@ class FlightRecorder:
     """Ring-buffered cross-layer packet span store.
 
     Attaching a recorder to a tracer (``FlightRecorder(tracer)``) sets
-    ``tracer.flight``, which is the single switch every layer checks: with
-    no recorder attached the per-packet cost is one attribute load and a
-    None test.
+    ``tracer.flight``, which is the single switch every layer checks: each
+    hook reads ``self.tracer.flight``, so with no recorder attached the
+    per-packet cost is one attribute load and a None test.  An untraced
+    component holds :data:`~repro.sim.trace.NULL_TRACER`, whose ``flight``
+    is always None: a recorder cannot attach to it.
 
     ``trace_base`` salts ``pkt_id`` allocation for sharded runs (region
     ``r`` uses ``r << 40``) so trace ids stay globally unique when spans

@@ -21,7 +21,7 @@ from repro.obs.spans import probe_ax25
 from repro.sim.clock import MS
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 #: How long a transmission must be on the air before other stations'
 #: carrier-detect circuits register it.  1200-baud AFSK DCD was slow --
@@ -62,7 +62,9 @@ class ChannelPort:
         #: Relative received signal strength (topology-assigned); only
         #: consulted when the channel's capture effect is enabled.
         self.signal_strength = 1.0
-        #: End time of this port's own current transmission (half duplex).
+        #: Start and end time of this port's own latest transmission
+        #: (half duplex).
+        self.keyed_at = 0
         self.tx_until = 0
         self.frames_sent = 0
         self.frames_received = 0
@@ -90,7 +92,7 @@ class RadioChannel:
     """One simplex radio frequency shared by all attached stations."""
 
     def __init__(self, sim: Simulator, streams: Optional[RandomStreams] = None,
-                 tracer: Optional[Tracer] = None, name: str = "145.01MHz",
+                 tracer: Tracer = NULL_TRACER, name: str = "145.01MHz",
                  carrier_detect_delay: int = DEFAULT_CARRIER_DETECT_DELAY,
                  capture_ratio: Optional[float] = None) -> None:
         self.sim = sim
@@ -220,14 +222,14 @@ class RadioChannel:
                 continue
             self._mark_mutual_collisions(tx, other)
         self.active.append(tx)
+        sender.keyed_at = now
         sender.tx_until = max(sender.tx_until, tx.end)
         sender.frames_sent += 1
         self.total_transmissions += 1
         self._note_busy_start(now)
-        if self.tracer is not None:
-            self.tracer.log("radio.tx", sender.name, "keyed",
-                            bytes=len(payload), airtime=airtime)
-        recorder = self.tracer.flight if self.tracer is not None else None
+        self.tracer.log("radio.tx", sender.name, "keyed",
+                        bytes=len(payload), airtime=airtime)
+        recorder = self.tracer.flight
         if recorder is not None:
             probe = probe_ax25(payload)
             if probe is not None:
@@ -259,9 +261,8 @@ class RadioChannel:
         old.corrupted_at.add(new.sender.name)
         if shared:
             self.total_collisions += 1
-            if self.tracer is not None:
-                self.tracer.log("radio.collision", new.sender.name,
-                                f"with {old.sender.name}")
+            self.tracer.log("radio.collision", new.sender.name,
+                            f"with {old.sender.name}")
 
     def _capture_survivor(self, new: Transmission,
                           old: Transmission) -> Optional[Transmission]:
@@ -289,11 +290,10 @@ class RadioChannel:
             # Aggregate background energy: it occupied the channel and
             # corrupted what it overlapped, but there is no frame to
             # deliver -- the flow model accounts its own traffic.
-            if self.tracer is not None:
-                self.tracer.log("radio.done", tx.sender.name,
-                                "flow burst unkeyed")
+            self.tracer.log("radio.done", tx.sender.name,
+                            "flow burst unkeyed")
             return
-        recorder = self.tracer.flight if self.tracer is not None else None
+        recorder = self.tracer.flight
         probe = probe_ax25(tx.payload) if recorder is not None else None
         sender = tx.sender
         full_mesh = self._full_mesh()
@@ -308,8 +308,8 @@ class RadioChannel:
             # the intended receiver losing the frame loses the packet.
             watched = probe is not None and port.name == probe[0]
             # Half-duplex receivers that were transmitting during any part
-            # of this frame missed it.
-            if port.tx_until > tx.start:
+            # of this frame, the half-open interval [start, end), missed it.
+            if port.tx_until > tx.start and port.keyed_at < tx.end:
                 if watched:
                     recorder.lost_key(probe[1], "radio.rx", port.name,
                                       "halfduplex_miss")
@@ -331,9 +331,8 @@ class RadioChannel:
             if watched:
                 recorder.enter_key(probe[1], "radio.rx", port.name)
             port.on_receive(payload)
-        if self.tracer is not None:
-            self.tracer.log("radio.done", tx.sender.name, "unkeyed",
-                            corrupted_at=len(tx.corrupted_at))
+        self.tracer.log("radio.done", tx.sender.name, "unkeyed",
+                        corrupted_at=len(tx.corrupted_at))
 
     def _maybe_corrupt(self, payload: bytes, port: ChannelPort) -> Optional[bytes]:
         """Apply the receiver modem's bit-error model (channel-level BER)."""

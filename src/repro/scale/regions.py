@@ -37,7 +37,7 @@ from repro.serialio.line import validate_line_fidelity
 from repro.sim.clock import MS, seconds
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 from repro.tools.axdump import ChannelMonitor
 from repro.workload.arrivals import make_arrivals
 from repro.workload.generators import PingGenerator, load_metrics
@@ -232,7 +232,7 @@ class Region:
     flow: Optional[FlowStationCloud] = None
     injector: Optional[FaultInjector] = None
     extra_routes: int = field(default=0)
-    tracer: Optional[Tracer] = None
+    tracer: Tracer = NULL_TRACER
     recorder: Optional[FlightRecorder] = None
     monitor: Optional[ChannelMonitor] = None
 
@@ -243,13 +243,15 @@ def build_region(layout: ScaleLayout, index: int) -> Region:
     The result is byte-identical regardless of which process calls this:
     all randomness comes from the region's derived seed, and the
     foreground pingers' ICMP idents are fixed from (region, station)
-    rather than from a process-wide allocation counter.
+    rather than from a process-wide allocation counter.  An observed
+    layout gives the region its own tracer and flight recorder; any
+    other region runs untraced on :data:`~repro.sim.trace.NULL_TRACER`.
     """
     if not 0 <= index < layout.regions:
         raise ValueError(f"region {index} outside layout of {layout.regions}")
     sim = Simulator()
     streams = RandomStreams(seed=derive_region_seed(layout.seed, index))
-    tracer: Optional[Tracer] = None
+    tracer: Tracer = NULL_TRACER
     recorder: Optional[FlightRecorder] = None
     if layout.observe:
         tracer = Tracer(sim)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, TYPE_CHECKING
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from repro.sim.clock import format_time
 from repro.sim.engine import Simulator
@@ -49,10 +50,9 @@ class TraceRecord:
 class Tracer:
     """Append-only trace log bound to a simulator clock."""
 
-    def __init__(self, sim: Simulator, echo: bool = False) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.records: List[TraceRecord] = []
-        self.echo = echo
         self._listeners: List[Callable[[TraceRecord], None]] = []
         self._by_category: Dict[str, List[TraceRecord]] = {}
         #: Optional attached packet flight recorder (see repro.obs.spans);
@@ -74,8 +74,6 @@ class Tracer:
             self._by_category[category] = [record]
         else:
             bucket.append(record)
-        if self.echo:  # pragma: no cover - interactive convenience
-            print(record.render())  # reprolint: disable=OBS001 -- echo mode is an explicit interactive tap
         for listener in self._listeners:
             listener(record)
         return record
@@ -140,8 +138,29 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """Tracer that discards everything (for hot benchmark loops)."""
+    """The tracer of an untraced component: it keeps nothing.
+
+    :data:`NULL_TRACER` is the one shared instance.  It is stateless:
+    :meth:`log` discards, queries see an empty log, ``flight`` stays
+    None, and it takes no attribute and no listener, so no
+    :class:`~repro.obs.spans.FlightRecorder` can attach to it.
+    """
+
+    records: Sequence[TraceRecord] = ()
+    _listeners: Sequence[Callable[[TraceRecord], None]] = ()
+    _by_category: Mapping[str, List[TraceRecord]] = MappingProxyType({})
+    flight: Optional["FlightRecorder"] = None
+
+    def __init__(self) -> None:
+        """Nothing to bind: a null tracer reads no clock."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"the shared null tracer keeps no state ({name!r})")
 
     def log(self, category: str, source: str, message: str, **detail: Any) -> None:  # type: ignore[override]
         """Discard the event without allocating anything."""
         return None
+
+
+#: The tracer every untraced component shares.
+NULL_TRACER = NullTracer()

@@ -22,7 +22,7 @@ from repro.radio.csma import CsmaParameters
 from repro.radio.modem import ModemProfile
 from repro.radio.station import RadioStation
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class Digipeater:
@@ -35,7 +35,7 @@ class Digipeater:
         callsign: "AX25Address | str",
         modem: Optional[ModemProfile] = None,
         csma: Optional[CsmaParameters] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.sim = sim
         self.callsign = (
@@ -72,6 +72,5 @@ class Digipeater:
             return
         relayed = frame.digipeated_by(self.callsign)
         self.frames_relayed += 1
-        if self.tracer is not None:
-            self.tracer.log("digi.relay", str(self.callsign), str(relayed))
+        self.tracer.log("digi.relay", str(self.callsign), str(relayed))
         self.station.send_frame(relayed.encode())

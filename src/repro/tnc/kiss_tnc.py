@@ -33,7 +33,7 @@ from repro.radio.station import RadioStation
 from repro.serialio.line import SerialEndpoint
 from repro.sim.clock import MS
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 from repro.tnc.filtering import frame_is_for_station
 
 #: How long the TNC firmware takes to reboot after a KISS exit/reset.
@@ -58,7 +58,7 @@ class KissTnc:
         modem: Optional[ModemProfile] = None,
         csma: Optional[CsmaParameters] = None,
         address_filter: bool = False,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.sim = sim
         self.serial = serial
@@ -99,11 +99,6 @@ class KissTnc:
     # observability
     # ------------------------------------------------------------------
 
-    def _obs(self):
-        """The attached flight recorder, if any (see repro.obs.spans)."""
-        tracer = self.tracer
-        return tracer.flight if tracer is not None else None
-
     def _span_target(self) -> str:
         """The callsign text span probes compare frame destinations to."""
         return str(self.callsign) if self.callsign is not None else self.name
@@ -133,7 +128,7 @@ class KissTnc:
                 self.reboot()
             else:
                 self.wedged_drops += 1
-                recorder = self._obs()
+                recorder = self.tracer.flight
                 if recorder is not None and command == commands.CMD_DATA:
                     # Origin-side wedge: our own outbound frame died here,
                     # so this is an unambiguous terminal.
@@ -145,12 +140,11 @@ class KissTnc:
         if command == commands.CMD_DATA:
             if not payload:
                 self.bad_records += 1
-                if self.tracer is not None:
-                    self.tracer.log("tnc.drop", self.name,
-                                    "empty KISS data record")
+                self.tracer.log("tnc.drop", self.name,
+                                "empty KISS data record")
                 return
             self.frames_to_air += 1
-            recorder = self._obs()
+            recorder = self.tracer.flight
             if recorder is not None:
                 probe = probe_ax25(payload)
                 if probe is not None:
@@ -174,14 +168,12 @@ class KissTnc:
             self.station.csma = self.station.csma.with_full_duplex(bool(value))
         elif command == commands.CMD_RETURN:
             # Exit KISS: the real TNC reboots (our model reloads KISS).
-            if self.tracer is not None:
-                self.tracer.log("tnc.return", self.name, "exit KISS mode")
+            self.tracer.log("tnc.return", self.name, "exit KISS mode")
             self.reboot()
         else:
             self.bad_records += 1
-            if self.tracer is not None:
-                self.tracer.log("tnc.drop", self.name,
-                                f"unknown KISS command {command:#04x}")
+            self.tracer.log("tnc.drop", self.name,
+                            f"unknown KISS command {command:#04x}")
 
     # ------------------------------------------------------------------
     # air -> host
@@ -190,7 +182,7 @@ class KissTnc:
     def _frame_from_air(self, payload: bytes) -> None:
         if self.wedged or self._rebooting:
             self.wedged_drops += 1
-            recorder = self._obs()
+            recorder = self.tracer.flight
             if recorder is not None:
                 # RX-side wedge: other stations also heard this frame, so
                 # only the intended recipient records the (observational)
@@ -205,15 +197,14 @@ class KissTnc:
                 self.frames_filtered += 1
                 return
         self.frames_to_host += 1
-        recorder = self._obs()
+        recorder = self.tracer.flight
         if recorder is not None:
             probe = probe_ax25(payload)
             if probe is not None and probe[0] == self._span_target():
                 recorder.enter_key(probe[1], "tnc.up", self.name)
         self.serial.write(kiss_frame(commands.DATA_TYPE_BYTE, payload))
-        if self.tracer is not None:
-            self.tracer.log("tnc.to_host", self.name, "frame up serial",
-                            bytes=len(payload))
+        self.tracer.log("tnc.to_host", self.name, "frame up serial",
+                        bytes=len(payload))
 
     # ------------------------------------------------------------------
     # faults and recovery
@@ -229,8 +220,7 @@ class KissTnc:
         if self.wedged:
             return
         self.wedged = True
-        if self.tracer is not None:
-            self.tracer.log("tnc.wedge", self.name, "firmware hung")
+        self.tracer.log("tnc.wedge", self.name, "firmware hung")
 
     def reboot(self) -> None:
         """Restart the firmware: deaf and mute for :attr:`reboot_delay`.
@@ -243,16 +233,14 @@ class KissTnc:
         self.wedged = False
         self._rebooting = True
         self._deframer = KissDeframer(on_frame=self._record_from_host)
-        if self.tracer is not None:
-            self.tracer.log("tnc.reboot", self.name, "firmware restarting")
+        self.tracer.log("tnc.reboot", self.name, "firmware restarting")
         self.sim.schedule(self.reboot_delay, self._finish_reboot,
                           label=f"tnc-reboot {self.name}")
 
     def _finish_reboot(self) -> None:
         self._rebooting = False
         self.resets += 1
-        if self.tracer is not None:
-            self.tracer.log("tnc.reset", self.name, "KISS reloaded")
+        self.tracer.log("tnc.reset", self.name, "KISS reloaded")
 
     # ------------------------------------------------------------------
     # introspection

@@ -32,7 +32,7 @@ from repro.radio.station import RadioStation
 from repro.serialio.line import SerialEndpoint
 from repro.sim.clock import SECOND
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_TRACER, Tracer
 
 _CTRL_C = 0x03
 _PROMPT = b"cmd: "
@@ -49,7 +49,7 @@ class RomTnc:
         callsign: "AX25Address | str",
         modem: Optional[ModemProfile] = None,
         csma: Optional[CsmaParameters] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = NULL_TRACER,
         echo: bool = True,
         timer_policy: Optional[Callable[[], LinkTimerPolicy]] = None,
     ) -> None:
@@ -253,8 +253,7 @@ class RomTnc:
         self.active = conn
         self.converse = True
         self._print(f"*** CONNECTED to {conn.remote}\r\n".encode())
-        if self.tracer is not None:
-            self.tracer.log("tnc.link", str(self.callsign), f"connected {conn.remote}")
+        self.tracer.log("tnc.link", str(self.callsign), f"connected {conn.remote}")
 
     def _link_data(self, conn: LapbConnection, data: bytes, pid: int) -> None:
         self._print(data.replace(b"\r", b"\r\n"))
@@ -268,5 +267,4 @@ class RomTnc:
             notice += f" ({reason})"
         self._print(notice.encode() + b"\r\n")
         self._prompt()
-        if self.tracer is not None:
-            self.tracer.log("tnc.link", str(self.callsign), f"disconnected {conn.remote}")
+        self.tracer.log("tnc.link", str(self.callsign), f"disconnected {conn.remote}")

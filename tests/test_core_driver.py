@@ -12,11 +12,13 @@ from repro.ax25.defs import PID_ARPA_ARP, PID_ARPA_IP, PID_NO_L3
 from repro.ax25.frames import AX25Frame
 from repro.core.driver import PacketRadioInterface, TncWatchdog
 from repro.inet.arp import ARP_REPLY, ARP_REQUEST, ArpPacket, HRD_AX25
-from repro.inet.ip import IPv4Address
+from repro.inet.ip import IPv4Address, IPv4Datagram
 from repro.kiss import commands
 from repro.kiss.framing import FEND, KissDeframer, frame as kiss_frame
+from repro.obs.spans import FlightRecorder
 from repro.serialio.line import LINE_FIDELITY_LEVELS, SerialLine
 from repro.sim.clock import SECOND
+from repro.sim.trace import NULL_TRACER, Tracer
 
 MY_CALL = AX25Address("NT7GW")
 PEER_CALL = AX25Address("KB7DZ")
@@ -438,26 +440,52 @@ def test_static_arp_entry_with_path(sim):
     assert sent.link_destination.matches(AX25Address("WB7DIG"))
 
 
-def test_undecodable_arp_hardware_address_dropped_without_tracer(sim):
-    """Line noise can leave a garbage hardware address in the ARP cache.
-
-    A driver built without a tracer (``attach_kiss_radio``'s default)
-    must drop on both send paths, the resolved IP datagram and the ARP
-    reply, rather than raise; nothing goes toward the TNC.
-    """
-    harness = DriverHarness(sim)
-    assert harness.driver.tracer is None
+def _send_both_ways_through_garbage(sim, harness, packet: bytes) -> None:
+    """Route ``packet`` to the peer and answer its ARP request, with a
+    garbage hardware address cached for it, as line noise can leave."""
     garbage = b"\xff" * 7
     harness.driver.arp.add_static(PEER_IP, garbage)
-    assert harness.driver.if_output(b"ip-payload", PEER_IP)
+    assert harness.driver.if_output(packet, PEER_IP)
     sim.run_until_idle()
     request = ArpPacket(HRD_AX25, ARP_REQUEST, garbage,
                         IPv4Address.parse("44.24.0.6"), bytes(7), MY_IP)
     harness.feed_frame(AX25Frame.ui(MY_CALL, PEER_CALL, PID_ARPA_ARP,
                                     request.encode()))
     assert harness.driver.arp.replies_sent == 1
+
+
+def test_undecodable_arp_hardware_address_dropped_on_both_send_paths(sim):
+    """Line noise can leave a garbage hardware address in the ARP cache.
+
+    An untraced driver (``attach_kiss_radio``'s default) must drop on
+    both send paths, the resolved IP datagram and the ARP reply, rather
+    than raise; nothing goes toward the TNC.
+    """
+    harness = DriverHarness(sim)
+    assert harness.driver.tracer is NULL_TRACER
+    _send_both_ways_through_garbage(sim, harness, b"ip-payload")
     assert harness.line.a.bytes_sent == 0
     assert harness.tnc_deframer.frames == []
+
+
+def test_undecodable_arp_hardware_address_drops_are_logged_and_end_the_span(sim):
+    """With a real tracer and recorder, both send paths log
+    ``driver.drop``, and the IP datagram's span ends dropped with
+    reason ``bad_header``."""
+    tracer = Tracer(sim)
+    recorder = FlightRecorder(tracer)
+    harness = DriverHarness(sim, tracer=tracer)
+    datagram = IPv4Datagram(source=MY_IP, destination=PEER_IP,
+                            protocol=17, payload=b"ip-payload",
+                            identification=77)
+    pkt_id = recorder.born_datagram("pr0", datagram)
+    _send_both_ways_through_garbage(sim, harness, datagram.encode())
+    assert [record.message for record in tracer.select(category="driver.drop")] == [
+        "undecodable ARP hardware address"] * 2
+    span = recorder.span(pkt_id)
+    assert span is not None
+    assert (span.state, span.reason) == ("dropped", "bad_header")
+    assert harness.line.a.bytes_sent == 0
 
 
 def test_broadcast_ip_goes_to_qst(sim):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.ping import Pinger
 from repro.ax25.address import AX25Address, AX25Path
 from repro.ax25.defs import PID_ARPA_IP, PID_NO_L3, FrameType
-from repro.ax25.frames import AX25Frame
+from repro.ax25.frames import AX25Frame, FrameError, _decode_frame
 from repro.core.topology import build_figure1_testbed, build_gateway_testbed
 from repro.inet.ip import IPv4Address, IPv4Datagram
 from repro.inet.sockets import UdpSocket
@@ -140,29 +140,31 @@ def test_probe_ax25_reads_destination_and_flow_key():
 
 
 def _probe_ax25_uncached(frame: bytes):
-    """``probe_ax25`` as it was before it was memoised."""
-    end = -1
-    for block in range(10):
-        index = block * 7 + 6
-        if index >= len(frame):
-            return None
-        if frame[index] & 0x01:
-            end = index
-            break
-    if end < 0 or end + 1 >= len(frame):
+    """``probe_ax25``'s answer read through the uncached AX.25 decoder."""
+    try:
+        decoded = _decode_frame.__wrapped__(frame)
+    except FrameError:
         return None
-    control = frame[end + 1]
-    if (control & 0x01) != 0 and (control & 0xEF) != 0x03:
+    if decoded.pid != PID_ARPA_IP:
         return None
-    if end + 2 >= len(frame) or frame[end + 2] != PID_ARPA_IP:
-        return None
-    key = ip_flow_key(frame[end + 3:])
-    if key is None:
-        return None
-    callsign = "".join(chr(b >> 1) for b in frame[:6]).strip()
-    ssid = (frame[6] >> 1) & 0x0F
-    dest = callsign if ssid == 0 else f"{callsign}-{ssid}"
-    return (dest, key)
+    key = ip_flow_key(decoded.info)
+    return None if key is None else (str(decoded.destination), key)
+
+
+def test_probe_ax25_rejects_what_the_decoder_rejects():
+    """A frame the AX.25 decoder refuses, which no driver accepts either,
+    probes to None, even where its header bytes spell a destination."""
+    packet = _ip_bytes("44.24.0.28", ident=42)
+    good = AX25Frame.ui(AX25Address("KB7DZ"), AX25Address("N7AKR"),
+                        PID_ARPA_IP, packet).encode()
+    assert probe_ax25(good) == ("KB7DZ", ip_flow_key(packet))
+    extension_in_callsign = bytes([good[0] | 0x01]) + good[1:]
+    space_led_callsign = bytes([ord(" ") << 1]) + good[1:]
+    empty_callsign = bytes(ord(" ") << 1 for _ in range(6)) + good[6:]
+    for frame in (extension_in_callsign, space_led_callsign, empty_callsign):
+        with pytest.raises(FrameError):
+            AX25Frame.decode(frame)
+        assert probe_ax25(frame) is None
 
 
 _CALLSIGN_BYTES = st.lists(st.sampled_from(b"ABKNWZ0179 "),

@@ -78,6 +78,22 @@ def test_half_duplex_transmitter_misses_concurrent_frame(sim, channel):
     assert a_got == []  # A was keyed while B's frame was on the air
 
 
+@pytest.mark.parametrize("key_up, heard", [(999, False), (1000, True)])
+def test_half_duplex_miss_uses_the_half_open_frame_interval(sim, channel,
+                                                            key_up, heard):
+    """A frame occupies [start, end): a port that keys up at ``end``
+    overlapped none of it and still receives it, and one that keys up
+    a microsecond earlier misses it.  B's key-up is registered first,
+    so at t=1000 it fires before A's frame completes."""
+    a, a_got = _attach(channel, "A")
+    b, b_got = _attach(channel, "B")
+    sim.at(key_up, b.transmit, b"reply", 500)
+    a.transmit(b"frame", airtime=1000)
+    sim.run_until_idle()
+    assert b_got == ([b"frame"] if heard else [])
+    assert a_got == ([b"reply"] if heard else [])
+
+
 def test_carrier_sense(sim, channel):
     a, _ = _attach(channel, "A")
     b, _ = _attach(channel, "B")

@@ -7,7 +7,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.check.snapshot import StateCapturer
 from repro.serialio.line import SerialEndpoint, SerialLine
@@ -406,6 +406,21 @@ SALTS = st.integers(0, 2**32 - 1)
 STOPS = st.lists(st.tuples(st.integers(0, 15) | st.integers(0, 60),
                            st.integers(-1, 1),
                            st.none() | st.integers(0, 40)), max_size=5)
+#: Scripts that reach a cancelled lane of a many-lane cohort in every
+#: run.  One write makes a two-byte series on each of three lines, the
+#: three lanes of one cohort; line 0's first byte (0x18 set) cancels
+#: one of them, chosen by the byte, and a stop at its arrival falls
+#: between the cohort passing that lane and leaving the heap.  Line 2's
+#: lane has not fired when it is cancelled and is passed over
+#: (``_Cohort.position`` must stop showing it); line 0 cancels its own
+#: lane, which then sits at the cursor of the horizon entry
+#: (``run()`` must skip it there).  Same-instant lanes keep FIFO order
+#: under a salt, so the salted run reaches the same lane.
+CANCEL_PASSED_LANE = [(0, "a", b"\x1a\x00", (0, 1, 2))]
+CANCEL_CURSOR_LANE = [(0, "a", b"\x18\x00", (0, 1, 2))]
+CANCEL_SALT = 0xBEEF
+#: The scripts' byte time: every line runs at 9600 baud.
+BYTE_TIME = SerialLine(Simulator(), baud=9600).byte_time
 
 
 def script_pair(make_sim, writes, probes, lines=1):
@@ -476,6 +491,10 @@ def step_heads(series, reference, picks) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(writes=WRITES, probes=PROBES, salt=SALTS, lines=LINES, stops=STOPS)
+@example(writes=CANCEL_PASSED_LANE, probes=[], salt=CANCEL_SALT, lines=3,
+         stops=[(1, 0, None)])
+@example(writes=CANCEL_CURSOR_LANE, probes=[], salt=CANCEL_SALT, lines=3,
+         stops=[(1, 0, None)])
 def test_serial_writes_dispatch_like_per_byte_events(writes, probes, salt,
                                                      lines, stops):
     for make_sim in sim_makers(salt):
@@ -494,6 +513,10 @@ def test_serial_writes_dispatch_like_per_byte_events(writes, probes, salt,
 @given(writes=WRITES, probes=PROBES, salt=SALTS, lines=LINES,
        stops=st.lists(st.integers(0, 15_000) | st.integers(0, 90_000),
                       max_size=4))
+@example(writes=CANCEL_PASSED_LANE, probes=[], salt=CANCEL_SALT, lines=3,
+         stops=[BYTE_TIME])
+@example(writes=CANCEL_CURSOR_LANE, probes=[], salt=CANCEL_SALT, lines=3,
+         stops=[BYTE_TIME])
 def test_pending_events_list_every_undelivered_byte(writes, probes, salt,
                                                     lines, stops):
     for make_sim in sim_makers(salt):
@@ -510,6 +533,10 @@ def test_pending_events_list_every_undelivered_byte(writes, probes, salt,
 @given(writes=WRITES, probes=PROBES, salt=SALTS, lines=LINES,
        picks=st.lists(st.integers(0, 7), min_size=1, max_size=20),
        stops=STOPS)
+@example(writes=CANCEL_PASSED_LANE, probes=[], salt=CANCEL_SALT, lines=3,
+         picks=[0], stops=[(1, 0, None)])
+@example(writes=CANCEL_CURSOR_LANE, probes=[], salt=CANCEL_SALT, lines=3,
+         picks=[0], stops=[(1, 0, None)])
 def test_stepping_head_events_follows_the_reference(writes, probes, salt,
                                                     lines, picks, stops):
     for make_sim in sim_makers(salt):

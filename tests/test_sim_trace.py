@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.sim.trace import NullTracer, TraceRecord
+import pytest
+
+from repro.obs.spans import FlightRecorder
+from repro.sim.trace import NULL_TRACER, NullTracer, TraceRecord
 
 
 def test_records_carry_sim_time(sim, tracer):
@@ -51,15 +54,28 @@ def test_render_includes_details(sim, tracer):
 
 
 def test_null_tracer_discards(sim):
-    tracer = NullTracer(sim)
+    tracer = NULL_TRACER
     tracer.log("x", "A", "m")
-    assert tracer.records == []
+    assert list(tracer.records) == []
+    assert tracer.select() == [] and tracer.count() == 0
+    assert tracer.render() == ""
 
 
 def test_null_tracer_log_is_a_true_noop(sim):
-    tracer = NullTracer(sim)
+    tracer = NULL_TRACER
     assert tracer.log("x", "A", "m", extra=1) is None
-    assert tracer.records == [] and tracer.flight is None
+    assert list(tracer.records) == [] and tracer.flight is None
+
+
+def test_the_null_tracer_keeps_no_state_and_takes_no_recorder():
+    assert isinstance(NULL_TRACER, NullTracer)
+    with pytest.raises(AttributeError):
+        NULL_TRACER.flight = object()
+    with pytest.raises(AttributeError):
+        FlightRecorder(NULL_TRACER)
+    with pytest.raises(AttributeError):
+        NULL_TRACER.subscribe(lambda record: None)
+    assert NULL_TRACER.flight is None
 
 
 def test_subscribers_fire_in_subscription_order(sim, tracer):
